@@ -16,12 +16,31 @@ the regression test on the two-item cap fixture for why that matters.
 
 Searches are deterministic: minimum doubled cost, then fewest edges, then
 lexicographically smallest item sequence.
+
+Phase 2 builds one graph per state and asks it for up to n² paths, so two
+things are shared instead of recomputed, and neither can change a
+tie-break:
+
+* **Incremental rebuilds.**  The out-edges of an item held by agent j depend
+  only on ``xc_j``, ``x0_j`` and j's valuation.  Given the previous graph,
+  ``build_weighted_graph`` copies j's edge lists whenever both of j's bundles
+  are unchanged, which after an augmentation is every agent off the path.
+  The copied lists are the ones a fresh build would compute, so the graph --
+  edges, weights and their order -- is the same as a from-scratch build.
+* **Reachability pre-filter.**  Each graph lazily builds its reverse
+  adjacency and caches, per target set (the pool or an agent's counted
+  bundle), the items that can reach it.  ``min_weight_path`` returns None
+  before running Dijkstra when no source is among them.  Those are exactly
+  the runs in which Dijkstra would reach no target and return None, so the
+  searches that do run are unchanged.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .core import Allocation, Instance
@@ -77,6 +96,31 @@ class WeightedExchangeGraph:
     x0: Allocation
     owner: tuple[int, ...]
     adjacency: dict[int, tuple[tuple[int, int], ...]]
+    _reaching: dict[frozenset[int], frozenset[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    @cached_property
+    def _reverse(self) -> dict[int, list[int]]:
+        reverse: dict[int, list[int]] = defaultdict(list)
+        for u, out in self.adjacency.items():
+            for v, _w in out:
+                reverse[v].append(u)
+        return reverse
+
+    def reaching(self, targets: frozenset[int]) -> frozenset[int]:
+        """Items with a path to some item of ``targets`` (targets included),
+        computed once per target set by a reverse search."""
+        if targets not in self._reaching:
+            seen = set(targets)
+            stack = list(targets)
+            while stack:
+                for u in self._reverse.get(stack.pop(), ()):
+                    if u not in seen:
+                        seen.add(u)
+                        stack.append(u)
+            self._reaching[targets] = frozenset(seen)
+        return self._reaching[targets]
 
     def edges(self):
         for u in sorted(self.adjacency):
@@ -88,9 +132,17 @@ class WeightedExchangeGraph:
 
 
 def build_weighted_graph(
-    inst: Instance, xc: Allocation, x0: Allocation, check: bool = True
+    inst: Instance,
+    xc: Allocation,
+    x0: Allocation,
+    check: bool = True,
+    previous: Optional[WeightedExchangeGraph] = None,
 ) -> WeightedExchangeGraph:
     """Materialize the weighted exchange graph for the state ``(xc, x0)``.
+
+    ``previous``, a graph of the same instance, lends the edge lists of every
+    agent whose ``xc`` and ``x0`` bundles it shares; only the other agents'
+    edges are computed.
 
     Preconditions (asserted unless ``check`` is False):
     ``xc`` clean at threshold c, ``xc ∪ x0`` clean at threshold 0, and the
@@ -100,12 +152,23 @@ def build_weighted_graph(
         violations = clean_state_violations(inst, xc, x0)
         if violations:
             raise ContractViolation("; ".join(violations))
+    if previous is not None and previous.inst is not inst:
+        raise ContractViolation("previous graph belongs to another instance")
     owner = tuple(xc.owner_map())
     adj: dict[int, tuple[tuple[int, int], ...]] = {}
     for j in inst.agents:
         bundle = xc.bundle(j)
-        spec = inst.valuation(j)
         x0_j = x0.bundle(j)
+        if (
+            previous is not None
+            and previous.xc.bundle(j) == bundle
+            and previous.x0.bundle(j) == x0_j
+        ):
+            for o in sorted(bundle):
+                if o in previous.adjacency:
+                    adj[o] = previous.adjacency[o]
+            continue
+        spec = inst.valuation(j)
         for o in sorted(bundle):
             rest = bundle - {o}
             out = []
@@ -180,7 +243,7 @@ def min_weight_path(
     for o in sorted(sources):
         cost = pickup(agent, o) if (kind == PARETO and o in targets) else 0
         starts[o] = (cost, 0, (o,))
-    if not starts:
+    if starts.keys().isdisjoint(graph.reaching(targets)):
         return None
 
     if kind == PARETO:

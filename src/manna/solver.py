@@ -48,7 +48,6 @@ class SolverState:
     xc: Allocation
     x0: Allocation
     xm1: Allocation
-    phase: int = 1
     pareto_augmentations: int = 0
     exchange_augmentations: int = 0
 
@@ -93,7 +92,7 @@ def phase1(inst: Instance) -> SolverState:
     betas0 = [ThresholdBeta(inst.valuation(i), 0) for i in inst.agents]
     x0 = yankee_swap(inst.num_items, betas0)
     empty = Allocation.empty(inst.num_agents, inst.num_items)
-    state = SolverState(xc=empty, x0=x0, xm1=empty, phase=2)
+    state = SolverState(xc=empty, x0=x0, xm1=empty)
     problems = clean_state_violations(inst, state.xc, state.x0)
     if problems:
         raise CleannessViolation("; ".join(problems))
@@ -130,13 +129,27 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
                 f"polynomial bounds ({pareto_bound}, {exchange_bound})"
             )
 
+    # f_set(i) depends only on xc_i, so keep each agent's latest one.
+    latest_f_sets: list[Optional[tuple[frozenset[int], frozenset[int]]]] = [None] * n
+
+    def sources_of(i: int) -> frozenset[int]:
+        bundle = state.xc.bundle(i)
+        latest = latest_f_sets[i - 1]
+        if latest is None or latest[0] != bundle:
+            latest = latest_f_sets[i - 1] = (bundle, f_set(inst, state.xc, i, inst.c))
+        return latest[1]
+
+    graph = None
     while True:
-        # Exhaust Pareto-improving paths.
+        # Exhaust Pareto-improving paths.  Each graph recomputes only the
+        # agents whose bundles the last augmentation changed.
         while True:
-            graph = build_weighted_graph(inst, state.xc, state.x0, check=False)
+            graph = build_weighted_graph(
+                inst, state.xc, state.x0, check=False, previous=graph
+            )
             found = None
             for i in inst.agents:
-                sources = f_set(inst, state.xc, i, inst.c)
+                sources = sources_of(i)
                 path = min_weight_path(graph, sources, PARETO, i)
                 if path is not None:
                     found = (i, path)
@@ -153,12 +166,12 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
                     f"w={path.doubled_weight}"
                 )
 
-        # One qualifying exchange augmentation, then start over.
-        graph = build_weighted_graph(inst, state.xc, state.x0, check=False)
+        # One qualifying exchange augmentation, then start over.  The state
+        # has not changed since the last Pareto scan, so neither has its graph.
         augmented = False
         for i in inst.agents:
             size_i = len(state.xc.bundle(i))
-            sources = f_set(inst, state.xc, i, inst.c)
+            sources = sources_of(i)
             if not sources:
                 continue
             for j in inst.agents:
@@ -193,7 +206,6 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
                 break
         if not augmented:
             break
-    state.phase = 3
     return state
 
 
@@ -222,7 +234,6 @@ def phase3(state: SolverState, inst: Instance, trace: Trace = None) -> SolveRepo
             trace(f"phase3 give o{o} to agent {receiver}")
 
     state.xm1 = Allocation.from_bundles(xm1_bundles, inst.num_items)
-    state.phase = 4
     allocation = Allocation.from_bundles(
         [bundle_of(i) for i in inst.agents], inst.num_items
     )

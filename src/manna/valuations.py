@@ -56,7 +56,7 @@ class Additive:
         return sum(self.values[o] for o in items)
 
     def marginal(self, items: Iterable[int], item: int) -> int:
-        if item in set(items):
+        if item in items:
             raise ContractViolation(f"item {item} already in bundle")
         return self.values[item]
 
@@ -74,7 +74,7 @@ class GeneralAdditive:
         return sum(self.values[o] for o in items)
 
     def marginal(self, items: Iterable[int], item: int) -> int:
-        if item in set(items):
+        if item in items:
             raise ContractViolation(f"item {item} already in bundle")
         return self.values[item]
 

@@ -2,18 +2,21 @@ from collections import deque
 
 import pytest
 
+from manna import solver
 from manna.core import Allocation, Instance
-from manna.errors import CleannessViolation, ContractViolation
+from manna.errors import CleannessViolation, ContractViolation, InvalidInstance
 from manna.exchange import (
     EXCHANGE,
     PARETO,
     AugmentingPath,
+    WeightedExchangeGraph,
     augment,
     build_weighted_graph,
     clean_state_violations,
     f_set,
     min_weight_path,
 )
+from manna.instgen import gen_capped_groups, gen_random_additive
 from manna.solver import phase1
 from manna.valuations import Additive
 from support import suite_instances
@@ -164,3 +167,106 @@ def test_pareto_paths_are_unweighted_shortest_and_existence_matches():
             assert new_count >= count  # allocated mass never shrinks
             allocated = new_count
         assert allocated is None or allocated <= inst.num_items
+
+
+def _phase2_graphs(monkeypatch, inst):
+    """Solve ``inst`` and return every graph phase 2 built, in order."""
+    graphs = []
+    build = solver.build_weighted_graph
+
+    def recording(*args, **kwargs):
+        graphs.append(build(*args, **kwargs))
+        return graphs[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "build_weighted_graph", recording)
+        report = solver.solve(inst)
+    # one graph for the seeded state, then one after each augmentation
+    assert len(graphs) == 1 + report.pareto_augmentations + report.exchange_augmentations
+    return graphs
+
+
+EQUIVALENCE_INSTANCES = {
+    "additive_8x40_s0": lambda: gen_random_additive(8, 40, 2, (1, 1, 2), 0),
+    "capped_6x30_s0": lambda: gen_capped_groups(6, 30, 2, (1, 3), (1, 3), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_INSTANCES))
+def test_incremental_graph_equals_fresh_build(monkeypatch, name):
+    inst = EQUIVALENCE_INSTANCES[name]()
+    graphs = _phase2_graphs(monkeypatch, inst)
+    assert len(graphs) > 10
+    for g in graphs:
+        fresh = build_weighted_graph(inst, g.xc, g.x0)
+        assert g.dump() == fresh.dump()
+        assert g.adjacency == fresh.adjacency
+        assert g.owner == fresh.owner
+
+
+def test_build_weighted_graph_recomputes_agents_whose_x0_changed(named_fixtures):
+    ex2 = named_fixtures["ex2"]
+    xc = Allocation.from_bundles([{0}, set()], 4)
+    g = build_weighted_graph(ex2, xc, Allocation.from_bundles([{1}, set()], 4))
+    assert g.dump() == "o0 -> o1 w=1"
+    bare = Allocation.empty(2, 4)
+    assert build_weighted_graph(ex2, xc, bare, previous=g).dump() == "o0 -> o1 w=2"
+    assert build_weighted_graph(ex2, bare, bare, previous=g).dump() == ""
+
+
+def test_build_weighted_graph_rejects_previous_of_another_instance(named_fixtures):
+    ex2 = named_fixtures["ex2"]
+    state = phase1(ex2)
+    other = build_weighted_graph(
+        named_fixtures["ex_classic"], Allocation.empty(1, 2), Allocation.empty(1, 2)
+    )
+    with pytest.raises(ContractViolation):
+        build_weighted_graph(ex2, state.xc, state.x0, previous=other)
+
+
+def _every_search(graph):
+    inst = graph.inst
+    for i in inst.agents:
+        sources = f_set(inst, graph.xc, i, inst.c)
+        yield min_weight_path(graph, sources, PARETO, i)
+        for j in inst.agents:
+            if j != i:
+                yield min_weight_path(graph, sources, EXCHANGE, i, target_agent=j)
+
+
+def test_reachability_filter_changes_no_search(monkeypatch, named_fixtures):
+    instances = dict(named_fixtures)
+    instances.update((name, make()) for name, make in EQUIVALENCE_INSTANCES.items())
+    found = missing = 0
+    for name, inst in sorted(instances.items()):
+        try:
+            graphs = _phase2_graphs(monkeypatch, inst)
+        except InvalidInstance:
+            continue  # rejected before phase 2 (non_on is not order-neutral)
+        for g in graphs:
+            filtered = list(_every_search(g))
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    WeightedExchangeGraph,
+                    "reaching",
+                    lambda self, targets: frozenset(self.inst.items),
+                )
+                unfiltered = list(_every_search(g))
+            assert filtered == unfiltered, name
+            found += sum(p is not None for p in filtered)
+            missing += sum(p is None for p in filtered)
+    assert found > 100 and missing > 1000
+
+
+def test_reaching_is_reverse_reachability(monkeypatch):
+    inst = gen_random_additive(8, 40, 2, (1, 1, 2), 1)
+    graphs = _phase2_graphs(monkeypatch, inst)
+    g = graphs[len(graphs) // 2]
+    assert g.adjacency
+    for target_agent in range(0, inst.num_agents + 1):
+        targets = g.xc.bundle(target_agent)
+        expected = {
+            o for o in inst.items if _bfs_length(g.adjacency, {o}, targets) is not None
+        }
+        assert g.reaching(targets) == expected
+        assert g.reaching(targets) is g.reaching(targets)  # cached per target set

@@ -8,6 +8,7 @@ from manna.valuations import (
     Additive,
     CappedGroups,
     Explicit,
+    GeneralAdditive,
     Group,
     materialize,
     telescoping_vector,
@@ -37,6 +38,15 @@ def test_marginal_examples():
     assert classic.marginal({0}, 1) == -1
     with pytest.raises(ContractViolation):
         CAP_PAIR.marginal({0}, 0)
+
+
+@pytest.mark.parametrize("spec", [Additive((2, 0, -1)), GeneralAdditive((5, 0, -3))])
+@pytest.mark.parametrize("bundle_type", [frozenset, list])
+def test_additive_marginal_rejects_held_item(spec, bundle_type):
+    assert spec.marginal(bundle_type([0, 1]), 2) == spec.values[2]
+    assert spec.marginal(bundle_type([]), 0) == spec.values[0]
+    with pytest.raises(ContractViolation):
+        spec.marginal(bundle_type([0, 1]), 1)
 
 
 def test_telescoping_examples():
