@@ -15,18 +15,32 @@ zero-edge singleton paths, where edge weights alone cannot discriminate; see
 the regression test on the two-item cap fixture for why that matters.
 
 Searches are deterministic: minimum doubled cost, then fewest edges, then
-lexicographically smallest item sequence.
+lexicographically smallest item sequence.  A search stops at the first
+target it settles.  Extending a path strictly increases its key
+``(cost, edges, item sequence)``, so Dijkstra settles keys in increasing
+order and the first target settled holds the least key of all targets:
+exactly the one a search run to exhaustion would pick.
+
+Both phases reuse edges between states instead of recomputing them, and
+neither reuse can change a tie-break.  The out-edges of an item held by
+agent j depend only on j's bundles and j's oracle, so a builder given the
+previous state and graph copies j's edge lists whenever j's bundles are
+unchanged.  It decides this by comparing bundles, not by reading the path:
+the gainer's bundle changes even when it holds no path item.  After an
+augmentation only the gainer and the holders of path items have new
+bundles.  The copied lists are the ones a fresh build would compute, so
+the graph -- edges, weights and their order -- is the same as a
+from-scratch build.
+
+Phase 1 keeps the last ``unweighted_adjacency`` and rebuilds it only after
+an augmentation, so a turn whose agent retires builds nothing.
 
 Phase 2 builds one graph per state and asks it for up to n² paths, so two
-things are shared instead of recomputed, and neither can change a
-tie-break:
+things are shared instead of recomputed:
 
-* **Incremental rebuilds.**  The out-edges of an item held by agent j depend
-  only on ``xc_j``, ``x0_j`` and j's valuation.  Given the previous graph,
-  ``build_weighted_graph`` copies j's edge lists whenever both of j's bundles
-  are unchanged, which after an augmentation is every agent off the path.
-  The copied lists are the ones a fresh build would compute, so the graph --
-  edges, weights and their order -- is the same as a from-scratch build.
+* **Incremental rebuilds.**  Agent j's weighted edges depend on ``xc_j``,
+  ``x0_j`` and j's valuation; ``build_weighted_graph`` copies them when both
+  of j's bundles are unchanged.
 * **Reachability pre-filter.**  Each graph lazily builds its reverse
   adjacency and caches, per target set (the pool or an agent's counted
   bundle), the items that can reach it.  ``min_weight_path`` returns None
@@ -63,16 +77,26 @@ def f_set(inst: Instance, allocation: Allocation, agent: int, tau: int) -> froze
 
 
 def unweighted_adjacency(
-    allocation: Allocation, oracles: Sequence
+    allocation: Allocation,
+    oracles: Sequence,
+    previous: Optional[tuple[Allocation, dict[int, list[int]]]] = None,
 ) -> dict[int, list[int]]:
     """Edge lists of the exchange graph of a clean allocation.
 
     ``oracles[i-1]`` must expose ``marginal(bundle, item)`` with values in
-    {0, 1}.  Items in the pool have no outgoing edges.
+    {0, 1}.  Items in the pool have no outgoing edges.  ``previous``, an
+    ``(allocation, adjacency)`` pair built with the same oracles, lends the
+    edge lists of every agent whose bundle it shares; only the other agents'
+    edges are computed.
     """
     adj: dict[int, list[int]] = {}
     for j in range(1, allocation.num_agents + 1):
         bundle = allocation.bundle(j)
+        if previous is not None and previous[0].bundle(j) == bundle:
+            for o in sorted(bundle):
+                if o in previous[1]:
+                    adj[o] = previous[1][o]
+            continue
         oracle = oracles[j - 1]
         for o in sorted(bundle):
             rest = bundle - {o}
@@ -198,8 +222,14 @@ class AugmentingPath:
     doubled_weight: int
 
 
-def _run_dijkstra(starts, neighbors):
-    """Deterministic least-key search; key = (cost, edge count, item path)."""
+def _run_dijkstra(starts, neighbors, targets):
+    """Least key ``(cost, edge count, item path)`` of a path from ``starts``
+    to ``targets``, or None when no target is reachable.
+
+    Extending a path strictly increases its key, so keys leave the heap in
+    increasing order and the first target popped with its final key is the
+    least one; the search stops there.
+    """
     best = dict(starts)
     heap = [(key, node) for node, key in sorted(starts.items())]
     heapq.heapify(heap)
@@ -207,13 +237,15 @@ def _run_dijkstra(starts, neighbors):
         key, u = heapq.heappop(heap)
         if key > best[u]:
             continue
+        if u in targets:
+            return key
         cost, nedges, path = key
         for v, add in neighbors(u):
             cand = (cost + add, nedges + 1, path + (v,))
             if v not in best or cand < best[v]:
                 best[v] = cand
                 heapq.heappush(heap, (cand, v))
-    return best
+    return None
 
 
 def min_weight_path(
@@ -254,14 +286,11 @@ def min_weight_path(
         def neighbors(u):
             yield from graph.adjacency.get(u, ())
 
-    best = _run_dijkstra(starts, neighbors)
-    reached = [(best[t], t) for t in sorted(targets) if t in best]
-    if not reached:
+    key = _run_dijkstra(starts, neighbors, targets)
+    if key is None:
         return None
-    key, _ = min(reached)
-    items = key[2]
     target = 0 if kind == PARETO else target_agent
-    return AugmentingPath(items, kind, agent, target, key[0])
+    return AugmentingPath(key[2], kind, agent, target, key[0])
 
 
 def shift_along_path(allocation: Allocation, items: Sequence[int], gainer: int) -> Allocation:
@@ -343,22 +372,16 @@ def augment(
 
 
 def shortest_path_to_pool(
-    allocation: Allocation, oracles: Sequence, sources: Iterable[int]
+    allocation: Allocation, adjacency: dict[int, list[int]], sources: Iterable[int]
 ) -> Optional[tuple[int, ...]]:
-    """Shortest (unweighted) path from ``sources`` to the unallocated pool,
-    ties broken by lexicographically smallest item sequence."""
+    """Shortest path from ``sources`` to the unallocated pool in
+    ``adjacency``, the ``unweighted_adjacency`` of ``allocation``; ties go
+    to the lexicographically smallest item sequence."""
     starts = {o: (0, 0, (o,)) for o in sorted(sources)}
-    if not starts:
-        return None
-    adj = unweighted_adjacency(allocation, oracles)
 
     def neighbors(u):
-        for v in adj.get(u, ()):
+        for v in adjacency.get(u, ()):
             yield v, 1
 
-    best = _run_dijkstra(starts, neighbors)
-    reached = [(best[t], t) for t in sorted(allocation.unallocated) if t in best]
-    if not reached:
-        return None
-    key, _ = min(reached)
-    return key[2]
+    key = _run_dijkstra(starts, neighbors, allocation.unallocated)
+    return None if key is None else key[2]

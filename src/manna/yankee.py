@@ -6,12 +6,18 @@ desired items to the pool.  A found path is augmented, handing the agent its
 first item; otherwise the agent retires.  The result is simultaneously
 leximin and welfare-maximal for the supplied oracles, and every bundle is
 clean (its oracle count equals its size).
+
+The exchange graph is built once and then again only after an augmentation.
+Each rebuild recomputes the edges of the agents whose bundles changed and
+copies the rest from the previous graph, which gives the same graph as a
+fresh build (see ``exchange``).
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+from . import exchange
 from .core import Allocation
 from .errors import OracleViolation
 from .exchange import shift_along_path, shortest_path_to_pool
@@ -46,6 +52,7 @@ def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
     n = len(betas)
     oracles = [_CheckedOracle(b, i + 1) for i, b in enumerate(betas)]
     allocation = Allocation.empty(n, num_items)
+    adjacency = exchange.unweighted_adjacency(allocation, oracles)
     active = set(range(1, n + 1))
     while active:
         agent = min(active, key=lambda i: (len(allocation.bundle(i)), i))
@@ -56,16 +63,18 @@ def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
             for o in range(num_items)
             if o not in bundle and oracle.marginal(bundle, o) == 1
         )
-        path = shortest_path_to_pool(allocation, oracles, desired)
+        path = shortest_path_to_pool(allocation, adjacency, desired)
         if path is None:
             active.discard(agent)
             continue
+        previous = (allocation, adjacency)
         allocation = shift_along_path(allocation, path, agent)
         if not is_clean(oracle, allocation.bundle(agent)):
             raise OracleViolation(
                 f"agent {agent}: bundle not clean after augmentation; "
                 "the supplied oracle is not binary submodular"
             )
+        adjacency = exchange.unweighted_adjacency(allocation, oracles, previous)
     for i in range(1, n + 1):
         if not is_clean(oracles[i - 1], allocation.bundle(i)):
             raise OracleViolation(f"agent {i}: final bundle not clean")

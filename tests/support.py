@@ -1,7 +1,10 @@
-"""Shared helpers for the test suite: the canonical randomized suite and a
-constructive source of two-valued submodular tables."""
+"""Shared helpers for the test suite: the canonical randomized suite, a
+constructive source of two-valued submodular tables, and a reference path
+search."""
 
 from __future__ import annotations
+
+import heapq
 
 from manna.core import Allocation, Instance
 from manna.instgen import SplitMix64, gen_capped_groups, gen_random_additive
@@ -82,3 +85,23 @@ def permute_allocation(allocation: Allocation, item_perm: list[int]) -> Allocati
         tuple(frozenset(item_perm[o] for o in b) for b in allocation.bundles),
         frozenset(item_perm[o] for o in allocation.unallocated),
     )
+
+
+def exhaustive_least_key(starts, neighbors, targets):
+    """Reference for ``exchange._run_dijkstra``: run Dijkstra over the whole
+    reachable graph, then take the least key among the reached targets."""
+    best = dict(starts)
+    heap = [(key, node) for node, key in sorted(starts.items())]
+    heapq.heapify(heap)
+    while heap:
+        key, u = heapq.heappop(heap)
+        if key > best[u]:
+            continue
+        cost, nedges, path = key
+        for v, add in neighbors(u):
+            cand = (cost + add, nedges + 1, path + (v,))
+            if v not in best or cand < best[v]:
+                best[v] = cand
+                heapq.heappush(heap, (cand, v))
+    reached = [best[t] for t in targets if t in best]
+    return min(reached) if reached else None

@@ -2,7 +2,7 @@ from collections import deque
 
 import pytest
 
-from manna import solver
+from manna import exchange, solver
 from manna.core import Allocation, Instance
 from manna.errors import CleannessViolation, ContractViolation, InvalidInstance
 from manna.exchange import (
@@ -19,7 +19,7 @@ from manna.exchange import (
 from manna.instgen import gen_capped_groups, gen_random_additive
 from manna.solver import phase1
 from manna.valuations import Additive
-from support import suite_instances
+from support import exhaustive_least_key, suite_instances
 
 
 def classic_state(named_fixtures):
@@ -270,3 +270,40 @@ def test_reaching_is_reverse_reachability(monkeypatch):
         }
         assert g.reaching(targets) == expected
         assert g.reaching(targets) is g.reaching(targets)  # cached per target set
+
+
+def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
+    outcomes = []
+    bounded = exchange._run_dijkstra
+
+    def checked(starts, neighbors, targets):
+        key = bounded(starts, neighbors, targets)
+        assert key == exhaustive_least_key(starts, neighbors, targets)
+        if starts:
+            outcomes.append(key is not None)
+        return key
+
+    monkeypatch.setattr(exchange, "_run_dijkstra", checked)
+    instances = dict(named_fixtures)
+    instances.update((name, make()) for name, make in EQUIVALENCE_INSTANCES.items())
+    # every shortest_path_to_pool call of phase 1
+    for inst in [inst for _family, inst in suite_instances()] + list(instances.values()):
+        try:
+            phase1(inst)
+        except InvalidInstance:
+            continue  # non_on is not order-neutral
+    assert sum(outcomes) > 2000 and outcomes.count(False) > 500
+    # every min_weight_path of every phase-2 state, unfiltered so that the
+    # searches that find nothing run too
+    outcomes.clear()
+    monkeypatch.setattr(
+        WeightedExchangeGraph, "reaching", lambda self, targets: frozenset(self.inst.items)
+    )
+    for inst in instances.values():
+        try:
+            graphs = _phase2_graphs(monkeypatch, inst)
+        except InvalidInstance:
+            continue
+        for g in graphs:
+            list(_every_search(g))
+    assert sum(outcomes) > 1000 and outcomes.count(False) > 2000

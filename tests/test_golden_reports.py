@@ -4,8 +4,8 @@ Each case names a seeded generator call; its canonical report JSON
 (``instgen.dumps(report_to_obj(solve(inst)))``) is stored under
 ``golden/reports/<name>.json``.  The test re-solves every case and compares
 bytes, so an optimisation cannot quietly change an answer.  The additive
-32x160 case, the largest, is marked ``slow``; ``pytest -m "not slow"`` skips
-it.
+32x160 case, the largest at about 5 s, is marked ``slow``;
+``pytest -m "not slow"`` skips it.
 
 To regenerate the corpus from a known-good tree::
 
@@ -29,8 +29,8 @@ REPORTS = Path(__file__).parent / "golden" / "reports"
 CASES = {
     **{f"additive_8x40_s{s}": ("additive", 8, 40, s) for s in range(4)},
     "additive_16x80_s0": ("additive", 16, 80, 0),
-    "capped_16x80_s0": ("capped", 16, 80, 0),
-    "capped_32x160_s0": ("capped", 32, 160, 0),
+    **{f"capped_16x80_s{s}": ("capped", 16, 80, s) for s in range(4)},
+    **{f"capped_32x160_s{s}": ("capped", 32, 160, s) for s in range(2)},
     "additive_32x160_s0": ("additive", 32, 160, 0),
 }
 SLOW = {"additive_32x160_s0"}

@@ -2,8 +2,11 @@ from itertools import product
 
 import pytest
 
+from manna import exchange
+from manna.core import Allocation
 from manna.errors import OracleViolation
-from manna.instgen import gen_capped_groups
+from manna.exchange import shift_along_path, unweighted_adjacency
+from manna.instgen import gen_capped_groups, gen_random_additive
 from manna.threshold import ThresholdBeta, is_clean
 from manna.valuations import Explicit
 from manna.yankee import yankee_swap
@@ -78,3 +81,48 @@ def test_rejects_non_binary_oracle():
 
     with pytest.raises(OracleViolation):
         yankee_swap(2, [Doubler()])
+
+
+PHASE1_INSTANCES = {
+    "capped_6x30_s0": lambda: gen_capped_groups(6, 30, 2, (1, 3), (1, 3), 0),
+    "capped_32x160_s0": lambda: gen_capped_groups(32, 160, 2, (1, 3), (1, 3), 0),
+    "additive_8x40_s0": lambda: gen_random_additive(8, 40, 2, (1, 1, 2), 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PHASE1_INSTANCES))
+def test_reused_adjacency_equals_fresh_build(monkeypatch, name):
+    inst = PHASE1_INSTANCES[name]()
+    betas = [ThresholdBeta(inst.valuation(i), 0) for i in inst.agents]
+    built = []
+
+    def recording(allocation, oracles, previous=None):
+        adjacency = unweighted_adjacency(allocation, oracles, previous)
+        built.append((allocation, oracles, adjacency))
+        return adjacency
+
+    monkeypatch.setattr(exchange, "unweighted_adjacency", recording)
+    out = yankee_swap(inst.num_items, betas)
+    # each augmentation allocates one more item; one build before the first
+    # turn, then one after each augmentation and none when an agent retires
+    augmentations = sum(out.sizes())
+    assert augmentations > 20
+    assert len(built) == 1 + augmentations
+    for allocation, oracles, adjacency in built:
+        assert adjacency == unweighted_adjacency(allocation, oracles)
+
+
+def test_adjacency_recomputes_gainer_holding_no_path_item():
+    # agent 1 counts up to two of items 0..2; agent 2 counts one of {2, 3}
+    uniform2 = Explicit(4, tuple(min(bin(s & 0b0111).count("1"), 2) for s in range(16)))
+    either = Explicit(4, tuple(min(bin(s & 0b1100).count("1"), 1) for s in range(16)))
+    oracles = [uniform2, either]
+    before = Allocation.from_bundles([{0}, {3}], 4)
+    adj = unweighted_adjacency(before, oracles)
+    assert adj == {0: [1, 2], 3: [2]}
+    # the path is a lone pool item: no agent holds a path item, yet the
+    # gainer's bundle grows and its edges change
+    after = shift_along_path(before, (1,), 1)
+    reused = unweighted_adjacency(after, oracles, (before, adj))
+    assert reused == unweighted_adjacency(after, oracles) == {0: [2], 1: [2], 3: [2]}
+    assert reused[3] is adj[3]  # the unchanged agent's list is copied
