@@ -16,10 +16,19 @@ the regression test on the two-item cap fixture for why that matters.
 
 Searches are deterministic: minimum doubled cost, then fewest edges, then
 lexicographically smallest item sequence.  A search stops at the first
-target it settles.  Extending a path strictly increases its key
-``(cost, edges, item sequence)``, so Dijkstra settles keys in increasing
-order and the first target settled holds the least key of all targets:
-exactly the one a search run to exhaustion would pick.
+target it reaches, which holds the least key of all targets: exactly the one
+a search run to exhaustion would pick.
+
+* **Phase 2 runs Dijkstra.**  Extending a path strictly increases its key
+  ``(cost, edges, item sequence)``, so Dijkstra settles keys in increasing
+  order and the first target it settles has the least key.
+* **Phase 1 searches breadth-first.**  Every edge weighs 1, so cost equals
+  edge count and the key is ``(edges, item sequence)``.  A FIFO search
+  discovers items in that order: a layer sorted by path key, expanded in
+  discovery order through ascending edge lists, yields the next layer
+  sorted by ``(parent's path key, item)``, which is that layer's path key.
+  So the first parent to reach an item gives it its least key, and the
+  first pool item discovered is the one Dijkstra would settle first.
 
 Both phases reuse edges between states instead of recomputing them, and
 neither reuse can change a tie-break.  The out-edges of an item held by
@@ -89,6 +98,7 @@ def unweighted_adjacency(
     edge lists of every agent whose bundle it shares; only the other agents'
     edges are computed.
     """
+    num_items = allocation.num_items
     adj: dict[int, list[int]] = {}
     for j in range(1, allocation.num_agents + 1):
         bundle = allocation.bundle(j)
@@ -102,7 +112,7 @@ def unweighted_adjacency(
             rest = bundle - {o}
             out = [
                 op
-                for op in range(allocation.num_items)
+                for op in range(num_items)
                 if op not in bundle and oracle.marginal(rest, op) == 1
             ]
             if out:
@@ -376,12 +386,30 @@ def shortest_path_to_pool(
 ) -> Optional[tuple[int, ...]]:
     """Shortest path from ``sources`` to the unallocated pool in
     ``adjacency``, the ``unweighted_adjacency`` of ``allocation``; ties go
-    to the lexicographically smallest item sequence."""
-    starts = {o: (0, 0, (o,)) for o in sorted(sources)}
+    to the lexicographically smallest item sequence.
 
-    def neighbors(u):
-        for v in adjacency.get(u, ()):
-            yield v, 1
-
-    key = _run_dijkstra(starts, neighbors, allocation.unallocated)
-    return None if key is None else key[2]
+    A breadth-first search: each layer is walked in discovery order and each
+    edge list in its ascending order, an item's parent is the first item to
+    reach it, and the search stops at the first pool item it discovers.
+    """
+    pool = allocation.unallocated
+    frontier = sorted(sources)
+    for o in frontier:
+        if o in pool:
+            return (o,)
+    parent: dict[int, Optional[int]] = dict.fromkeys(frontier)
+    while frontier:
+        layer = []
+        for u in frontier:
+            for v in adjacency.get(u, ()):
+                if v in parent:
+                    continue
+                parent[v] = u
+                if v in pool:
+                    path = [v]
+                    while (v := parent[v]) is not None:
+                        path.append(v)
+                    return tuple(reversed(path))
+                layer.append(v)
+        frontier = layer
+    return None

@@ -7,6 +7,10 @@ first item; otherwise the agent retires.  The result is simultaneously
 leximin and welfare-maximal for the supplied oracles, and every bundle is
 clean (its oracle count equals its size).
 
+Every exchange-graph edge weighs 1 here, so the path search is breadth-first
+and stops at the first pool item it discovers; its path is the one Dijkstra
+would return (see ``exchange``).
+
 The exchange graph is built once and then again only after an augmentation.
 Each rebuild recomputes the edges of the agents whose bundles changed and
 copies the rest from the previous graph, which gives the same graph as a

@@ -88,8 +88,10 @@ def permute_allocation(allocation: Allocation, item_perm: list[int]) -> Allocati
 
 
 def exhaustive_least_key(starts, neighbors, targets):
-    """Reference for ``exchange._run_dijkstra``: run Dijkstra over the whole
-    reachable graph, then take the least key among the reached targets."""
+    """Reference for both path searches, ``exchange._run_dijkstra`` and
+    ``exchange.shortest_path_to_pool`` (every edge weighing 1): run Dijkstra
+    over the whole reachable graph, then take the least key among the
+    reached targets."""
     best = dict(starts)
     heap = [(key, node) for node, key in sorted(starts.items())]
     heapq.heapify(heap)

@@ -1,8 +1,10 @@
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from manna import exchange, solver
+from manna import exchange, solver, yankee
 from manna.core import Allocation, Instance
 from manna.errors import CleannessViolation, ContractViolation, InvalidInstance
 from manna.exchange import (
@@ -15,6 +17,7 @@ from manna.exchange import (
     clean_state_violations,
     f_set,
     min_weight_path,
+    shortest_path_to_pool,
 )
 from manna.instgen import gen_capped_groups, gen_random_additive
 from manna.solver import phase1
@@ -272,8 +275,46 @@ def test_reaching_is_reverse_reachability(monkeypatch):
         assert g.reaching(targets) is g.reaching(targets)  # cached per target set
 
 
+def _reference_pool_path(allocation, adjacency, sources):
+    """What ``shortest_path_to_pool`` must return: the exhaustive search's
+    least key, every edge weighing 1 and the pool as targets."""
+    starts = {o: (0, 0, (o,)) for o in sources}
+
+    def neighbors(u):
+        for v in adjacency.get(u, ()):
+            yield v, 1
+
+    key = exhaustive_least_key(starts, neighbors, allocation.unallocated)
+    return None if key is None else key[2]
+
+
 def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
     outcomes = []
+    instances = dict(named_fixtures)
+    instances.update((name, make()) for name, make in EQUIVALENCE_INSTANCES.items())
+    # every shortest_path_to_pool call of phase 1
+    breadth_first = yankee.shortest_path_to_pool
+
+    def checked_pool_path(allocation, adjacency, sources):
+        path = breadth_first(allocation, adjacency, sources)
+        assert path == _reference_pool_path(allocation, adjacency, sources)
+        if sources:
+            outcomes.append(path is not None)
+        return path
+
+    phase1_instances = [inst for _family, inst in suite_instances()]
+    phase1_instances += instances.values()
+    with monkeypatch.context() as patch:
+        patch.setattr(yankee, "shortest_path_to_pool", checked_pool_path)
+        for inst in phase1_instances:
+            try:
+                phase1(inst)
+            except InvalidInstance:
+                continue  # non_on is not order-neutral
+    assert sum(outcomes) > 2000 and outcomes.count(False) > 500
+    # every min_weight_path of every phase-2 state, unfiltered so that the
+    # searches that find nothing run too
+    outcomes.clear()
     bounded = exchange._run_dijkstra
 
     def checked(starts, neighbors, targets):
@@ -284,18 +325,6 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
         return key
 
     monkeypatch.setattr(exchange, "_run_dijkstra", checked)
-    instances = dict(named_fixtures)
-    instances.update((name, make()) for name, make in EQUIVALENCE_INSTANCES.items())
-    # every shortest_path_to_pool call of phase 1
-    for inst in [inst for _family, inst in suite_instances()] + list(instances.values()):
-        try:
-            phase1(inst)
-        except InvalidInstance:
-            continue  # non_on is not order-neutral
-    assert sum(outcomes) > 2000 and outcomes.count(False) > 500
-    # every min_weight_path of every phase-2 state, unfiltered so that the
-    # searches that find nothing run too
-    outcomes.clear()
     monkeypatch.setattr(
         WeightedExchangeGraph, "reaching", lambda self, targets: frozenset(self.inst.items)
     )
@@ -307,3 +336,47 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
         for g in graphs:
             list(_every_search(g))
     assert sum(outcomes) > 1000 and outcomes.count(False) > 2000
+
+
+@st.composite
+def pool_searches(draw):
+    """A small digraph shaped like an unweighted exchange graph: ascending
+    edge lists, no self-loops, pool items without out-edges; cycles, sources
+    in the pool, sources reachable from other sources and pools that no
+    source reaches all occur."""
+    m = draw(st.integers(6, 12))
+    item = st.integers(0, m - 1)
+    pool = draw(st.frozensets(item, min_size=1, max_size=2))
+    adjacency = {}
+    for u in sorted(set(range(m)) - pool):
+        out = sorted(draw(st.sets(item, max_size=3)) - {u})
+        if out:
+            adjacency[u] = out
+    sources = draw(st.frozensets(item, min_size=2, max_size=3))
+    allocation = Allocation.from_bundles([set(range(m)) - pool], m)
+    return allocation, adjacency, sources
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(pool_searches())
+def test_shortest_path_to_pool_equals_exhaustive_search(search):
+    allocation, adjacency, sources = search
+    assert shortest_path_to_pool(allocation, adjacency, sources) == (
+        _reference_pool_path(allocation, adjacency, sources)
+    )
+
+
+@pytest.mark.parametrize(
+    "sources, adjacency, pool, expected",
+    [
+        # the frontier is walked in discovery order (5 before 3), not item order
+        ({0, 1}, {0: [5], 1: [3], 5: [9], 3: [8]}, {8, 9}, (0, 5, 9)),
+        # an item keeps the first parent that reached it
+        ({0, 2}, {0: [4], 2: [4], 4: [7]}, {7}, (0, 4, 7)),
+    ],
+)
+def test_shortest_path_to_pool_tie_breaks(sources, adjacency, pool, expected):
+    allocation = Allocation.from_bundles([set(range(10)) - pool], 10)
+    sources = frozenset(sources)
+    assert shortest_path_to_pool(allocation, adjacency, sources) == expected
+    assert _reference_pool_path(allocation, adjacency, sources) == expected
