@@ -27,7 +27,7 @@ from .errors import (
 )
 from .exchange import build_weighted_graph
 from .fairness import check_ef1, check_mms, check_prop1
-from .solver import phase1, phase2, phase3, solve
+from .solver import augmentation_bounds, phase1, phase2, phase3, solve
 from .valuations import (
     Explicit,
     GeneralAdditive,
@@ -258,7 +258,7 @@ def _cmd_bench(args) -> int:
         start = time.perf_counter()
         report = solve(inst)
         elapsed = time.perf_counter() - start
-        p_bound, e_bound = m, n**4 * m**3
+        p_bound, e_bound = augmentation_bounds(n, m)
         within = report.pareto_augmentations <= p_bound and (
             report.exchange_augmentations <= e_bound
         )

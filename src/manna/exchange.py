@@ -30,6 +30,24 @@ a search run to exhaustion would pick.
   So the first parent to reach an item gives it its least key, and the
   first pool item discovered is the one Dijkstra would settle first.
 
+Both builders scan only each agent's *candidate items*, listed once per
+solve: the items whose marginal on the empty bundle reaches the threshold
+(c in phase 2; in phase 1, a threshold-0 marginal of 1).  Marginals only
+fall as a bundle grows, so for a bundle B holding o::
+
+    Δ(B, o') <= Δ(B - o, o') <= Δ(∅, o')
+
+Edge ``o -> o'`` needs the middle term to reach the threshold.  By the
+right inequality no other item can be an out-neighbour.  By the left one a
+candidate that reaches it on B itself (a *sure* one) is an out-neighbour of
+every item of B, so only the other candidates (*maybe* ones) are tested
+against each ``B - o``.  When there are none -- always for additive agents,
+whose marginals never change, and for capped agents with no group at its
+cap -- all items of B share one out-list.  Every test left out has a known
+answer and the candidates are walked in ascending order, so each edge list,
+its weights and its order are what a scan of all items gives.  The same
+lists bound ``f_set`` and phase 1's desired items.
+
 Both phases reuse edges between states instead of recomputing them, and
 neither reuse can change a tie-break.  The out-edges of an item held by
 agent j depend only on j's bundles and j's oracle, so a builder given the
@@ -52,10 +70,10 @@ things are shared instead of recomputed:
   of j's bundles are unchanged.
 * **Reachability pre-filter.**  Each graph lazily builds its reverse
   adjacency and caches, per target set (the pool or an agent's counted
-  bundle), the items that can reach it.  ``min_weight_path`` returns None
-  before running Dijkstra when no source is among them.  Those are exactly
-  the runs in which Dijkstra would reach no target and return None, so the
-  searches that do run are unchanged.
+  bundle), the items that can reach it.  ``min_weight_path`` returns None,
+  before it builds start keys or runs Dijkstra, when no source is among
+  them.  Those are exactly the runs in which Dijkstra would reach no target
+  and return None, so the searches that do run are unchanged.
 """
 
 from __future__ import annotations
@@ -64,7 +82,7 @@ import heapq
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional, Sequence
 
 from .core import Allocation, Instance
 from .errors import CleannessViolation, ContractViolation
@@ -74,62 +92,112 @@ PARETO = "pareto_improving"
 EXCHANGE = "exchange"
 
 
-def f_set(inst: Instance, allocation: Allocation, agent: int, tau: int) -> frozenset[int]:
-    """Items outside the agent's bundle whose threshold marginal is 1."""
+def candidate_items(marginal, threshold: int, num_items: int) -> tuple[int, ...]:
+    """Items whose marginal on the empty bundle reaches ``threshold``, in
+    ascending order.
+
+    Marginals only fall as a bundle grows, so no other item reaches the
+    threshold on any bundle: these are the only items an agent can desire
+    and the only out-neighbours of the items it holds.
+    """
+    empty: frozenset[int] = frozenset()
+    return tuple(o for o in range(num_items) if marginal(empty, o) >= threshold)
+
+
+def f_set(
+    inst: Instance,
+    allocation: Allocation,
+    agent: int,
+    tau: int,
+    candidates: Optional[Sequence[int]] = None,
+) -> frozenset[int]:
+    """Items outside the agent's bundle whose threshold marginal is 1.
+
+    ``candidates`` is the agent's ``candidate_items`` at ``tau``, computed
+    here when not given.
+    """
     spec = inst.valuation(agent)
+    if candidates is None:
+        candidates = candidate_items(spec.marginal, tau, inst.num_items)
     bundle = allocation.bundle(agent)
+    if not bundle:
+        return frozenset(candidates)  # on the empty bundle, exactly these
     return frozenset(
-        o
-        for o in inst.items
-        if o not in bundle and spec.marginal(bundle, o) >= tau
+        o for o in candidates if o not in bundle and spec.marginal(bundle, o) >= tau
     )
+
+
+def _out_lists(bundle, outside, entries, marginal, threshold):
+    """Out-lists of the items of one agent's ``bundle``: ``o -> o'`` whenever
+    ``marginal(bundle - {o}, o') >= threshold``.
+
+    ``outside`` lists the agent's candidate items that lie outside the
+    bundle, in ascending order, and ``entries`` what an out-list holds for
+    each (the item, or its ``(item, weight)`` edge).  A candidate that
+    already clears the threshold on the whole bundle clears it on every
+    ``bundle - {o}`` and is a *sure* out-neighbour of every held item; only
+    the others are tested per held item.  When every candidate is sure, all
+    held items share one out-list.  Items without out-edges are left out.
+    """
+    sure = [marginal(bundle, op) >= threshold for op in outside]
+    if all(sure):
+        shared = tuple(entries)
+        return dict.fromkeys(sorted(bundle), shared) if shared else {}
+    out = {}
+    for o in sorted(bundle):
+        rest = bundle - {o}
+        edges = tuple(
+            entry
+            for op, entry, is_sure in zip(outside, entries, sure)
+            if is_sure or marginal(rest, op) >= threshold
+        )
+        if edges:
+            out[o] = edges
+    return out
 
 
 def unweighted_adjacency(
     allocation: Allocation,
     oracles: Sequence,
-    previous: Optional[tuple[Allocation, dict[int, list[int]]]] = None,
-) -> dict[int, list[int]]:
+    candidates: Sequence[Sequence[int]],
+    previous: Optional[tuple[Allocation, dict[int, tuple[int, ...]]]] = None,
+) -> dict[int, tuple[int, ...]]:
     """Edge lists of the exchange graph of a clean allocation.
 
     ``oracles[i-1]`` must expose ``marginal(bundle, item)`` with values in
-    {0, 1}.  Items in the pool have no outgoing edges.  ``previous``, an
-    ``(allocation, adjacency)`` pair built with the same oracles, lends the
-    edge lists of every agent whose bundle it shares; only the other agents'
-    edges are computed.
+    {0, 1} that never grow as the bundle grows, and ``candidates[i-1]`` is its
+    ``candidate_items`` at threshold 1.  Items in the pool have no outgoing
+    edges.  ``previous``, an ``(allocation, adjacency)`` pair built with the
+    same oracles, lends the edge lists of every agent whose bundle it shares;
+    only the other agents' edges are computed.
     """
-    num_items = allocation.num_items
-    adj: dict[int, list[int]] = {}
+    adj: dict[int, tuple[int, ...]] = {}
     for j in range(1, allocation.num_agents + 1):
         bundle = allocation.bundle(j)
+        if not bundle:
+            continue
         if previous is not None and previous[0].bundle(j) == bundle:
             for o in sorted(bundle):
                 if o in previous[1]:
                     adj[o] = previous[1][o]
             continue
-        oracle = oracles[j - 1]
-        for o in sorted(bundle):
-            rest = bundle - {o}
-            out = [
-                op
-                for op in range(num_items)
-                if op not in bundle and oracle.marginal(rest, op) == 1
-            ]
-            if out:
-                adj[o] = out
+        outside = [op for op in candidates[j - 1] if op not in bundle]
+        adj.update(_out_lists(bundle, outside, outside, oracles[j - 1].marginal, 1))
     return adj
 
 
 @dataclass(frozen=True)
 class WeightedExchangeGraph:
     """Exchange graph of ``xc`` under the c-threshold oracles, with doubled
-    integer edge weights derived from ``x0`` membership."""
+    integer edge weights derived from ``x0`` membership.  ``candidates[i-1]``
+    is agent i's ``candidate_items`` at threshold c."""
 
     inst: Instance
     xc: Allocation
     x0: Allocation
     owner: tuple[int, ...]
     adjacency: dict[int, tuple[tuple[int, int], ...]]
+    candidates: tuple[tuple[int, ...], ...]
     _reaching: dict[frozenset[int], frozenset[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -174,9 +242,9 @@ def build_weighted_graph(
 ) -> WeightedExchangeGraph:
     """Materialize the weighted exchange graph for the state ``(xc, x0)``.
 
-    ``previous``, a graph of the same instance, lends the edge lists of every
-    agent whose ``xc`` and ``x0`` bundles it shares; only the other agents'
-    edges are computed.
+    ``previous``, a graph of the same instance, lends its candidate lists and
+    the edge lists of every agent whose ``xc`` and ``x0`` bundles it shares;
+    only the other agents' edges are computed.
 
     Preconditions (asserted unless ``check`` is False):
     ``xc`` clean at threshold c, ``xc ∪ x0`` clean at threshold 0, and the
@@ -186,12 +254,21 @@ def build_weighted_graph(
         violations = clean_state_violations(inst, xc, x0)
         if violations:
             raise ContractViolation("; ".join(violations))
-    if previous is not None and previous.inst is not inst:
+    if previous is None:
+        candidates = tuple(
+            candidate_items(inst.valuation(j).marginal, inst.c, inst.num_items)
+            for j in inst.agents
+        )
+    elif previous.inst is not inst:
         raise ContractViolation("previous graph belongs to another instance")
+    else:
+        candidates = previous.candidates
     owner = tuple(xc.owner_map())
     adj: dict[int, tuple[tuple[int, int], ...]] = {}
     for j in inst.agents:
         bundle = xc.bundle(j)
+        if not bundle:
+            continue
         x0_j = x0.bundle(j)
         if (
             previous is not None
@@ -202,18 +279,15 @@ def build_weighted_graph(
                 if o in previous.adjacency:
                     adj[o] = previous.adjacency[o]
             continue
-        spec = inst.valuation(j)
-        for o in sorted(bundle):
-            rest = bundle - {o}
-            out = []
-            for op in range(inst.num_items):
-                if op in bundle:
-                    continue
-                if spec.marginal(rest, op) >= inst.c:
-                    out.append((op, 1 if op in x0_j else 2))
-            if out:
-                adj[o] = tuple(out)
-    return WeightedExchangeGraph(inst, xc, x0, owner, adj)
+        outside = [op for op in candidates[j - 1] if op not in bundle]
+        # One (item, weight) edge per candidate, shared by every out-list.
+        # Parallel lists, not (item, edge) pairs: short-lived pairs mixed in
+        # with the long-lived edges fragmented memory and raised peak RSS.
+        edges = [(op, 1 if op in x0_j else 2) for op in outside]
+        adj.update(
+            _out_lists(bundle, outside, edges, inst.valuation(j).marginal, inst.c)
+        )
+    return WeightedExchangeGraph(inst, xc, x0, owner, adj, candidates)
 
 
 @dataclass(frozen=True)
@@ -260,7 +334,7 @@ def _run_dijkstra(starts, neighbors, targets):
 
 def min_weight_path(
     graph: WeightedExchangeGraph,
-    sources: Iterable[int],
+    sources: Collection[int],
     kind: str,
     agent: int,
     target_agent: Optional[int] = None,
@@ -278,6 +352,9 @@ def min_weight_path(
     else:
         raise ContractViolation(f"unknown path kind {kind!r}")
 
+    if graph.reaching(targets).isdisjoint(sources):
+        return None
+
     def pickup(absorber: int, item: int) -> int:
         return 1 if item in x0.bundle(absorber) else 2
 
@@ -285,8 +362,6 @@ def min_weight_path(
     for o in sorted(sources):
         cost = pickup(agent, o) if (kind == PARETO and o in targets) else 0
         starts[o] = (cost, 0, (o,))
-    if starts.keys().isdisjoint(graph.reaching(targets)):
-        return None
 
     if kind == PARETO:
         def neighbors(u):
@@ -325,11 +400,20 @@ def shift_along_path(allocation: Allocation, items: Sequence[int], gainer: int) 
     return Allocation.from_bundles(new_bundles, allocation.num_items)
 
 
-def clean_state_violations(inst: Instance, xc: Allocation, x0: Allocation) -> list[str]:
+def clean_state_violations(
+    inst: Instance,
+    xc: Allocation,
+    x0: Allocation,
+    agents: Optional[Iterable[int]] = None,
+) -> list[str]:
     """All broken state invariants: c-cleanness of xc, 0-cleanness of the
-    per-agent unions, and per-agent disjointness.  Empty list when sound."""
+    per-agent unions, and per-agent disjointness.  Empty list when sound.
+
+    Each invariant concerns one agent's bundles; ``agents`` limits the check
+    to those agents (default: all).
+    """
     problems = []
-    for i in inst.agents:
+    for i in inst.agents if agents is None else agents:
         spec = inst.valuation(i)
         xc_i, x0_i = xc.bundle(i), x0.bundle(i)
         if xc_i & x0_i:
@@ -354,7 +438,9 @@ def augment(
     Pool-terminated paths also retire the terminal item from whichever x0
     bundle held it.  With ``check`` on, the postconditions (cleanness,
     disjointness, bundle-size deltas) are asserted and any failure raises
-    ``CleannessViolation`` -- which must never happen for valid inputs.
+    ``CleannessViolation`` -- which must never happen for valid inputs.  The
+    state passed in must be sound: cleanness and disjointness are rechecked
+    only for the agents whose ``xc`` or ``x0`` bundle changed.
     """
     items = path.items
     old_sizes = xc.sizes()
@@ -375,14 +461,19 @@ def augment(
             raise CleannessViolation(
                 f"bundle sizes {new_xc.sizes()} after augmentation, expected {tuple(expected)}"
             )
-        problems = clean_state_violations(inst, new_xc, new_x0)
+        changed = [
+            k
+            for k in inst.agents
+            if new_xc.bundle(k) != xc.bundle(k) or new_x0.bundle(k) != x0.bundle(k)
+        ]
+        problems = clean_state_violations(inst, new_xc, new_x0, changed)
         if problems:
             raise CleannessViolation("; ".join(problems))
     return new_xc, new_x0
 
 
 def shortest_path_to_pool(
-    allocation: Allocation, adjacency: dict[int, list[int]], sources: Iterable[int]
+    allocation: Allocation, adjacency: dict[int, Sequence[int]], sources: Iterable[int]
 ) -> Optional[tuple[int, ...]]:
     """Shortest path from ``sources`` to the unallocated pool in
     ``adjacency``, the ``unweighted_adjacency`` of ``allocation``; ties go

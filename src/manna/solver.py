@@ -105,6 +105,12 @@ def _scaled_potential(xc: Allocation) -> int:
     return sum((n * n * len(xc.bundle(h)) + h) ** 2 for h in range(1, n + 1))
 
 
+def augmentation_bounds(n: int, m: int) -> tuple[int, int]:
+    """Phase 2's termination guard for n agents and m items: at most ``m``
+    Pareto-improving and ``n**4 * m**3`` exchange augmentations."""
+    return m, n**4 * m**3
+
+
 def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverState:
     """Augment until the c-counted part is leximin.
 
@@ -114,9 +120,8 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
     swaps equal outcomes toward the lower index (|xc_i| + 1 = |xc_j|, i < j)
     is augmented and the loop restarts.
     """
-    n, m = inst.num_agents, inst.num_items
-    pareto_bound = m
-    exchange_bound = n**4 * m**3
+    n = inst.num_agents
+    pareto_bound, exchange_bound = augmentation_bounds(n, inst.num_items)
 
     def guard():
         if (
@@ -129,14 +134,16 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
                 f"polynomial bounds ({pareto_bound}, {exchange_bound})"
             )
 
-    # f_set(i) depends only on xc_i, so keep each agent's latest one.
+    # f_set(i) depends only on xc_i, so keep each agent's latest one.  It
+    # reads the candidate lists of ``graph``, built before any f_set is asked.
     latest_f_sets: list[Optional[tuple[frozenset[int], frozenset[int]]]] = [None] * n
 
     def sources_of(i: int) -> frozenset[int]:
         bundle = state.xc.bundle(i)
         latest = latest_f_sets[i - 1]
         if latest is None or latest[0] != bundle:
-            latest = latest_f_sets[i - 1] = (bundle, f_set(inst, state.xc, i, inst.c))
+            sources = f_set(inst, state.xc, i, inst.c, graph.candidates[i - 1])
+            latest = latest_f_sets[i - 1] = (bundle, sources)
         return latest[1]
 
     graph = None

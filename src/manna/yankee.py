@@ -7,6 +7,10 @@ first item; otherwise the agent retires.  The result is simultaneously
 leximin and welfare-maximal for the supplied oracles, and every bundle is
 clean (its oracle count equals its size).
 
+An agent's desired items and the out-neighbours of its items are sought
+only among the items it values on the empty bundle, so the oracles'
+marginals must not grow as a bundle grows (see ``exchange``).
+
 Every exchange-graph edge weighs 1 here, so the path search is breadth-first
 and stops at the first pool item it discovers; its path is the one Dijkstra
 would return (see ``exchange``).
@@ -51,22 +55,28 @@ def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
     """Compute a clean MAX-USW leximin allocation for ``betas``.
 
     ``betas[i-1]`` is agent i's binary submodular oracle exposing
-    ``value(bundle)`` and ``marginal(bundle, item)``.
+    ``value(bundle)`` and ``marginal(bundle, item)``; its marginals must not
+    grow as the bundle grows.
     """
     n = len(betas)
     oracles = [_CheckedOracle(b, i + 1) for i, b in enumerate(betas)]
+    candidates = [exchange.candidate_items(o.marginal, 1, num_items) for o in oracles]
     allocation = Allocation.empty(n, num_items)
-    adjacency = exchange.unweighted_adjacency(allocation, oracles)
+    adjacency = exchange.unweighted_adjacency(allocation, oracles, candidates)
     active = set(range(1, n + 1))
     while active:
         agent = min(active, key=lambda i: (len(allocation.bundle(i)), i))
         oracle = oracles[agent - 1]
         bundle = allocation.bundle(agent)
-        desired = frozenset(
-            o
-            for o in range(num_items)
-            if o not in bundle and oracle.marginal(bundle, o) == 1
-        )
+        if bundle:
+            desired = frozenset(
+                o
+                for o in candidates[agent - 1]
+                if o not in bundle and oracle.marginal(bundle, o) == 1
+            )
+        else:
+            # on the empty bundle, exactly the candidates
+            desired = frozenset(candidates[agent - 1])
         path = shortest_path_to_pool(allocation, adjacency, desired)
         if path is None:
             active.discard(agent)
@@ -78,7 +88,9 @@ def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
                 f"agent {agent}: bundle not clean after augmentation; "
                 "the supplied oracle is not binary submodular"
             )
-        adjacency = exchange.unweighted_adjacency(allocation, oracles, previous)
+        adjacency = exchange.unweighted_adjacency(
+            allocation, oracles, candidates, previous
+        )
     for i in range(1, n + 1):
         if not is_clean(oracles[i - 1], allocation.bundle(i)):
             raise OracleViolation(f"agent {i}: final bundle not clean")

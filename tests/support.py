@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: the canonical randomized suite, a
-constructive source of two-valued submodular tables, and a reference path
-search."""
+constructive source of two-valued submodular tables, a reference path search
+and reference exchange-graph builders."""
 
 from __future__ import annotations
 
@@ -107,3 +107,54 @@ def exhaustive_least_key(starts, neighbors, targets):
                 heapq.heappush(heap, (cand, v))
     reached = [best[t] for t in targets if t in best]
     return min(reached) if reached else None
+
+
+def full_scan_unweighted_adjacency(allocation, oracles):
+    """Reference for ``exchange.unweighted_adjacency``: every held item's
+    oracle is asked about every item outside its holder's bundle."""
+    adj = {}
+    for j in range(1, allocation.num_agents + 1):
+        bundle = allocation.bundle(j)
+        oracle = oracles[j - 1]
+        for o in sorted(bundle):
+            rest = bundle - {o}
+            out = tuple(
+                op
+                for op in range(allocation.num_items)
+                if op not in bundle and oracle.marginal(rest, op) == 1
+            )
+            if out:
+                adj[o] = out
+    return adj
+
+
+def full_scan_weighted_adjacency(inst, xc, x0):
+    """Reference for the edge lists of ``exchange.build_weighted_graph``,
+    scanning every item for every held item."""
+    adj = {}
+    for j in inst.agents:
+        bundle = xc.bundle(j)
+        x0_j = x0.bundle(j)
+        spec = inst.valuation(j)
+        for o in sorted(bundle):
+            rest = bundle - {o}
+            out = []
+            for op in range(inst.num_items):
+                if op in bundle:
+                    continue
+                if spec.marginal(rest, op) >= inst.c:
+                    out.append((op, 1 if op in x0_j else 2))
+            if out:
+                adj[o] = tuple(out)
+    return adj
+
+
+def full_scan_f_set(inst, allocation, agent, tau):
+    """Reference for ``exchange.f_set``, scanning every item."""
+    spec = inst.valuation(agent)
+    bundle = allocation.bundle(agent)
+    return frozenset(
+        o
+        for o in inst.items
+        if o not in bundle and spec.marginal(bundle, o) >= tau
+    )

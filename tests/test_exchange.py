@@ -19,10 +19,21 @@ from manna.exchange import (
     min_weight_path,
     shortest_path_to_pool,
 )
-from manna.instgen import gen_capped_groups, gen_random_additive
+from manna.instgen import (
+    SplitMix64,
+    gen_capped_groups,
+    gen_random_additive,
+    graphic_matroid_rank_table,
+)
 from manna.solver import phase1
 from manna.valuations import Additive
-from support import exhaustive_least_key, suite_instances
+from support import (
+    exhaustive_least_key,
+    full_scan_f_set,
+    full_scan_unweighted_adjacency,
+    full_scan_weighted_adjacency,
+    suite_instances,
+)
 
 
 def classic_state(named_fixtures):
@@ -110,6 +121,20 @@ def test_augment_forced_bad_path_is_caught(named_fixtures):
     assert nxc.bundle(1) == frozenset({1})
     assert nx0.bundle(1) == frozenset({0})
     assert clean_state_violations(inst, nxc, nx0) != []
+
+
+def test_augment_catches_a_path_holder_left_unclean():
+    # agent 1 takes o0 from agent 2, who receives o1 along the path; agent 2
+    # counts o1 at 0, so its counted bundle is no longer clean
+    inst = Instance(2, 3, 2, (Additive((2, 2, 2)), Additive((2, 0, 0))))
+    xc = Allocation.from_bundles([set(), {0}], 3)
+    x0 = Allocation.empty(2, 3)
+    forced = AugmentingPath((0, 1), PARETO, 1, 0, 4)
+    with pytest.raises(CleannessViolation, match="agent 2: xc bundle not clean"):
+        augment(inst, xc, x0, forced)
+    nxc, nx0 = augment(inst, xc, x0, forced, check=False)
+    assert nxc.bundles == (frozenset({0}), frozenset({1}))
+    assert clean_state_violations(inst, nxc, nx0, [1]) == []
 
 
 def test_augment_exchange_size_bookkeeping():
@@ -205,6 +230,68 @@ def test_incremental_graph_equals_fresh_build(monkeypatch, name):
         assert g.dump() == fresh.dump()
         assert g.adjacency == fresh.adjacency
         assert g.owner == fresh.owner
+
+
+def graphic_matroid_instance(n: int, m: int, seed: int) -> Instance:
+    """n agents, c=1, each valuing m items by the graphic-matroid rank of a
+    random m-edge multigraph on five vertices."""
+    rng = SplitMix64(seed)
+    tables = []
+    for _ in range(n):
+        edges = []
+        for _ in range(m):
+            u = rng.below(5)
+            edges.append((u, (u + 1 + rng.below(4)) % 5))
+        tables.append(graphic_matroid_rank_table(m, edges))
+    return Instance(n, m, 1, tuple(tables))
+
+
+FULL_SCAN_INSTANCES = {
+    "additive_8x40_s0": lambda: gen_random_additive(8, 40, 2, (1, 1, 2), 0),
+    "capped_6x30_s0": lambda: gen_capped_groups(6, 30, 2, (1, 3), (1, 3), 0),
+    "capped_32x160_s0": lambda: gen_capped_groups(32, 160, 2, (1, 3), (1, 3), 0),
+    "graphic_3x10_s0": lambda: graphic_matroid_instance(3, 10, 0),
+    "graphic_4x10_s1": lambda: graphic_matroid_instance(4, 10, 1),
+}
+
+
+def _per_item_lists(allocation, adjacency):
+    """Whether some agent's held items have different out-lists."""
+    return any(
+        len({adjacency.get(o) for o in allocation.bundle(j)}) > 1
+        for j in range(1, allocation.num_agents + 1)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(FULL_SCAN_INSTANCES))
+def test_builders_equal_full_scan(monkeypatch, name):
+    inst = FULL_SCAN_INSTANCES[name]()
+    adjacencies = []
+    build = exchange.unweighted_adjacency
+
+    def recording(allocation, oracles, candidates, previous=None):
+        adjacency = build(allocation, oracles, candidates, previous)
+        adjacencies.append((allocation, oracles, adjacency))
+        return adjacency
+
+    monkeypatch.setattr(exchange, "unweighted_adjacency", recording)
+    graphs = _phase2_graphs(monkeypatch, inst)
+    assert len(adjacencies) > 5 and len(graphs) > 5
+    for allocation, oracles, adjacency in adjacencies:
+        assert adjacency == full_scan_unweighted_adjacency(allocation, oracles)
+    for g in graphs:
+        assert g.adjacency == full_scan_weighted_adjacency(inst, g.xc, g.x0)
+        for i in inst.agents:
+            want = full_scan_f_set(inst, g.xc, i, inst.c)
+            assert f_set(inst, g.xc, i, inst.c, g.candidates[i - 1]) == want
+            assert f_set(inst, g.xc, i, inst.c) == want
+    # the per-item recheck of the items not sure on the whole bundle runs:
+    # additive marginals never fall, and threshold-0 marginals of a matroid
+    # rank never fall below the threshold
+    phase1_varied = any(_per_item_lists(a, adj) for a, _oracles, adj in adjacencies)
+    assert phase1_varied == name.startswith("capped")
+    phase2_varied = any(_per_item_lists(g.xc, g.adjacency) for g in graphs)
+    assert phase2_varied == (not name.startswith("additive"))
 
 
 def test_build_weighted_graph_recomputes_agents_whose_x0_changed(named_fixtures):

@@ -5,7 +5,7 @@ import pytest
 from manna import exchange
 from manna.core import Allocation
 from manna.errors import OracleViolation
-from manna.exchange import shift_along_path, unweighted_adjacency
+from manna.exchange import candidate_items, shift_along_path, unweighted_adjacency
 from manna.instgen import gen_capped_groups, gen_random_additive
 from manna.threshold import ThresholdBeta, is_clean
 from manna.valuations import Explicit
@@ -96,9 +96,9 @@ def test_reused_adjacency_equals_fresh_build(monkeypatch, name):
     betas = [ThresholdBeta(inst.valuation(i), 0) for i in inst.agents]
     built = []
 
-    def recording(allocation, oracles, previous=None):
-        adjacency = unweighted_adjacency(allocation, oracles, previous)
-        built.append((allocation, oracles, adjacency))
+    def recording(allocation, oracles, candidates, previous=None):
+        adjacency = unweighted_adjacency(allocation, oracles, candidates, previous)
+        built.append((allocation, oracles, candidates, adjacency))
         return adjacency
 
     monkeypatch.setattr(exchange, "unweighted_adjacency", recording)
@@ -108,8 +108,8 @@ def test_reused_adjacency_equals_fresh_build(monkeypatch, name):
     augmentations = sum(out.sizes())
     assert augmentations > 20
     assert len(built) == 1 + augmentations
-    for allocation, oracles, adjacency in built:
-        assert adjacency == unweighted_adjacency(allocation, oracles)
+    for allocation, oracles, candidates, adjacency in built:
+        assert adjacency == unweighted_adjacency(allocation, oracles, candidates)
 
 
 def test_adjacency_recomputes_gainer_holding_no_path_item():
@@ -117,12 +117,15 @@ def test_adjacency_recomputes_gainer_holding_no_path_item():
     uniform2 = Explicit(4, tuple(min(bin(s & 0b0111).count("1"), 2) for s in range(16)))
     either = Explicit(4, tuple(min(bin(s & 0b1100).count("1"), 1) for s in range(16)))
     oracles = [uniform2, either]
+    candidates = [candidate_items(o.marginal, 1, 4) for o in oracles]
+    assert candidates == [(0, 1, 2), (2, 3)]
     before = Allocation.from_bundles([{0}, {3}], 4)
-    adj = unweighted_adjacency(before, oracles)
-    assert adj == {0: [1, 2], 3: [2]}
+    adj = unweighted_adjacency(before, oracles, candidates)
+    assert adj == {0: (1, 2), 3: (2,)}
     # the path is a lone pool item: no agent holds a path item, yet the
     # gainer's bundle grows and its edges change
     after = shift_along_path(before, (1,), 1)
-    reused = unweighted_adjacency(after, oracles, (before, adj))
-    assert reused == unweighted_adjacency(after, oracles) == {0: [2], 1: [2], 3: [2]}
+    reused = unweighted_adjacency(after, oracles, candidates, (before, adj))
+    fresh = unweighted_adjacency(after, oracles, candidates)
+    assert reused == fresh == {0: (2,), 1: (2,), 3: (2,)}
     assert reused[3] is adj[3]  # the unchanged agent's list is copied
