@@ -46,7 +46,8 @@ whose marginals never change, and for capped agents with no group at its
 cap -- all items of B share one out-list.  Every test left out has a known
 answer and the candidates are walked in ascending order, so each edge list,
 its weights and its order are what a scan of all items gives.  The same
-lists bound ``f_set`` and phase 1's desired items.
+lists bound ``f_set``.  Phase 1's desired items are the sure candidates
+themselves, so its builder returns them with the edges.
 
 Both phases reuse edges between states instead of recomputing them, and
 neither reuse can change a tie-break.  The out-edges of an item held by
@@ -62,26 +63,41 @@ from-scratch build.
 Phase 1 keeps the last ``unweighted_adjacency`` and rebuilds it only after
 an augmentation, so a turn whose agent retires builds nothing.
 
-Phase 2 builds one graph per state and asks it for up to n² paths, so two
-things are shared instead of recomputed:
+Phase 2 builds one graph per state and asks it for up to n² paths, so
+these things are shared instead of recomputed:
 
 * **Incremental rebuilds.**  Agent j's weighted edges depend on ``xc_j``,
   ``x0_j`` and j's valuation; ``build_weighted_graph`` copies them when both
   of j's bundles are unchanged.
-* **Reachability pre-filter.**  Each graph lazily builds its reverse
-  adjacency and caches, per target set (the pool or an agent's counted
-  bundle), the items that can reach it.  ``min_weight_path`` returns None,
-  before it builds start keys or runs Dijkstra, when no source is among
-  them.  Those are exactly the runs in which Dijkstra would reach no target
-  and return None, so the searches that do run are unchanged.
+* **Agent quotient.**  The held items of an agent whose items all share one
+  out-list -- every additive agent -- form one node; every other item with
+  out-edges is a node of its own.  Each graph keeps, per item, the set of
+  nodes with an edge into it.  Only the entries that a rebuilt agent's old
+  or new nodes point into change, so each graph copies the previous graph's
+  map and replaces those entries alone, with new sets.
+* **Reachability pre-filter.**  Each graph caches, per target set (the pool
+  or an agent's counted bundle), the items that can reach it, found by a
+  reverse search that expands each node into its members once.
+  ``min_weight_path`` returns None, before it builds start keys or runs
+  Dijkstra, when no source is among them.  Those are exactly the runs in
+  which Dijkstra would reach no target and return None, so the searches
+  that do run are unchanged.
+* **One expansion per node.**  Dijkstra relaxes a shared node's edges only
+  when the first of its members leaves the heap; a later member is still
+  tested as a target, but not expanded.  This prunes nothing that matters.
+  The members share one out-list, so the same weights, and one holder, so
+  the same Pareto pickup costs: each offers the same extensions at the same
+  added cost.  A later member's key is larger, since keys leave the heap in
+  increasing order and no two are equal.  Extended by the same edge it
+  stays larger: a smaller cost or edge count carries over, and with both
+  equal the two paths have one length and differ before their last item.
+  So a later member's extension improves no key a search would settle.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Collection, Iterable, Optional, Sequence
 
 from .core import Allocation, Instance
@@ -128,21 +144,24 @@ def f_set(
 
 
 def _out_lists(bundle, outside, entries, marginal, threshold):
-    """Out-lists of the items of one agent's ``bundle``: ``o -> o'`` whenever
-    ``marginal(bundle - {o}, o') >= threshold``.
+    """Out-lists of the items of one agent's ``bundle``, and which of the
+    agent's candidates are *sure* ones.
 
+    ``o -> o'`` whenever ``marginal(bundle - {o}, o') >= threshold``.
     ``outside`` lists the agent's candidate items that lie outside the
     bundle, in ascending order, and ``entries`` what an out-list holds for
     each (the item, or its ``(item, weight)`` edge).  A candidate that
     already clears the threshold on the whole bundle clears it on every
-    ``bundle - {o}`` and is a *sure* out-neighbour of every held item; only
+    ``bundle - {o}`` and is a sure out-neighbour of every held item; only
     the others are tested per held item.  When every candidate is sure, all
     held items share one out-list.  Items without out-edges are left out.
+    The flags returned with the out-lists tell, per item of ``outside``,
+    whether it is sure: the sure ones are the items the agent desires.
     """
     sure = [marginal(bundle, op) >= threshold for op in outside]
     if all(sure):
         shared = tuple(entries)
-        return dict.fromkeys(sorted(bundle), shared) if shared else {}
+        return (dict.fromkeys(sorted(bundle), shared) if shared else {}), sure
     out = {}
     for o in sorted(bundle):
         rest = bundle - {o}
@@ -153,44 +172,60 @@ def _out_lists(bundle, outside, entries, marginal, threshold):
         )
         if edges:
             out[o] = edges
-    return out
+    return out, sure
 
 
 def unweighted_adjacency(
     allocation: Allocation,
     oracles: Sequence,
     candidates: Sequence[Sequence[int]],
-    previous: Optional[tuple[Allocation, dict[int, tuple[int, ...]]]] = None,
-) -> dict[int, tuple[int, ...]]:
-    """Edge lists of the exchange graph of a clean allocation.
+    previous: Optional[tuple[Allocation, dict, tuple[frozenset[int], ...]]] = None,
+) -> tuple[dict[int, tuple[int, ...]], tuple[frozenset[int], ...]]:
+    """Edge lists of the exchange graph of a clean allocation, and each
+    agent's desired items: its candidates outside its bundle whose marginal
+    on the bundle is 1 (``desired[i-1]`` for agent i).
 
     ``oracles[i-1]`` must expose ``marginal(bundle, item)`` with values in
     {0, 1} that never grow as the bundle grows, and ``candidates[i-1]`` is its
     ``candidate_items`` at threshold 1.  Items in the pool have no outgoing
-    edges.  ``previous``, an ``(allocation, adjacency)`` pair built with the
-    same oracles, lends the edge lists of every agent whose bundle it shares;
-    only the other agents' edges are computed.
+    edges.  ``previous``, an ``(allocation, adjacency, desired)`` triple built
+    with the same oracles, lends the edge lists and desired items of every
+    agent whose bundle it shares; only the other agents' are computed.
     """
     adj: dict[int, tuple[int, ...]] = {}
+    desired: list[frozenset[int]] = []
     for j in range(1, allocation.num_agents + 1):
         bundle = allocation.bundle(j)
-        if not bundle:
-            continue
         if previous is not None and previous[0].bundle(j) == bundle:
             for o in sorted(bundle):
                 if o in previous[1]:
                     adj[o] = previous[1][o]
+            desired.append(previous[2][j - 1])
+            continue
+        if not bundle:
+            # on the empty bundle, exactly the candidates
+            desired.append(frozenset(candidates[j - 1]))
             continue
         outside = [op for op in candidates[j - 1] if op not in bundle]
-        adj.update(_out_lists(bundle, outside, outside, oracles[j - 1].marginal, 1))
-    return adj
+        out, sure = _out_lists(bundle, outside, outside, oracles[j - 1].marginal, 1)
+        adj.update(out)
+        desired.append(frozenset(op for op, is_sure in zip(outside, sure) if is_sure))
+    return adj, tuple(desired)
 
 
 @dataclass(frozen=True)
 class WeightedExchangeGraph:
     """Exchange graph of ``xc`` under the c-threshold oracles, with doubled
     integer edge weights derived from ``x0`` membership.  ``candidates[i-1]``
-    is agent i's ``candidate_items`` at threshold c."""
+    is agent i's ``candidate_items`` at threshold c.
+
+    The graph is also kept as its agent quotient.  Each item with out-edges
+    lies in one node: agent i's node ``-i`` when all of i's held items share
+    one out-list, else a node of its own, named by the item.  ``node_of``
+    maps such an item to its node, ``members`` a node to its items in
+    ascending order, and ``reverse`` an item to the nodes with an edge into
+    it.
+    """
 
     inst: Instance
     xc: Allocation
@@ -198,29 +233,29 @@ class WeightedExchangeGraph:
     owner: tuple[int, ...]
     adjacency: dict[int, tuple[tuple[int, int], ...]]
     candidates: tuple[tuple[int, ...], ...]
+    node_of: dict[int, int]
+    members: dict[int, tuple[int, ...]]
+    reverse: dict[int, frozenset[int]]
     _reaching: dict[frozenset[int], frozenset[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    @cached_property
-    def _reverse(self) -> dict[int, list[int]]:
-        reverse: dict[int, list[int]] = defaultdict(list)
-        for u, out in self.adjacency.items():
-            for v, _w in out:
-                reverse[v].append(u)
-        return reverse
-
     def reaching(self, targets: frozenset[int]) -> frozenset[int]:
         """Items with a path to some item of ``targets`` (targets included),
-        computed once per target set by a reverse search."""
+        computed once per target set by a reverse search that expands each
+        node into its members once."""
         if targets not in self._reaching:
             seen = set(targets)
             stack = list(targets)
+            expanded = set()
             while stack:
-                for u in self._reverse.get(stack.pop(), ()):
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
+                for node in self.reverse.get(stack.pop(), ()):
+                    if node not in expanded:
+                        expanded.add(node)
+                        for u in self.members[node]:
+                            if u not in seen:
+                                seen.add(u)
+                                stack.append(u)
             self._reaching[targets] = frozenset(seen)
         return self._reaching[targets]
 
@@ -243,8 +278,9 @@ def build_weighted_graph(
     """Materialize the weighted exchange graph for the state ``(xc, x0)``.
 
     ``previous``, a graph of the same instance, lends its candidate lists and
-    the edge lists of every agent whose ``xc`` and ``x0`` bundles it shares;
-    only the other agents' edges are computed.
+    the edge lists and quotient nodes of every agent whose ``xc`` and ``x0``
+    bundles it shares; only the other agents' are computed.  ``previous``
+    itself is left as it is.
 
     Preconditions (asserted unless ``check`` is False):
     ``xc`` clean at threshold c, ``xc ∪ x0`` clean at threshold 0, and the
@@ -265,9 +301,12 @@ def build_weighted_graph(
         candidates = previous.candidates
     owner = tuple(xc.owner_map())
     adj: dict[int, tuple[tuple[int, int], ...]] = {}
+    rebuilt = []
     for j in inst.agents:
         bundle = xc.bundle(j)
         if not bundle:
+            if previous is not None and previous.xc.bundle(j):
+                rebuilt.append((j, {}, False))  # its old nodes go
             continue
         x0_j = x0.bundle(j)
         if (
@@ -281,13 +320,68 @@ def build_weighted_graph(
             continue
         outside = [op for op in candidates[j - 1] if op not in bundle]
         # One (item, weight) edge per candidate, shared by every out-list.
-        # Parallel lists, not (item, edge) pairs: short-lived pairs mixed in
-        # with the long-lived edges fragmented memory and raised peak RSS.
+        # Parallel lists, not (item, edge) pairs, and no list of the sure
+        # candidates: short-lived tuples mixed in with the long-lived edges
+        # fragmented memory and raised peak RSS.
         edges = [(op, 1 if op in x0_j else 2) for op in outside]
-        adj.update(
-            _out_lists(bundle, outside, edges, inst.valuation(j).marginal, inst.c)
+        out, sure = _out_lists(
+            bundle, outside, edges, inst.valuation(j).marginal, inst.c
         )
-    return WeightedExchangeGraph(inst, xc, x0, owner, adj, candidates)
+        adj.update(out)
+        rebuilt.append((j, out, all(sure)))
+    node_of, members, reverse = _quotient(previous, rebuilt)
+    return WeightedExchangeGraph(
+        inst, xc, x0, owner, adj, candidates, node_of, members, reverse
+    )
+
+
+def _quotient(previous, rebuilt):
+    """Node map, members and reverse lists of a new graph: those of
+    ``previous`` (empty when None) with the nodes of the agents in
+    ``rebuilt`` replaced.  ``rebuilt`` lists ``(agent, out-lists, shared)``
+    for each agent whose edges were recomputed; ``shared`` tells whether all
+    its held items share one out-list.
+
+    A node's reverse entries change only where its old and new out-lists
+    differ in their targets -- for a shared node, at the items that entered
+    or left its agent's bundle.  Each changed reverse list is a new
+    frozenset, so ``previous`` keeps its own.
+    """
+    lost = {}  # node -> its targets in ``previous``, less those it keeps
+    if previous is None:
+        node_of, members, reverse = {}, {}, {}
+    else:
+        node_of = previous.node_of.copy()
+        members = previous.members.copy()
+        reverse = previous.reverse.copy()
+        # Old bundles are disjoint, so every item still maps to its old node.
+        for j, _out, _shared in rebuilt:
+            for o in previous.xc.bundle(j):
+                node = node_of.pop(o, None)
+                if node is not None and members.pop(node, None) is not None:
+                    lost[node] = {v for v, _w in previous.adjacency[o]}
+    moved = {}  # v -> (nodes whose edge into v is gone, nodes with a new one)
+    for j, out, shared in rebuilt:
+        nodes = {-j: tuple(out)} if shared and out else {o: (o,) for o in out}
+        for node, items in nodes.items():
+            members[node] = items
+            node_of.update(dict.fromkeys(items, node))
+            before = lost.setdefault(node, set())
+            for v, _w in out[items[0]]:
+                if v in before:
+                    before.discard(v)
+                else:
+                    moved.setdefault(v, (set(), set()))[1].add(node)
+    for node, gone in lost.items():
+        for v in gone:
+            moved.setdefault(v, (set(), set()))[0].add(node)
+    for v, (dropped, added) in moved.items():
+        into = reverse.get(v, frozenset()).difference(dropped).union(added)
+        if into:
+            reverse[v] = into
+        else:
+            del reverse[v]
+    return node_of, members, reverse
 
 
 @dataclass(frozen=True)
@@ -306,23 +400,33 @@ class AugmentingPath:
     doubled_weight: int
 
 
-def _run_dijkstra(starts, neighbors, targets):
+def _run_dijkstra(starts, neighbors, targets, node_of):
     """Least key ``(cost, edge count, item path)`` of a path from ``starts``
     to ``targets``, or None when no target is reachable.
 
     Extending a path strictly increases its key, so keys leave the heap in
     increasing order and the first target popped with its final key is the
     least one; the search stops there.
+
+    ``node_of`` maps items to quotient nodes whose members ``neighbors``
+    gives the same extensions, with the same added costs.  Only the first
+    member popped is expanded: a later one has a larger key, so each of its
+    extensions would have a larger key too and improve nothing.
     """
     best = dict(starts)
-    heap = [(key, node) for node, key in sorted(starts.items())]
+    heap = [(key, u) for u, key in sorted(starts.items())]
     heapq.heapify(heap)
+    expanded = set()
     while heap:
         key, u = heapq.heappop(heap)
         if key > best[u]:
             continue
         if u in targets:
             return key
+        node = node_of.get(u, u)
+        if node in expanded:
+            continue
+        expanded.add(node)
         cost, nedges, path = key
         for v, add in neighbors(u):
             cand = (cost + add, nedges + 1, path + (v,))
@@ -371,7 +475,7 @@ def min_weight_path(
         def neighbors(u):
             yield from graph.adjacency.get(u, ())
 
-    key = _run_dijkstra(starts, neighbors, targets)
+    key = _run_dijkstra(starts, neighbors, targets, graph.node_of)
     if key is None:
         return None
     target = 0 if kind == PARETO else target_agent

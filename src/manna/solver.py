@@ -174,17 +174,19 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
                 )
 
         # One qualifying exchange augmentation, then start over.  The state
-        # has not changed since the last Pareto scan, so neither has its graph.
+        # has not changed since the last Pareto scan, so neither has its graph
+        # nor, until the scan augments and stops, its bundle sizes.
         augmented = False
+        sizes = state.xc.sizes()
         for i in inst.agents:
-            size_i = len(state.xc.bundle(i))
+            size_i = sizes[i - 1]
             sources = sources_of(i)
             if not sources:
                 continue
             for j in inst.agents:
                 if j == i:
                     continue
-                size_j = len(state.xc.bundle(j))
+                size_j = sizes[j - 1]
                 balances = size_i + 1 < size_j
                 swaps_down = size_i + 1 == size_j and i < j
                 if not (balances or swaps_down):

@@ -18,7 +18,12 @@ would return (see ``exchange``).
 The exchange graph is built once and then again only after an augmentation.
 Each rebuild recomputes the edges of the agents whose bundles changed and
 copies the rest from the previous graph, which gives the same graph as a
-fresh build (see ``exchange``).
+fresh build (see ``exchange``).  The build also lists each agent's desired
+items: it tests every candidate against the agent's whole bundle to find
+the out-neighbours all held items share, and those candidates are exactly
+the desired ones.  An agent's bundle changes on every turn that does not
+retire it, so a desired set kept from its own last turn would never be
+reused; the one kept with its edges is.
 """
 
 from __future__ import annotations
@@ -62,33 +67,22 @@ def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
     oracles = [_CheckedOracle(b, i + 1) for i, b in enumerate(betas)]
     candidates = [exchange.candidate_items(o.marginal, 1, num_items) for o in oracles]
     allocation = Allocation.empty(n, num_items)
-    adjacency = exchange.unweighted_adjacency(allocation, oracles, candidates)
+    adjacency, desired = exchange.unweighted_adjacency(allocation, oracles, candidates)
     active = set(range(1, n + 1))
     while active:
         agent = min(active, key=lambda i: (len(allocation.bundle(i)), i))
-        oracle = oracles[agent - 1]
-        bundle = allocation.bundle(agent)
-        if bundle:
-            desired = frozenset(
-                o
-                for o in candidates[agent - 1]
-                if o not in bundle and oracle.marginal(bundle, o) == 1
-            )
-        else:
-            # on the empty bundle, exactly the candidates
-            desired = frozenset(candidates[agent - 1])
-        path = shortest_path_to_pool(allocation, adjacency, desired)
+        path = shortest_path_to_pool(allocation, adjacency, desired[agent - 1])
         if path is None:
             active.discard(agent)
             continue
-        previous = (allocation, adjacency)
+        previous = (allocation, adjacency, desired)
         allocation = shift_along_path(allocation, path, agent)
-        if not is_clean(oracle, allocation.bundle(agent)):
+        if not is_clean(oracles[agent - 1], allocation.bundle(agent)):
             raise OracleViolation(
                 f"agent {agent}: bundle not clean after augmentation; "
                 "the supplied oracle is not binary submodular"
             )
-        adjacency = exchange.unweighted_adjacency(
+        adjacency, desired = exchange.unweighted_adjacency(
             allocation, oracles, candidates, previous
         )
     for i in range(1, n + 1):

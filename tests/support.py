@@ -149,12 +149,12 @@ def full_scan_weighted_adjacency(inst, xc, x0):
     return adj
 
 
-def full_scan_f_set(inst, allocation, agent, tau):
-    """Reference for ``exchange.f_set``, scanning every item."""
-    spec = inst.valuation(agent)
+def full_scan_f_set(allocation, oracle, agent, tau):
+    """Reference for ``exchange.f_set`` and for the desired items of
+    ``exchange.unweighted_adjacency`` (``tau`` = 1), scanning every item."""
     bundle = allocation.bundle(agent)
     return frozenset(
         o
-        for o in inst.items
-        if o not in bundle and spec.marginal(bundle, o) >= tau
+        for o in range(allocation.num_items)
+        if o not in bundle and oracle.marginal(bundle, o) >= tau
     )

@@ -220,16 +220,36 @@ EQUIVALENCE_INSTANCES = {
 }
 
 
+def _quotient_sets(graph):
+    return (
+        graph.node_of,
+        {node: set(items) for node, items in graph.members.items()},
+        {v: set(nodes) for v, nodes in graph.reverse.items()},
+    )
+
+
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_INSTANCES))
 def test_incremental_graph_equals_fresh_build(monkeypatch, name):
     inst = EQUIVALENCE_INSTANCES[name]()
     graphs = _phase2_graphs(monkeypatch, inst)
     assert len(graphs) > 10
-    for g in graphs:
+    carried = [_quotient_sets(g) for g in graphs]
+    for g, quotient in zip(graphs, carried):
         fresh = build_weighted_graph(inst, g.xc, g.x0)
         assert g.dump() == fresh.dump()
         assert g.adjacency == fresh.adjacency
         assert g.owner == fresh.owner
+        # the quotient carried over from the previous graph is a fresh one
+        assert quotient == _quotient_sets(fresh)
+        assert set(g.node_of) == set(g.adjacency)
+        for node, items in g.members.items():
+            assert list(items) == sorted(items)
+            assert all(g.node_of[o] == node for o in items)
+            assert len({id(g.adjacency[o]) for o in items}) == 1
+    # building the next graph left every earlier one as it was
+    assert carried == [_quotient_sets(g) for g in graphs]
+    kinds = {node < 0 for g in graphs for node in g.members}
+    assert kinds == ({True} if name.startswith("additive") else {True, False})
 
 
 def graphic_matroid_instance(n: int, m: int, seed: int) -> Instance:
@@ -270,25 +290,29 @@ def test_builders_equal_full_scan(monkeypatch, name):
     build = exchange.unweighted_adjacency
 
     def recording(allocation, oracles, candidates, previous=None):
-        adjacency = build(allocation, oracles, candidates, previous)
-        adjacencies.append((allocation, oracles, adjacency))
-        return adjacency
+        adjacency, desired = build(allocation, oracles, candidates, previous)
+        adjacencies.append((allocation, oracles, adjacency, desired))
+        return adjacency, desired
 
     monkeypatch.setattr(exchange, "unweighted_adjacency", recording)
     graphs = _phase2_graphs(monkeypatch, inst)
     assert len(adjacencies) > 5 and len(graphs) > 5
-    for allocation, oracles, adjacency in adjacencies:
+    for allocation, oracles, adjacency, desired in adjacencies:
         assert adjacency == full_scan_unweighted_adjacency(allocation, oracles)
+        assert desired == tuple(
+            full_scan_f_set(allocation, oracles[i - 1], i, 1)
+            for i in range(1, allocation.num_agents + 1)
+        )
     for g in graphs:
         assert g.adjacency == full_scan_weighted_adjacency(inst, g.xc, g.x0)
         for i in inst.agents:
-            want = full_scan_f_set(inst, g.xc, i, inst.c)
+            want = full_scan_f_set(g.xc, inst.valuation(i), i, inst.c)
             assert f_set(inst, g.xc, i, inst.c, g.candidates[i - 1]) == want
             assert f_set(inst, g.xc, i, inst.c) == want
     # the per-item recheck of the items not sure on the whole bundle runs:
     # additive marginals never fall, and threshold-0 marginals of a matroid
     # rank never fall below the threshold
-    phase1_varied = any(_per_item_lists(a, adj) for a, _oracles, adj in adjacencies)
+    phase1_varied = any(_per_item_lists(a, adj) for a, _o, adj, _d in adjacencies)
     assert phase1_varied == name.startswith("capped")
     phase2_varied = any(_per_item_lists(g.xc, g.adjacency) for g in graphs)
     assert phase2_varied == (not name.startswith("additive"))
@@ -349,17 +373,24 @@ def test_reachability_filter_changes_no_search(monkeypatch, named_fixtures):
 
 
 def test_reaching_is_reverse_reachability(monkeypatch):
-    inst = gen_random_additive(8, 40, 2, (1, 1, 2), 1)
-    graphs = _phase2_graphs(monkeypatch, inst)
-    g = graphs[len(graphs) // 2]
-    assert g.adjacency
-    for target_agent in range(0, inst.num_agents + 1):
-        targets = g.xc.bundle(target_agent)
-        expected = {
-            o for o in inst.items if _bfs_length(g.adjacency, {o}, targets) is not None
-        }
-        assert g.reaching(targets) == expected
-        assert g.reaching(targets) is g.reaching(targets)  # cached per target set
+    additive = gen_random_additive(8, 40, 2, (1, 1, 2), 1)
+    capped = gen_capped_groups(6, 30, 2, (1, 3), (1, 3), 0)
+    # additive agents' items always share a node; the capped graph mixes
+    # shared-list nodes with one-item nodes
+    for inst, kinds in ((additive, {True}), (capped, {True, False})):
+        graphs = _phase2_graphs(monkeypatch, inst)
+        g = graphs[len(graphs) // 2]
+        assert g.adjacency
+        assert {node < 0 for node in g.members} == kinds
+        for target_agent in range(0, inst.num_agents + 1):
+            targets = g.xc.bundle(target_agent)
+            expected = {
+                o
+                for o in inst.items
+                if _bfs_length(g.adjacency, {o}, targets) is not None
+            }
+            assert g.reaching(targets) == expected
+            assert g.reaching(targets) is g.reaching(targets)  # cached per set
 
 
 def _reference_pool_path(allocation, adjacency, sources):
@@ -404,8 +435,8 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
     outcomes.clear()
     bounded = exchange._run_dijkstra
 
-    def checked(starts, neighbors, targets):
-        key = bounded(starts, neighbors, targets)
+    def checked(starts, neighbors, targets, node_of):
+        key = bounded(starts, neighbors, targets, node_of)
         assert key == exhaustive_least_key(starts, neighbors, targets)
         if starts:
             outcomes.append(key is not None)
@@ -423,6 +454,79 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
         for g in graphs:
             list(_every_search(g))
     assert sum(outcomes) > 1000 and outcomes.count(False) > 2000
+
+
+def _pickup(owner, v):
+    return 1 + (owner + v) % 2
+
+
+@st.composite
+def quotient_searches(draw):
+    """A small weighted digraph shaped like a phase-2 exchange graph, with
+    its node map: each agent's held items either share one out-list tuple
+    (node ``-agent``) or have lists of their own (node ``item``); out-lists
+    avoid the holder's own items, pool items have none, edges weigh 1 or 2,
+    and an edge into a target adds a pickup cost that depends on the owner
+    of the item it leaves, as in a Pareto search."""
+    m = draw(st.integers(6, 12))
+    item = st.integers(0, m - 1)
+    n = draw(st.integers(1, 3))
+    owner = [draw(st.integers(0, n)) for _ in range(m)]  # 0: the pool
+    adjacency, node_of = {}, {}
+
+    def out_list(held):
+        weights = draw(st.dictionaries(item, st.integers(1, 2), max_size=3))
+        return tuple(sorted((v, w) for v, w in weights.items() if v not in held))
+
+    for j in range(1, n + 1):
+        held = [o for o in range(m) if owner[o] == j]
+        if draw(st.booleans()):
+            shared = out_list(held)
+            lists = {o: shared for o in held} if shared else {}
+            node_of.update((o, -j) for o in lists)
+        else:
+            lists = {o: out for o in held if (out := out_list(held))}
+            node_of.update((o, o) for o in lists)
+        adjacency.update(lists)
+    targets = draw(st.frozensets(item, min_size=1, max_size=3))
+    sources = draw(st.frozensets(item, min_size=1, max_size=3))
+    starts = {o: (draw(st.integers(0, 2)), 0, (o,)) for o in sorted(sources)}
+
+    def neighbors(u):
+        for v, w in adjacency.get(u, ()):
+            yield v, w + (_pickup(owner[u], v) if v in targets else 0)
+
+    return starts, neighbors, targets, node_of
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(quotient_searches())
+def test_one_expansion_search_equals_exhaustive_search(search):
+    starts, neighbors, targets, node_of = search
+    assert exchange._run_dijkstra(starts, neighbors, targets, node_of) == (
+        exhaustive_least_key(starts, neighbors, targets)
+    )
+
+
+def test_one_expansion_search_tie_break_between_members():
+    # o2 and o3 share agent 1's out-list; both are reached at cost 2 in one
+    # edge and both reach the target o7 at cost 4 in two.  The path through
+    # o0 is lexicographically smaller, so o3 is popped and expanded first
+    # although o2 is the smaller item, and o2 is never expanded.
+    adjacency = {0: ((3, 2),), 1: ((2, 2),), 2: ((7, 2),), 3: ((7, 2),)}
+    adjacency[2] = adjacency[3]
+    node_of = {0: 0, 1: 1, 2: -1, 3: -1}
+    expanded = []
+
+    def neighbors(u):
+        expanded.append(u)
+        return adjacency.get(u, ())
+
+    starts = {0: (0, 0, (0,)), 1: (0, 0, (1,))}
+    key = exchange._run_dijkstra(starts, neighbors, frozenset({7}), node_of)
+    assert key == (4, 2, (0, 3, 7))
+    assert expanded == [0, 1, 3]
+    assert exhaustive_least_key(starts, neighbors, frozenset({7})) == key
 
 
 @st.composite

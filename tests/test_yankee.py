@@ -97,9 +97,9 @@ def test_reused_adjacency_equals_fresh_build(monkeypatch, name):
     built = []
 
     def recording(allocation, oracles, candidates, previous=None):
-        adjacency = unweighted_adjacency(allocation, oracles, candidates, previous)
-        built.append((allocation, oracles, candidates, adjacency))
-        return adjacency
+        graph = unweighted_adjacency(allocation, oracles, candidates, previous)
+        built.append((allocation, oracles, candidates, graph))
+        return graph
 
     monkeypatch.setattr(exchange, "unweighted_adjacency", recording)
     out = yankee_swap(inst.num_items, betas)
@@ -108,8 +108,8 @@ def test_reused_adjacency_equals_fresh_build(monkeypatch, name):
     augmentations = sum(out.sizes())
     assert augmentations > 20
     assert len(built) == 1 + augmentations
-    for allocation, oracles, candidates, adjacency in built:
-        assert adjacency == unweighted_adjacency(allocation, oracles, candidates)
+    for allocation, oracles, candidates, graph in built:
+        assert graph == unweighted_adjacency(allocation, oracles, candidates)
 
 
 def test_adjacency_recomputes_gainer_holding_no_path_item():
@@ -120,12 +120,16 @@ def test_adjacency_recomputes_gainer_holding_no_path_item():
     candidates = [candidate_items(o.marginal, 1, 4) for o in oracles]
     assert candidates == [(0, 1, 2), (2, 3)]
     before = Allocation.from_bundles([{0}, {3}], 4)
-    adj = unweighted_adjacency(before, oracles, candidates)
+    adj, desired = unweighted_adjacency(before, oracles, candidates)
     assert adj == {0: (1, 2), 3: (2,)}
+    assert desired == ({1, 2}, set())
     # the path is a lone pool item: no agent holds a path item, yet the
     # gainer's bundle grows and its edges change
     after = shift_along_path(before, (1,), 1)
-    reused = unweighted_adjacency(after, oracles, candidates, (before, adj))
+    reused = unweighted_adjacency(after, oracles, candidates, (before, adj, desired))
     fresh = unweighted_adjacency(after, oracles, candidates)
-    assert reused == fresh == {0: (2,), 1: (2,), 3: (2,)}
-    assert reused[3] is adj[3]  # the unchanged agent's list is copied
+    # o2 is an out-neighbour of both held items but not desired: agent 1
+    # already counts two of items 0..2
+    assert reused == fresh == ({0: (2,), 1: (2,), 3: (2,)}, (set(), set()))
+    assert reused[0][3] is adj[3]  # the unchanged agent's list is copied
+    assert reused[1][1] is desired[1]  # and so are its desired items
