@@ -100,18 +100,12 @@ class Allocation:
                 return i
         return 0
 
-    def owner_map(self) -> list[int]:
-        owners = [0] * self.num_items
-        for i, b in enumerate(self.bundles, start=1):
-            for o in b:
-                owners[o] = i
-        return owners
-
     def replace_bundle(self, agent: int, items: Iterable[int]) -> "Allocation":
-        """New allocation with agent's bundle replaced; pool adjusts to cover."""
+        """New allocation with agent's bundle replaced; pool adjusts to cover.
+        Every other bundle is passed through as the same object."""
         new = list(self.bundles)
-        new[agent - 1] = frozenset(items)
-        return Allocation.from_bundles(new, self.num_items)
+        old, new[agent - 1] = new[agent - 1], frozenset(items)
+        return Allocation(tuple(new), (self.unallocated | old) - new[agent - 1])
 
     @property
     def is_complete(self) -> bool:

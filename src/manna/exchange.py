@@ -46,35 +46,44 @@ whose marginals never change, and for capped agents with no group at its
 cap -- all items of B share one out-list.  Every test left out has a known
 answer and the candidates are walked in ascending order, so each edge list,
 its weights and its order are what a scan of all items gives.  The same
-lists bound ``f_set``.  Phase 1's desired items are the sure candidates
-themselves, so its builder returns them with the edges.
+lists bound ``f_set``.  An agent's desired items, its ``f_set``, are its
+sure candidates, so both builders keep them with the edges.
 
-Both phases reuse edges between states instead of recomputing them, and
-neither reuse can change a tie-break.  The out-edges of an item held by
-agent j depend only on j's bundles and j's oracle, so a builder given the
-previous state and graph copies j's edge lists whenever j's bundles are
-unchanged.  It decides this by comparing bundles, not by reading the path:
-the gainer's bundle changes even when it holds no path item.  After an
-augmentation only the gainer and the holders of path items have new
-bundles.  The copied lists are the ones a fresh build would compute, so
-the graph -- edges, weights and their order -- is the same as a
-from-scratch build.
+Both phases advance one graph in place along each augmentation instead of
+building a new one per state, and this changes no tie-break.  The
+out-edges of an item held by agent j depend only on j's bundles and j's
+oracle.  After an augmentation only the gainer and the holders of path
+items have new bundles: ``shift_along_path`` and ``augment`` pass every
+other agent's bundle through as the same object.  So a builder given the
+previous graph keys each agent on the identity of its bundles.  An agent
+whose bundle objects are the previous graph's keeps its entries; every
+other agent's entries are dropped, all of them before any is computed anew,
+since an item may move between two such agents.  A bundle rebuilt equal to
+the old one is merely recomputed, so identity is a safe stand-in for
+equality, and the builder never reads the path: the gainer's bundle changes
+even when it holds no path item.  A fresh build is the same code starting
+from an empty graph, in which every agent counts as changed.  The entries
+kept are the ones a fresh build would compute, so the graph -- edges,
+weights and their order -- is the same as a from-scratch build.  The
+graph passed to a builder as ``previous`` is consumed: the builder updates
+it in place, so it no longer describes the state it was built for.
 
-Phase 1 keeps the last ``unweighted_adjacency`` and rebuilds it only after
+Phase 1 keeps the last ``unweighted_adjacency`` and advances it only after
 an augmentation, so a turn whose agent retires builds nothing.
 
-Phase 2 builds one graph per state and asks it for up to n² paths, so
+Phase 2 advances one graph per state and asks it for up to n² paths, so
 these things are shared instead of recomputed:
 
-* **Incremental rebuilds.**  Agent j's weighted edges depend on ``xc_j``,
-  ``x0_j`` and j's valuation; ``build_weighted_graph`` copies them when both
-  of j's bundles are unchanged.
+* **In-place updates.**  Agent j's weighted edges and desired items depend
+  on ``xc_j``, ``x0_j`` and j's valuation, and ``build_weighted_graph``
+  recomputes them, with the owners of j's items, only when one of j's
+  bundle objects changed.  The desired items at threshold c, the sources
+  of j's searches, are the sure candidates of its out-lists.
 * **Agent quotient.**  The held items of an agent whose items all share one
   out-list -- every additive agent -- form one node; every other item with
-  out-edges is a node of its own.  Each graph keeps, per item, the set of
+  out-edges is a node of its own.  The graph keeps, per item, the set of
   nodes with an edge into it.  Only the entries that a rebuilt agent's old
-  or new nodes point into change, so each graph copies the previous graph's
-  map and replaces those entries alone, with new sets.
+  or new nodes point into change.
 * **Reachability pre-filter.**  Each graph caches, per target set (the pool
   or an agent's counted bundle), the items that can reach it, found by a
   reverse search that expands each node into its members once.
@@ -97,6 +106,7 @@ these things are shared instead of recomputed:
 from __future__ import annotations
 
 import heapq
+from itertools import compress
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -155,13 +165,14 @@ def _out_lists(bundle, outside, entries, marginal, threshold):
     ``bundle - {o}`` and is a sure out-neighbour of every held item; only
     the others are tested per held item.  When every candidate is sure, all
     held items share one out-list.  Items without out-edges are left out.
-    The flags returned with the out-lists tell, per item of ``outside``,
-    whether it is sure: the sure ones are the items the agent desires.
+    Returned with the out-lists are the sure candidates: the items the agent
+    desires.
     """
     sure = [marginal(bundle, op) >= threshold for op in outside]
-    if all(sure):
+    desired = frozenset(compress(outside, sure))
+    if len(desired) == len(outside):
         shared = tuple(entries)
-        return (dict.fromkeys(sorted(bundle), shared) if shared else {}), sure
+        return (dict.fromkeys(sorted(bundle), shared) if shared else {}), desired
     out = {}
     for o in sorted(bundle):
         rest = bundle - {o}
@@ -172,15 +183,15 @@ def _out_lists(bundle, outside, entries, marginal, threshold):
         )
         if edges:
             out[o] = edges
-    return out, sure
+    return out, desired
 
 
 def unweighted_adjacency(
     allocation: Allocation,
     oracles: Sequence,
     candidates: Sequence[Sequence[int]],
-    previous: Optional[tuple[Allocation, dict, tuple[frozenset[int], ...]]] = None,
-) -> tuple[dict[int, tuple[int, ...]], tuple[frozenset[int], ...]]:
+    previous: Optional[tuple[Allocation, dict, list[frozenset[int]]]] = None,
+) -> tuple[dict[int, tuple[int, ...]], list[frozenset[int]]]:
     """Edge lists of the exchange graph of a clean allocation, and each
     agent's desired items: its candidates outside its bundle whose marginal
     on the bundle is 1 (``desired[i-1]`` for agent i).
@@ -189,35 +200,45 @@ def unweighted_adjacency(
     {0, 1} that never grow as the bundle grows, and ``candidates[i-1]`` is its
     ``candidate_items`` at threshold 1.  Items in the pool have no outgoing
     edges.  ``previous``, an ``(allocation, adjacency, desired)`` triple built
-    with the same oracles, lends the edge lists and desired items of every
-    agent whose bundle it shares; only the other agents' are computed.
+    with the same oracles, is consumed: its adjacency and desired items are
+    advanced in place and returned, recomputed only for the agents whose
+    bundle is not the same object as in its allocation.
     """
-    adj: dict[int, tuple[int, ...]] = {}
-    desired: list[frozenset[int]] = []
-    for j in range(1, allocation.num_agents + 1):
-        bundle = allocation.bundle(j)
-        if previous is not None and previous[0].bundle(j) == bundle:
-            for o in sorted(bundle):
-                if o in previous[1]:
-                    adj[o] = previous[1][o]
-            desired.append(previous[2][j - 1])
-            continue
+    if previous is None:
+        before = (None,) * allocation.num_agents  # every agent is computed
+        adj: dict[int, tuple[int, ...]] = {}
+        desired: list[frozenset[int]] = [frozenset()] * allocation.num_agents
+    else:
+        before, adj, desired = previous[0].bundles, previous[1], previous[2]
+    changed = [
+        j
+        for j, (bundle, old) in enumerate(zip(allocation.bundles, before), start=1)
+        if bundle is not old
+    ]
+    for j in changed:
+        for o in before[j - 1] or ():
+            adj.pop(o, None)
+    for j in changed:
+        bundle = allocation.bundles[j - 1]
         if not bundle:
             # on the empty bundle, exactly the candidates
-            desired.append(frozenset(candidates[j - 1]))
+            desired[j - 1] = frozenset(candidates[j - 1])
             continue
         outside = [op for op in candidates[j - 1] if op not in bundle]
-        out, sure = _out_lists(bundle, outside, outside, oracles[j - 1].marginal, 1)
+        out, desired[j - 1] = _out_lists(
+            bundle, outside, outside, oracles[j - 1].marginal, 1
+        )
         adj.update(out)
-        desired.append(frozenset(op for op, is_sure in zip(outside, sure) if is_sure))
-    return adj, tuple(desired)
+    return adj, desired
 
 
-@dataclass(frozen=True)
+@dataclass
 class WeightedExchangeGraph:
     """Exchange graph of ``xc`` under the c-threshold oracles, with doubled
     integer edge weights derived from ``x0`` membership.  ``candidates[i-1]``
-    is agent i's ``candidate_items`` at threshold c.
+    is agent i's ``candidate_items`` at threshold c, ``desired[i-1]`` its
+    ``f_set`` at threshold c, and ``owner`` maps each item to the agent whose
+    counted bundle holds it (0 for the pool).
 
     The graph is also kept as its agent quotient.  Each item with out-edges
     lies in one node: agent i's node ``-i`` when all of i's held items share
@@ -225,17 +246,21 @@ class WeightedExchangeGraph:
     maps such an item to its node, ``members`` a node to its items in
     ascending order, and ``reverse`` an item to the nodes with an edge into
     it.
+
+    A graph passed as ``previous`` to ``build_weighted_graph`` is advanced
+    in place to the new state and returned.
     """
 
     inst: Instance
     xc: Allocation
     x0: Allocation
-    owner: tuple[int, ...]
+    owner: list[int]
     adjacency: dict[int, tuple[tuple[int, int], ...]]
     candidates: tuple[tuple[int, ...], ...]
+    desired: list[frozenset[int]]
     node_of: dict[int, int]
     members: dict[int, tuple[int, ...]]
-    reverse: dict[int, frozenset[int]]
+    reverse: dict[int, set[int]]
     _reaching: dict[frozenset[int], frozenset[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -277,10 +302,9 @@ def build_weighted_graph(
 ) -> WeightedExchangeGraph:
     """Materialize the weighted exchange graph for the state ``(xc, x0)``.
 
-    ``previous``, a graph of the same instance, lends its candidate lists and
-    the edge lists and quotient nodes of every agent whose ``xc`` and ``x0``
-    bundles it shares; only the other agents' are computed.  ``previous``
-    itself is left as it is.
+    ``previous``, a graph of the same instance, is consumed: it is advanced
+    in place and returned, recomputed only for the agents whose ``xc`` or
+    ``x0`` bundle is not the same object as in its state.
 
     Preconditions (asserted unless ``check`` is False):
     ``xc`` clean at threshold c, ``xc ∪ x0`` clean at threshold 0, and the
@@ -295,93 +319,83 @@ def build_weighted_graph(
             candidate_items(inst.valuation(j).marginal, inst.c, inst.num_items)
             for j in inst.agents
         )
+        n = inst.num_agents
+        graph = WeightedExchangeGraph(
+            inst, xc, x0, [0] * inst.num_items, {}, candidates, [frozenset()] * n,
+            {}, {}, {},
+        )
+        old_xc = old_x0 = (None,) * n  # every agent is computed
     elif previous.inst is not inst:
         raise ContractViolation("previous graph belongs to another instance")
     else:
-        candidates = previous.candidates
-    owner = tuple(xc.owner_map())
-    adj: dict[int, tuple[tuple[int, int], ...]] = {}
-    rebuilt = []
-    for j in inst.agents:
-        bundle = xc.bundle(j)
+        graph = previous
+        old_xc, old_x0 = graph.xc.bundles, graph.x0.bundles
+        graph.xc, graph.x0, graph._reaching = xc, x0, {}
+    changed = [
+        j
+        for j, bundle, x0_j, old, old0 in zip(
+            inst.agents, xc.bundles, x0.bundles, old_xc, old_x0
+        )
+        if bundle is not old or x0_j is not old0
+    ]
+    _advance(graph, changed, old_xc)
+    return graph
+
+
+def _advance(graph, changed, old_xc):
+    """Recompute in place the entries of the agents in ``changed``, whose
+    counted bundles were ``old_xc[j-1]`` (None: no entries yet).
+
+    Every old entry goes before any new one is added, since an item can move
+    between two changed agents.  A node's reverse entries leave with it and
+    come back with its new out-list.
+    """
+    inst, xc, x0 = graph.inst, graph.xc, graph.x0
+    owner, adjacency, desired = graph.owner, graph.adjacency, graph.desired
+    node_of, members, reverse = graph.node_of, graph.members, graph.reverse
+    for j in changed:
+        for o in old_xc[j - 1] or ():
+            owner[o] = 0
+            out = adjacency.pop(o, None)
+            if out is None:
+                continue
+            node = node_of.pop(o)
+            if members.pop(node, None) is not None:  # the node's first member
+                for v, _w in out:
+                    into = reverse[v]
+                    into.discard(node)
+                    if not into:
+                        del reverse[v]
+    for j in changed:
+        bundle = xc.bundles[j - 1]
+        candidates = graph.candidates[j - 1]
         if not bundle:
-            if previous is not None and previous.xc.bundle(j):
-                rebuilt.append((j, {}, False))  # its old nodes go
+            # on the empty bundle, exactly the candidates
+            desired[j - 1] = frozenset(candidates)
             continue
-        x0_j = x0.bundle(j)
-        if (
-            previous is not None
-            and previous.xc.bundle(j) == bundle
-            and previous.x0.bundle(j) == x0_j
-        ):
-            for o in sorted(bundle):
-                if o in previous.adjacency:
-                    adj[o] = previous.adjacency[o]
-            continue
-        outside = [op for op in candidates[j - 1] if op not in bundle]
+        for o in bundle:
+            owner[o] = j
+        x0_j = x0.bundles[j - 1]
+        outside = [op for op in candidates if op not in bundle]
         # One (item, weight) edge per candidate, shared by every out-list.
-        # Parallel lists, not (item, edge) pairs, and no list of the sure
-        # candidates: short-lived tuples mixed in with the long-lived edges
-        # fragmented memory and raised peak RSS.
+        # Parallel lists, not (item, edge) pairs: short-lived tuples mixed in
+        # with the long-lived edges fragmented memory and raised peak RSS.
         edges = [(op, 1 if op in x0_j else 2) for op in outside]
-        out, sure = _out_lists(
+        out, desired[j - 1] = _out_lists(
             bundle, outside, edges, inst.valuation(j).marginal, inst.c
         )
-        adj.update(out)
-        rebuilt.append((j, out, all(sure)))
-    node_of, members, reverse = _quotient(previous, rebuilt)
-    return WeightedExchangeGraph(
-        inst, xc, x0, owner, adj, candidates, node_of, members, reverse
-    )
-
-
-def _quotient(previous, rebuilt):
-    """Node map, members and reverse lists of a new graph: those of
-    ``previous`` (empty when None) with the nodes of the agents in
-    ``rebuilt`` replaced.  ``rebuilt`` lists ``(agent, out-lists, shared)``
-    for each agent whose edges were recomputed; ``shared`` tells whether all
-    its held items share one out-list.
-
-    A node's reverse entries change only where its old and new out-lists
-    differ in their targets -- for a shared node, at the items that entered
-    or left its agent's bundle.  Each changed reverse list is a new
-    frozenset, so ``previous`` keeps its own.
-    """
-    lost = {}  # node -> its targets in ``previous``, less those it keeps
-    if previous is None:
-        node_of, members, reverse = {}, {}, {}
-    else:
-        node_of = previous.node_of.copy()
-        members = previous.members.copy()
-        reverse = previous.reverse.copy()
-        # Old bundles are disjoint, so every item still maps to its old node.
-        for j, _out, _shared in rebuilt:
-            for o in previous.xc.bundle(j):
-                node = node_of.pop(o, None)
-                if node is not None and members.pop(node, None) is not None:
-                    lost[node] = {v for v, _w in previous.adjacency[o]}
-    moved = {}  # v -> (nodes whose edge into v is gone, nodes with a new one)
-    for j, out, shared in rebuilt:
-        nodes = {-j: tuple(out)} if shared and out else {o: (o,) for o in out}
+        adjacency.update(out)
+        shared = len(desired[j - 1]) == len(outside)  # every candidate sure
+        nodes = {-j: tuple(out)} if out and shared else {o: (o,) for o in out}
         for node, items in nodes.items():
             members[node] = items
             node_of.update(dict.fromkeys(items, node))
-            before = lost.setdefault(node, set())
             for v, _w in out[items[0]]:
-                if v in before:
-                    before.discard(v)
+                into = reverse.get(v)
+                if into is None:
+                    reverse[v] = {node}
                 else:
-                    moved.setdefault(v, (set(), set()))[1].add(node)
-    for node, gone in lost.items():
-        for v in gone:
-            moved.setdefault(v, (set(), set()))[0].add(node)
-    for v, (dropped, added) in moved.items():
-        into = reverse.get(v, frozenset()).difference(dropped).union(added)
-        if into:
-            reverse[v] = into
-        else:
-            del reverse[v]
-    return node_of, members, reverse
+                    into.add(node)
 
 
 @dataclass(frozen=True)
@@ -485,23 +499,23 @@ def min_weight_path(
 def shift_along_path(allocation: Allocation, items: Sequence[int], gainer: int) -> Allocation:
     """Apply the path-augmentation shift: every path item moves one step back
     toward the start, the last item leaves its bundle, and the first item
-    joins ``gainer``'s bundle."""
+    joins ``gainer``'s bundle.
+
+    Only the gainer's and the path holders' bundles are rebuilt; every other
+    agent's bundle is passed through as the same object."""
     path_set = set(items)
     if len(path_set) != len(items):
         raise ContractViolation("augmenting path repeats an item")
-    arrivals: dict[int, set[int]] = {}
-    for j in range(len(items) - 1):
-        holder = allocation.owner_of(items[j])
-        if holder == 0:
-            raise ContractViolation("interior path item is unallocated")
-        arrivals.setdefault(holder, set()).add(items[j + 1])
-    new_bundles = []
-    for k in range(1, allocation.num_agents + 1):
-        b = (set(allocation.bundle(k)) - path_set) | arrivals.get(k, set())
-        if k == gainer:
-            b.add(items[0])
-        new_bundles.append(b)
-    return Allocation.from_bundles(new_bundles, allocation.num_items)
+    holders = [allocation.owner_of(o) for o in items]
+    if 0 in holders[:-1]:
+        raise ContractViolation("interior path item is unallocated")
+    receivers = [gainer, *holders[:-1]]  # items[k] goes to receivers[k]
+    bundles = list(allocation.bundles)
+    for k in {gainer, *holders} - {0}:
+        arrivals = {o for o, r in zip(items, receivers) if r == k}
+        bundles[k - 1] = (bundles[k - 1] - path_set) | arrivals
+    # every path item ends up held: items[k] goes to receivers[k], never 0
+    return Allocation(tuple(bundles), allocation.unallocated - path_set)
 
 
 def clean_state_violations(
@@ -540,7 +554,8 @@ def augment(
     """Augment the state along ``path`` and return the new ``(xc, x0)``.
 
     Pool-terminated paths also retire the terminal item from whichever x0
-    bundle held it.  With ``check`` on, the postconditions (cleanness,
+    bundle held it.  Every bundle the path leaves alone is passed through as
+    the same object.  With ``check`` on, the postconditions (cleanness,
     disjointness, bundle-size deltas) are asserted and any failure raises
     ``CleannessViolation`` -- which must never happen for valid inputs.  The
     state passed in must be sound: cleanness and disjointness are rechecked
@@ -549,13 +564,12 @@ def augment(
     items = path.items
     old_sizes = xc.sizes()
     new_xc = shift_along_path(xc, items, path.source_agent)
+    new_x0 = x0
     if path.kind == PARETO:
         terminal = items[-1]
-        new_x0 = Allocation.from_bundles(
-            [x0.bundle(k) - {terminal} for k in inst.agents], inst.num_items
-        )
-    else:
-        new_x0 = x0
+        holder = x0.owner_of(terminal)
+        if holder:
+            new_x0 = x0.replace_bundle(holder, x0.bundle(holder) - {terminal})
     if check:
         expected = list(old_sizes)
         expected[path.source_agent - 1] += 1
@@ -567,8 +581,10 @@ def augment(
             )
         changed = [
             k
-            for k in inst.agents
-            if new_xc.bundle(k) != xc.bundle(k) or new_x0.bundle(k) != x0.bundle(k)
+            for k, new, old, new0, old0 in zip(
+                inst.agents, new_xc.bundles, xc.bundles, new_x0.bundles, x0.bundles
+            )
+            if new is not old or new0 is not old0
         ]
         problems = clean_state_violations(inst, new_xc, new_x0, changed)
         if problems:

@@ -27,7 +27,7 @@ from .exchange import (
     augment,
     build_weighted_graph,
     clean_state_violations,
-    f_set,
+    f_set,  # noqa: F401  (not called here; perfbench/spans.py wraps solver.f_set)
     min_weight_path,
 )
 from .threshold import ThresholdBeta, TriDecomposition, verify_tridecomposition
@@ -99,10 +99,11 @@ def phase1(inst: Instance) -> SolverState:
     return state
 
 
-def _scaled_potential(xc: Allocation) -> int:
-    # sum_h (|xc_h| + h/n^2)^2, scaled by n^4 to stay integral
-    n = xc.num_agents
-    return sum((n * n * len(xc.bundle(h)) + h) ** 2 for h in range(1, n + 1))
+def _scaled_potential(sizes: tuple[int, ...]) -> int:
+    # sum_h (|xc_h| + h/n^2)^2 over the counted sizes, scaled by n^4 to stay
+    # integral
+    n = len(sizes)
+    return sum((n * n * size + h) ** 2 for h, size in enumerate(sizes, start=1))
 
 
 def augmentation_bounds(n: int, m: int) -> tuple[int, int]:
@@ -134,30 +135,18 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
                 f"polynomial bounds ({pareto_bound}, {exchange_bound})"
             )
 
-    # f_set(i) depends only on xc_i, so keep each agent's latest one.  It
-    # reads the candidate lists of ``graph``, built before any f_set is asked.
-    latest_f_sets: list[Optional[tuple[frozenset[int], frozenset[int]]]] = [None] * n
-
-    def sources_of(i: int) -> frozenset[int]:
-        bundle = state.xc.bundle(i)
-        latest = latest_f_sets[i - 1]
-        if latest is None or latest[0] != bundle:
-            sources = f_set(inst, state.xc, i, inst.c, graph.candidates[i - 1])
-            latest = latest_f_sets[i - 1] = (bundle, sources)
-        return latest[1]
-
     graph = None
     while True:
-        # Exhaust Pareto-improving paths.  Each graph recomputes only the
-        # agents whose bundles the last augmentation changed.
+        # Exhaust Pareto-improving paths.  Each graph advances the last one
+        # in place, recomputing only the agents whose bundles the last
+        # augmentation changed; an agent's sources are its desired items.
         while True:
             graph = build_weighted_graph(
                 inst, state.xc, state.x0, check=False, previous=graph
             )
             found = None
             for i in inst.agents:
-                sources = sources_of(i)
-                path = min_weight_path(graph, sources, PARETO, i)
+                path = min_weight_path(graph, graph.desired[i - 1], PARETO, i)
                 if path is not None:
                     found = (i, path)
                     break
@@ -180,7 +169,7 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
         sizes = state.xc.sizes()
         for i in inst.agents:
             size_i = sizes[i - 1]
-            sources = sources_of(i)
+            sources = graph.desired[i - 1]
             if not sources:
                 continue
             for j in inst.agents:
@@ -194,9 +183,9 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
                 path = min_weight_path(graph, sources, EXCHANGE, i, target_agent=j)
                 if path is None:
                     continue
-                before = _scaled_potential(state.xc)
+                before = _scaled_potential(sizes)
                 state.xc, state.x0 = augment(inst, state.xc, state.x0, path)
-                after = _scaled_potential(state.xc)
+                after = _scaled_potential(state.xc.sizes())
                 if after >= before:
                     raise TerminationGuard(
                         f"potential failed to decrease ({before} -> {after}) "

@@ -15,15 +15,18 @@ Every exchange-graph edge weighs 1 here, so the path search is breadth-first
 and stops at the first pool item it discovers; its path is the one Dijkstra
 would return (see ``exchange``).
 
-The exchange graph is built once and then again only after an augmentation.
-Each rebuild recomputes the edges of the agents whose bundles changed and
-copies the rest from the previous graph, which gives the same graph as a
-fresh build (see ``exchange``).  The build also lists each agent's desired
-items: it tests every candidate against the agent's whole bundle to find
-the out-neighbours all held items share, and those candidates are exactly
-the desired ones.  An agent's bundle changes on every turn that does not
-retire it, so a desired set kept from its own last turn would never be
-reused; the one kept with its edges is.
+The exchange graph is built once and then advanced in place only after an
+augmentation.  The shift passes every bundle the path leaves alone through
+as the same object, so the build, keyed on bundle identity, recomputes only
+the agents whose bundles changed and keeps the rest, which gives the same
+graph as a fresh build (see ``exchange``).  The graph it is handed is
+consumed: its edge lists and desired items are updated, not copied.  The
+build also lists each agent's desired items: it tests every candidate
+against the agent's whole bundle to find the out-neighbours all held items
+share, and those candidates are exactly the desired ones.  An agent's
+bundle changes on every turn that does not retire it, so a desired set kept
+from its own last turn would never be reused; the one kept with its edges
+is.
 """
 
 from __future__ import annotations

@@ -78,6 +78,11 @@ def test_allocation_helpers():
     assert moved.bundle(1) == frozenset({0, 2})
     assert moved.unallocated == frozenset({1})
     assert moved.sizes() == (2, 0)
+    assert moved.bundles[1] is alloc.bundles[1]
+    back = moved.replace_bundle(1, {2})
+    assert back.unallocated == frozenset({0, 1})
+    with pytest.raises(ContractViolation):
+        back.replace_bundle(2, {2})  # o2 is agent 1's
 
 
 def test_instance_validation():

@@ -17,6 +17,7 @@ from manna.exchange import (
     clean_state_violations,
     f_set,
     min_weight_path,
+    shift_along_path,
     shortest_path_to_pool,
 )
 from manna.instgen import (
@@ -148,6 +149,28 @@ def test_augment_exchange_size_bookkeeping():
     assert (len(nxc.bundle(1)), len(nxc.bundle(2))) == (1, 1)
 
 
+@pytest.mark.parametrize(
+    "items, gainer, bundles, rebuilt",
+    [
+        # a Pareto path: agent 5 takes o1 from agent 1, who takes o2 from
+        # agent 2, who takes pool item o5
+        ((1, 2, 5), 5, ({0, 2}, {5}, {3}, {4}, {1}), {1, 2, 5}),
+        # an exchange path ending in agent 3's bundle, which loses o3
+        ((1, 3), 5, ({0, 3}, {2}, set(), {4}, {1}), {1, 3, 5}),
+        # a lone pool item: only the gainer's bundle changes
+        ((6,), 2, ({0, 1}, {2, 6}, {3}, {4}, set()), {2}),
+    ],
+)
+def test_shift_along_path_rebuilds_only_the_gainer_and_path_holders(
+    items, gainer, bundles, rebuilt
+):
+    before = Allocation.from_bundles([{0, 1}, {2}, {3}, {4}, set()], 7)
+    after = shift_along_path(before, items, gainer)
+    assert after.bundles == bundles
+    for k, (new, old) in enumerate(zip(after.bundles, before.bundles), start=1):
+        assert (new is not old) == (k in rebuilt), k
+
+
 def _bfs_length(adjacency, sources, targets):
     dist = {o: 0 for o in sources}
     queue = deque(sorted(sources))
@@ -197,21 +220,26 @@ def test_pareto_paths_are_unweighted_shortest_and_existence_matches():
         assert allocated is None or allocated <= inst.num_items
 
 
-def _phase2_graphs(monkeypatch, inst):
-    """Solve ``inst`` and return every graph phase 2 built, in order."""
-    graphs = []
+def _phase2_graphs(monkeypatch, inst, check):
+    """Solve ``inst``, calling ``check`` on every graph phase 2 builds right
+    after it is built, before the next build advances it in place; return
+    how many graphs there were."""
+    built = 0
     build = solver.build_weighted_graph
 
     def recording(*args, **kwargs):
-        graphs.append(build(*args, **kwargs))
-        return graphs[-1]
+        nonlocal built
+        graph = build(*args, **kwargs)
+        check(graph)
+        built += 1
+        return graph
 
     with monkeypatch.context() as patch:
         patch.setattr(solver, "build_weighted_graph", recording)
         report = solver.solve(inst)
     # one graph for the seeded state, then one after each augmentation
-    assert len(graphs) == 1 + report.pareto_augmentations + report.exchange_augmentations
-    return graphs
+    assert built == 1 + report.pareto_augmentations + report.exchange_augmentations
+    return built
 
 
 EQUIVALENCE_INSTANCES = {
@@ -220,35 +248,30 @@ EQUIVALENCE_INSTANCES = {
 }
 
 
-def _quotient_sets(graph):
-    return (
-        graph.node_of,
-        {node: set(items) for node, items in graph.members.items()},
-        {v: set(nodes) for v, nodes in graph.reverse.items()},
-    )
+def _assert_equals_fresh_build(g):
+    """Every part of ``g`` -- edge lists with their weights and order, the
+    quotient, owners and desired items -- equals a fresh build's."""
+    fresh = build_weighted_graph(g.inst, g.xc, g.x0)
+    assert g.dump() == fresh.dump()
+    for name in ("adjacency", "node_of", "members", "reverse", "owner", "desired"):
+        assert getattr(g, name) == getattr(fresh, name), name
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_INSTANCES))
 def test_incremental_graph_equals_fresh_build(monkeypatch, name):
     inst = EQUIVALENCE_INSTANCES[name]()
-    graphs = _phase2_graphs(monkeypatch, inst)
-    assert len(graphs) > 10
-    carried = [_quotient_sets(g) for g in graphs]
-    for g, quotient in zip(graphs, carried):
-        fresh = build_weighted_graph(inst, g.xc, g.x0)
-        assert g.dump() == fresh.dump()
-        assert g.adjacency == fresh.adjacency
-        assert g.owner == fresh.owner
-        # the quotient carried over from the previous graph is a fresh one
-        assert quotient == _quotient_sets(fresh)
+    kinds = set()
+
+    def check(g):
+        _assert_equals_fresh_build(g)
         assert set(g.node_of) == set(g.adjacency)
         for node, items in g.members.items():
             assert list(items) == sorted(items)
             assert all(g.node_of[o] == node for o in items)
             assert len({id(g.adjacency[o]) for o in items}) == 1
-    # building the next graph left every earlier one as it was
-    assert carried == [_quotient_sets(g) for g in graphs]
-    kinds = {node < 0 for g in graphs for node in g.members}
+        kinds.update(node < 0 for node in g.members)
+
+    assert _phase2_graphs(monkeypatch, inst, check) > 10
     assert kinds == ({True} if name.startswith("additive") else {True, False})
 
 
@@ -286,36 +309,99 @@ def _per_item_lists(allocation, adjacency):
 @pytest.mark.parametrize("name", sorted(FULL_SCAN_INSTANCES))
 def test_builders_equal_full_scan(monkeypatch, name):
     inst = FULL_SCAN_INSTANCES[name]()
-    adjacencies = []
+    # per build, whether some agent's held items have different out-lists
+    phase1_varied, phase2_varied = [], []
     build = exchange.unweighted_adjacency
 
     def recording(allocation, oracles, candidates, previous=None):
         adjacency, desired = build(allocation, oracles, candidates, previous)
-        adjacencies.append((allocation, oracles, adjacency, desired))
-        return adjacency, desired
-
-    monkeypatch.setattr(exchange, "unweighted_adjacency", recording)
-    graphs = _phase2_graphs(monkeypatch, inst)
-    assert len(adjacencies) > 5 and len(graphs) > 5
-    for allocation, oracles, adjacency, desired in adjacencies:
         assert adjacency == full_scan_unweighted_adjacency(allocation, oracles)
-        assert desired == tuple(
+        assert desired == [
             full_scan_f_set(allocation, oracles[i - 1], i, 1)
             for i in range(1, allocation.num_agents + 1)
-        )
-    for g in graphs:
+        ]
+        phase1_varied.append(_per_item_lists(allocation, adjacency))
+        return adjacency, desired
+
+    def check(g):
         assert g.adjacency == full_scan_weighted_adjacency(inst, g.xc, g.x0)
         for i in inst.agents:
             want = full_scan_f_set(g.xc, inst.valuation(i), i, inst.c)
+            assert g.desired[i - 1] == want
             assert f_set(inst, g.xc, i, inst.c, g.candidates[i - 1]) == want
             assert f_set(inst, g.xc, i, inst.c) == want
+        phase2_varied.append(_per_item_lists(g.xc, g.adjacency))
+
+    monkeypatch.setattr(exchange, "unweighted_adjacency", recording)
+    assert _phase2_graphs(monkeypatch, inst, check) > 5
+    assert len(phase1_varied) > 5
     # the per-item recheck of the items not sure on the whole bundle runs:
     # additive marginals never fall, and threshold-0 marginals of a matroid
     # rank never fall below the threshold
-    phase1_varied = any(_per_item_lists(a, adj) for a, _o, adj, _d in adjacencies)
-    assert phase1_varied == name.startswith("capped")
-    phase2_varied = any(_per_item_lists(g.xc, g.adjacency) for g in graphs)
-    assert phase2_varied == (not name.startswith("additive"))
+    assert any(phase1_varied) == name.startswith("capped")
+    assert any(phase2_varied) == (not name.startswith("additive"))
+
+
+@st.composite
+def solver_instances(draw):
+    """A small additive, capped-groups or graphic-matroid ``Explicit``
+    instance."""
+    family = draw(st.sampled_from(("additive", "capped", "graphic")))
+    n = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**16))
+    if family == "graphic":
+        return graphic_matroid_instance(n, draw(st.integers(5, 9)), seed)
+    m = n * draw(st.integers(2, 5))
+    c = draw(st.integers(1, 3))
+    if family == "additive":
+        return gen_random_additive(n, m, c, (1, 1, 2), seed)
+    return gen_capped_groups(n, m, c, (1, 3), (1, 3), seed)
+
+
+def _rebuilt_iff_changed(before, after):
+    for old, new in zip(before.bundles, after.bundles):
+        assert (new is old) == (new == old)
+
+
+@settings(derandomize=True, deadline=None, max_examples=250)
+@given(solver_instances())
+def test_graphs_advanced_in_place_equal_fresh_builds(inst):
+    """After every augmentation of either phase, the graph advanced in place
+    equals a fresh build of the same state, and exactly the bundles whose
+    contents changed are new objects."""
+    unweighted, weighted = exchange.unweighted_adjacency, solver.build_weighted_graph
+    shift, augment_state = yankee.shift_along_path, solver.augment
+
+    def checked_adjacency(allocation, oracles, candidates, previous=None):
+        adjacency, desired = unweighted(allocation, oracles, candidates, previous)
+        if previous is not None:
+            assert adjacency is previous[1] and desired is previous[2]
+        assert (adjacency, desired) == unweighted(allocation, oracles, candidates)
+        return adjacency, desired
+
+    def checked_graph(inst_, xc, x0, check=True, previous=None):
+        g = weighted(inst_, xc, x0, check, previous)
+        assert previous is None or g is previous
+        _assert_equals_fresh_build(g)
+        return g
+
+    def checked_shift(allocation, items, gainer):
+        after = shift(allocation, items, gainer)
+        _rebuilt_iff_changed(allocation, after)
+        return after
+
+    def checked_augment(inst_, xc, x0, path, check=True):
+        new_xc, new_x0 = augment_state(inst_, xc, x0, path, check)
+        _rebuilt_iff_changed(xc, new_xc)
+        _rebuilt_iff_changed(x0, new_x0)
+        return new_xc, new_x0
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exchange, "unweighted_adjacency", checked_adjacency)
+        patch.setattr(solver, "build_weighted_graph", checked_graph)
+        patch.setattr(yankee, "shift_along_path", checked_shift)
+        patch.setattr(solver, "augment", checked_augment)
+        solver.solve(inst)
 
 
 def test_build_weighted_graph_recomputes_agents_whose_x0_changed(named_fixtures):
@@ -324,8 +410,13 @@ def test_build_weighted_graph_recomputes_agents_whose_x0_changed(named_fixtures)
     g = build_weighted_graph(ex2, xc, Allocation.from_bundles([{1}, set()], 4))
     assert g.dump() == "o0 -> o1 w=1"
     bare = Allocation.empty(2, 4)
-    assert build_weighted_graph(ex2, xc, bare, previous=g).dump() == "o0 -> o1 w=2"
-    assert build_weighted_graph(ex2, bare, bare, previous=g).dump() == ""
+    g = build_weighted_graph(ex2, xc, bare, previous=g)
+    assert g.dump() == "o0 -> o1 w=2"
+    _assert_equals_fresh_build(g)
+    # o0 goes back to the pool, which the solver's augmentations never do
+    g = build_weighted_graph(ex2, bare, bare, previous=g)
+    assert g.dump() == ""
+    _assert_equals_fresh_build(g)
 
 
 def test_build_weighted_graph_rejects_previous_of_another_instance(named_fixtures):
@@ -353,11 +444,9 @@ def test_reachability_filter_changes_no_search(monkeypatch, named_fixtures):
     instances.update((name, make()) for name, make in EQUIVALENCE_INSTANCES.items())
     found = missing = 0
     for name, inst in sorted(instances.items()):
-        try:
-            graphs = _phase2_graphs(monkeypatch, inst)
-        except InvalidInstance:
-            continue  # rejected before phase 2 (non_on is not order-neutral)
-        for g in graphs:
+
+        def check(g):
+            nonlocal found, missing
             filtered = list(_every_search(g))
             with monkeypatch.context() as patch:
                 patch.setattr(
@@ -369,6 +458,11 @@ def test_reachability_filter_changes_no_search(monkeypatch, named_fixtures):
             assert filtered == unfiltered, name
             found += sum(p is not None for p in filtered)
             missing += sum(p is None for p in filtered)
+
+        try:
+            _phase2_graphs(monkeypatch, inst, check)
+        except InvalidInstance:
+            continue  # rejected before phase 2 (non_on is not order-neutral)
     assert found > 100 and missing > 1000
 
 
@@ -378,19 +472,27 @@ def test_reaching_is_reverse_reachability(monkeypatch):
     # additive agents' items always share a node; the capped graph mixes
     # shared-list nodes with one-item nodes
     for inst, kinds in ((additive, {True}), (capped, {True, False})):
-        graphs = _phase2_graphs(monkeypatch, inst)
-        g = graphs[len(graphs) // 2]
-        assert g.adjacency
-        assert {node < 0 for node in g.members} == kinds
-        for target_agent in range(0, inst.num_agents + 1):
-            targets = g.xc.bundle(target_agent)
-            expected = {
-                o
-                for o in inst.items
-                if _bfs_length(g.adjacency, {o}, targets) is not None
-            }
-            assert g.reaching(targets) == expected
-            assert g.reaching(targets) is g.reaching(targets)  # cached per set
+        middle = _phase2_graphs(monkeypatch, inst, lambda g: None) // 2
+        index = -1
+
+        def check(g):
+            nonlocal index
+            index += 1
+            if index != middle:
+                return
+            assert g.adjacency
+            assert {node < 0 for node in g.members} == kinds
+            for target_agent in range(0, inst.num_agents + 1):
+                targets = g.xc.bundle(target_agent)
+                expected = {
+                    o
+                    for o in inst.items
+                    if _bfs_length(g.adjacency, {o}, targets) is not None
+                }
+                assert g.reaching(targets) == expected
+                assert g.reaching(targets) is g.reaching(targets)  # cached per set
+
+        _phase2_graphs(monkeypatch, inst, check)
 
 
 def _reference_pool_path(allocation, adjacency, sources):
@@ -448,11 +550,9 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
     )
     for inst in instances.values():
         try:
-            graphs = _phase2_graphs(monkeypatch, inst)
+            _phase2_graphs(monkeypatch, inst, lambda g: list(_every_search(g)))
         except InvalidInstance:
             continue
-        for g in graphs:
-            list(_every_search(g))
     assert sum(outcomes) > 1000 and outcomes.count(False) > 2000
 
 

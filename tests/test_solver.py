@@ -100,8 +100,8 @@ def test_potential_strictly_decreases_across_exchanges(named_fixtures, monkeypat
     calls = []
     original = solver_mod._scaled_potential
 
-    def recorder(xc):
-        value = original(xc)
+    def recorder(sizes):
+        value = original(sizes)
         calls.append(value)
         return value
 

@@ -94,11 +94,14 @@ PHASE1_INSTANCES = {
 def test_reused_adjacency_equals_fresh_build(monkeypatch, name):
     inst = PHASE1_INSTANCES[name]()
     betas = [ThresholdBeta(inst.valuation(i), 0) for i in inst.agents]
-    built = []
+    built = 0
 
     def recording(allocation, oracles, candidates, previous=None):
+        nonlocal built
         graph = unweighted_adjacency(allocation, oracles, candidates, previous)
-        built.append((allocation, oracles, candidates, graph))
+        # checked before the next build advances it in place
+        assert graph == unweighted_adjacency(allocation, oracles, candidates)
+        built += 1
         return graph
 
     monkeypatch.setattr(exchange, "unweighted_adjacency", recording)
@@ -107,9 +110,7 @@ def test_reused_adjacency_equals_fresh_build(monkeypatch, name):
     # turn, then one after each augmentation and none when an agent retires
     augmentations = sum(out.sizes())
     assert augmentations > 20
-    assert len(built) == 1 + augmentations
-    for allocation, oracles, candidates, graph in built:
-        assert graph == unweighted_adjacency(allocation, oracles, candidates)
+    assert built == 1 + augmentations
 
 
 def test_adjacency_recomputes_gainer_holding_no_path_item():
@@ -122,7 +123,8 @@ def test_adjacency_recomputes_gainer_holding_no_path_item():
     before = Allocation.from_bundles([{0}, {3}], 4)
     adj, desired = unweighted_adjacency(before, oracles, candidates)
     assert adj == {0: (1, 2), 3: (2,)}
-    assert desired == ({1, 2}, set())
+    assert desired == [{1, 2}, set()]
+    kept_edges, kept_desired = adj[3], desired[1]
     # the path is a lone pool item: no agent holds a path item, yet the
     # gainer's bundle grows and its edges change
     after = shift_along_path(before, (1,), 1)
@@ -130,6 +132,8 @@ def test_adjacency_recomputes_gainer_holding_no_path_item():
     fresh = unweighted_adjacency(after, oracles, candidates)
     # o2 is an out-neighbour of both held items but not desired: agent 1
     # already counts two of items 0..2
-    assert reused == fresh == ({0: (2,), 1: (2,), 3: (2,)}, (set(), set()))
-    assert reused[0][3] is adj[3]  # the unchanged agent's list is copied
-    assert reused[1][1] is desired[1]  # and so are its desired items
+    assert reused == fresh == ({0: (2,), 1: (2,), 3: (2,)}, [set(), set()])
+    # the previous graph is advanced in place, keeping the unchanged agent's
+    # edge list and desired items
+    assert reused[0] is adj and reused[1] is desired
+    assert adj[3] is kept_edges and desired[1] is kept_desired
