@@ -24,6 +24,8 @@ from .errors import (
 from .exchange import (
     EXCHANGE,
     PARETO,
+    AugmentingPath,
+    WeightedExchangeGraph,
     augment,
     build_weighted_graph,
     clean_state_violations,
@@ -113,13 +115,25 @@ def augmentation_bounds(n: int, m: int) -> tuple[int, int]:
 
 
 def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverState:
-    """Augment until the c-counted part is leximin.
+    """Augment until the c-counted part is leximin, in two stages.
 
-    Pareto-improving paths (agents scanned ascending) are exhausted first;
-    then the lexicographically first pair (i, j) admitting an exchange path
-    that either strictly balances the counted sizes (|xc_i| + 1 < |xc_j|) or
-    swaps equal outcomes toward the lower index (|xc_i| + 1 = |xc_j|, i < j)
-    is augmented and the loop restarts.
+    The Pareto stage augments along Pareto-improving paths (agents scanned
+    ascending) until none is left.  The exchange stage then augments along
+    the exchange path of the lexicographically first pair (i, j) that either
+    strictly balances the counted sizes (|xc_i| + 1 < |xc_j|) or swaps equal
+    outcomes toward the lower index (|xc_i| + 1 = |xc_j|, i < j), until no
+    pair admits one.
+
+    No Pareto-improving path can appear during the exchange stage, so it
+    never rescans for one.  Each β_c is a matroid rank function and ``xc``
+    is clean, so by the matroid-union augmenting-path theorem a
+    Pareto-improving path exists exactly while Σ|xc_i| is below its maximum
+    (Viswanathan & Zick, "Yankee Swap", AAMAS 2023; Babaioff, Ezra & Feige,
+    AAAI 2021).  The Pareto stage reaches that maximum, and an exchange
+    augmentation keeps the sum fixed: ``augment`` asserts the +1 for i and
+    the -1 for j.  After an exchange stage that augmented, a Pareto scan of
+    the final graph checks this and raises ``CleannessViolation`` if it
+    finds a path.
     """
     n = inst.num_agents
     pareto_bound, exchange_bound = augmentation_bounds(n, inst.num_items)
@@ -135,76 +149,90 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
                 f"polynomial bounds ({pareto_bound}, {exchange_bound})"
             )
 
-    graph = None
-    while True:
-        # Exhaust Pareto-improving paths.  Each graph advances the last one
-        # in place, recomputing only the agents whose bundles the last
-        # augmentation changed; an agent's sources are its desired items.
-        while True:
-            graph = build_weighted_graph(
-                inst, state.xc, state.x0, check=False, previous=graph
-            )
-            found = None
-            for i in inst.agents:
-                path = min_weight_path(graph, graph.desired[i - 1], PARETO, i)
-                if path is not None:
-                    found = (i, path)
-                    break
-            if found is None:
-                break
-            i, path = found
-            state.xc, state.x0 = augment(inst, state.xc, state.x0, path)
-            state.pareto_augmentations += 1
-            guard()
-            if trace:
-                trace(
-                    f"phase2 pareto i={i} j=0 path={list(path.items)} "
-                    f"w={path.doubled_weight}"
-                )
+    # One graph, advanced in place after each augmentation: only the agents
+    # whose bundles changed are recomputed.  An agent's sources are its
+    # desired items.
+    graph = build_weighted_graph(inst, state.xc, state.x0, check=False)
 
-        # One qualifying exchange augmentation, then start over.  The state
-        # has not changed since the last Pareto scan, so neither has its graph
-        # nor, until the scan augments and stops, its bundle sizes.
-        augmented = False
+    while (path := _pareto_scan(graph)) is not None:
+        state.xc, state.x0 = augment(inst, state.xc, state.x0, path)
+        state.pareto_augmentations += 1
+        guard()
+        if trace:
+            trace(
+                f"phase2 pareto i={path.source_agent} j=0 path={list(path.items)} "
+                f"w={path.doubled_weight}"
+            )
+        graph = build_weighted_graph(
+            inst, state.xc, state.x0, check=False, previous=graph
+        )
+
+    sizes = state.xc.sizes()
+    potential = _scaled_potential(sizes)
+    exchanged = False
+    while (path := _exchange_scan(graph, sizes)) is not None:
+        state.xc, state.x0 = augment(inst, state.xc, state.x0, path)
         sizes = state.xc.sizes()
-        for i in inst.agents:
-            size_i = sizes[i - 1]
-            sources = graph.desired[i - 1]
-            if not sources:
-                continue
-            for j in inst.agents:
-                if j == i:
-                    continue
-                size_j = sizes[j - 1]
-                balances = size_i + 1 < size_j
-                swaps_down = size_i + 1 == size_j and i < j
-                if not (balances or swaps_down):
-                    continue
-                path = min_weight_path(graph, sources, EXCHANGE, i, target_agent=j)
-                if path is None:
-                    continue
-                before = _scaled_potential(sizes)
-                state.xc, state.x0 = augment(inst, state.xc, state.x0, path)
-                after = _scaled_potential(state.xc.sizes())
-                if after >= before:
-                    raise TerminationGuard(
-                        f"potential failed to decrease ({before} -> {after}) "
-                        "across an exchange augmentation"
-                    )
-                state.exchange_augmentations += 1
-                guard()
-                if trace:
-                    trace(
-                        f"phase2 exchange i={i} j={j} path={list(path.items)} "
-                        f"w={path.doubled_weight}"
-                    )
-                augmented = True
-                break
-            if augmented:
-                break
-        if not augmented:
-            break
+        before, potential = potential, _scaled_potential(sizes)
+        if potential >= before:
+            raise TerminationGuard(
+                f"potential failed to decrease ({before} -> {potential}) "
+                "across an exchange augmentation"
+            )
+        state.exchange_augmentations += 1
+        exchanged = True
+        guard()
+        if trace:
+            trace(
+                f"phase2 exchange i={path.source_agent} j={path.target} "
+                f"path={list(path.items)} w={path.doubled_weight}"
+            )
+        graph = build_weighted_graph(
+            inst, state.xc, state.x0, check=False, previous=graph
+        )
+
+    # Without an exchange the graph is the one the Pareto stage's last scan
+    # found nothing in.
+    if exchanged and (path := _pareto_scan(graph)) is not None:
+        raise CleannessViolation(
+            f"agent {path.source_agent} has a Pareto-improving path "
+            f"{list(path.items)} after the exchange stage"
+        )
     return state
+
+
+def _pareto_scan(graph: WeightedExchangeGraph) -> Optional[AugmentingPath]:
+    """The Pareto-improving path of the lowest agent that has one."""
+    for i in graph.inst.agents:
+        path = min_weight_path(graph, graph.desired[i - 1], PARETO, i)
+        if path is not None:
+            return path
+    return None
+
+
+def _exchange_scan(
+    graph: WeightedExchangeGraph, sizes: tuple[int, ...]
+) -> Optional[AugmentingPath]:
+    """The exchange path of the lexicographically first pair (i, j) whose
+    counted sizes it balances or swaps toward the lower index."""
+    agents = graph.inst.agents
+    for i in agents:
+        sources = graph.desired[i - 1]
+        if not sources:
+            continue
+        size_i = sizes[i - 1]
+        for j in agents:
+            if j == i:
+                continue
+            size_j = sizes[j - 1]
+            balances = size_i + 1 < size_j
+            swaps_down = size_i + 1 == size_j and i < j
+            if not (balances or swaps_down):
+                continue
+            path = min_weight_path(graph, sources, EXCHANGE, i, target_agent=j)
+            if path is not None:
+                return path
+    return None
 
 
 def phase3(state: SolverState, inst: Instance, trace: Trace = None) -> SolveReport:

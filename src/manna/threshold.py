@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .core import Allocation, Instance
-from .errors import ContractViolation, DecompositionFailure
+from .errors import DecompositionFailure
 from .valuations import ValuationSpec
 
 
@@ -32,10 +32,8 @@ def beta(spec: ValuationSpec, tau: int, items: Iterable[int]) -> int:
 
 def beta_marginal(spec: ValuationSpec, tau: int, items: Iterable[int], item: int) -> int:
     """Marginal of ``beta`` in {0, 1}: append ``item`` after the bundle and
-    test its gain against the threshold."""
-    items = frozenset(items)
-    if item in items:
-        raise ContractViolation(f"item {item} already in bundle")
+    test its gain against the threshold.  The valuation's ``marginal``
+    raises ``ContractViolation`` for an item already in the bundle."""
     return 1 if spec.marginal(items, item) >= tau else 0
 
 

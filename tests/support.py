@@ -1,13 +1,28 @@
 """Shared helpers for the test suite: the canonical randomized suite, a
-constructive source of two-valued submodular tables, a reference path search
-and reference exchange-graph builders."""
+constructive source of two-valued submodular tables, a Hypothesis strategy
+for small solver instances, a reference path search, reference
+exchange-graph builders and a reference phase-2 loop."""
 
 from __future__ import annotations
 
 import heapq
 
+from hypothesis import strategies as st
+
 from manna.core import Allocation, Instance
-from manna.instgen import SplitMix64, gen_capped_groups, gen_random_additive
+from manna.exchange import (
+    EXCHANGE,
+    PARETO,
+    augment,
+    build_weighted_graph,
+    min_weight_path,
+)
+from manna.instgen import (
+    SplitMix64,
+    gen_capped_groups,
+    gen_random_additive,
+    graphic_matroid_rank_table,
+)
 from manna.valuations import Additive, Explicit
 
 ADDITIVE_SEED_BASE = 1000
@@ -65,6 +80,36 @@ def random_two_valued_table(m: int, a: int, b: int, seed: int) -> Explicit:
         size = bin(mask).count("1")
         table.append(a * size + (b - a) * ranks[mask])
     return Explicit(m, tuple(table))
+
+
+def graphic_matroid_instance(n: int, m: int, seed: int) -> Instance:
+    """n agents, c=1, each valuing m items by the graphic-matroid rank of a
+    random m-edge multigraph on five vertices."""
+    rng = SplitMix64(seed)
+    tables = []
+    for _ in range(n):
+        edges = []
+        for _ in range(m):
+            u = rng.below(5)
+            edges.append((u, (u + 1 + rng.below(4)) % 5))
+        tables.append(graphic_matroid_rank_table(m, edges))
+    return Instance(n, m, 1, tuple(tables))
+
+
+@st.composite
+def solver_instances(draw):
+    """A small additive, capped-groups or graphic-matroid ``Explicit``
+    instance."""
+    family = draw(st.sampled_from(("additive", "capped", "graphic")))
+    n = draw(st.integers(2, 5))
+    seed = draw(st.integers(0, 2**16))
+    if family == "graphic":
+        return graphic_matroid_instance(n, draw(st.integers(5, 9)), seed)
+    m = n * draw(st.integers(2, 5))
+    c = draw(st.integers(1, 3))
+    if family == "additive":
+        return gen_random_additive(n, m, c, (1, 1, 2), seed)
+    return gen_capped_groups(n, m, c, (1, 3), (1, 3), seed)
 
 
 def permute_additive(inst: Instance, item_perm: list[int]) -> Instance:
@@ -158,3 +203,68 @@ def full_scan_f_set(allocation, oracle, agent, tau):
         for o in range(allocation.num_items)
         if o not in bundle and oracle.marginal(bundle, o) >= tau
     )
+
+
+def _filtered_path(graph, sources, kind, agent, target_agent=None):
+    """``min_weight_path`` behind the reachability filter, whatever the kind."""
+    targets = graph.xc.unallocated if kind == PARETO else graph.xc.bundle(target_agent)
+    if graph.reaching(targets).isdisjoint(sources):
+        return None
+    return min_weight_path(graph, sources, kind, agent, target_agent)
+
+
+def reference_phase2(state, inst, trace, rescans):
+    """Reference for ``solver.phase2``: exhaust Pareto-improving paths, make
+    one qualifying exchange augmentation, and start over, so the Pareto
+    paths are sought again after every exchange; every search is filtered
+    by reachability.  Each augmentation's trace line goes to ``trace``, and
+    the result of each rescan, the first Pareto scan after an exchange, is
+    appended to ``rescans``."""
+    graph = None
+    after_exchange = False
+    while True:
+        while True:
+            graph = build_weighted_graph(
+                inst, state.xc, state.x0, check=False, previous=graph
+            )
+            found = None
+            for i in inst.agents:
+                path = _filtered_path(graph, graph.desired[i - 1], PARETO, i)
+                if path is not None:
+                    found = path
+                    break
+            if after_exchange:
+                rescans.append(found)
+            after_exchange = False
+            if found is None:
+                break
+            state.xc, state.x0 = augment(inst, state.xc, state.x0, found)
+            state.pareto_augmentations += 1
+            trace(
+                f"phase2 pareto i={found.source_agent} j=0 "
+                f"path={list(found.items)} w={found.doubled_weight}"
+            )
+        sizes = state.xc.sizes()
+        found = None
+        for i in inst.agents:
+            sources = graph.desired[i - 1]
+            for j in inst.agents:
+                if j == i or not sources:
+                    continue
+                balances = sizes[i - 1] + 1 < sizes[j - 1]
+                swaps_down = sizes[i - 1] + 1 == sizes[j - 1] and i < j
+                if balances or swaps_down:
+                    found = _filtered_path(graph, sources, EXCHANGE, i, target_agent=j)
+                    if found is not None:
+                        break
+            if found is not None:
+                break
+        if found is None:
+            return state
+        state.xc, state.x0 = augment(inst, state.xc, state.x0, found)
+        state.exchange_augmentations += 1
+        after_exchange = True
+        trace(
+            f"phase2 exchange i={found.source_agent} j={found.target} "
+            f"path={list(found.items)} w={found.doubled_weight}"
+        )

@@ -20,12 +20,7 @@ from manna.exchange import (
     shift_along_path,
     shortest_path_to_pool,
 )
-from manna.instgen import (
-    SplitMix64,
-    gen_capped_groups,
-    gen_random_additive,
-    graphic_matroid_rank_table,
-)
+from manna.instgen import gen_capped_groups, gen_random_additive
 from manna.solver import phase1
 from manna.valuations import Additive
 from support import (
@@ -33,6 +28,8 @@ from support import (
     full_scan_f_set,
     full_scan_unweighted_adjacency,
     full_scan_weighted_adjacency,
+    graphic_matroid_instance,
+    solver_instances,
     suite_instances,
 )
 
@@ -147,6 +144,17 @@ def test_augment_exchange_size_bookkeeping():
     assert path.items == (0,)
     nxc, _ = augment(inst, xc, x0, path)
     assert (len(nxc.bundle(1)), len(nxc.bundle(2))) == (1, 1)
+    # forced paths of the wrong kind; sizes are checked before cleanness
+    inst = Instance(2, 3, 2, (Additive((2, 0, 2)), Additive((2, 2, 0))))
+    xc = Allocation.from_bundles([set(), {0, 1}], 3)
+    x0 = Allocation.empty(2, 3)
+    # ending in the pool, it leaves the target's bundle object in place
+    forced = AugmentingPath((2,), EXCHANGE, 1, 2, 0)
+    with pytest.raises(CleannessViolation, match="agent 2: .*size 2 .*expected 1"):
+        augment(inst, xc, x0, forced)
+    forced = AugmentingPath((0,), PARETO, 1, 0, 2)
+    with pytest.raises(CleannessViolation, match="agent 2: .*size 1 .*expected 2"):
+        augment(inst, xc, x0, forced)
 
 
 @pytest.mark.parametrize(
@@ -275,20 +283,6 @@ def test_incremental_graph_equals_fresh_build(monkeypatch, name):
     assert kinds == ({True} if name.startswith("additive") else {True, False})
 
 
-def graphic_matroid_instance(n: int, m: int, seed: int) -> Instance:
-    """n agents, c=1, each valuing m items by the graphic-matroid rank of a
-    random m-edge multigraph on five vertices."""
-    rng = SplitMix64(seed)
-    tables = []
-    for _ in range(n):
-        edges = []
-        for _ in range(m):
-            u = rng.below(5)
-            edges.append((u, (u + 1 + rng.below(4)) % 5))
-        tables.append(graphic_matroid_rank_table(m, edges))
-    return Instance(n, m, 1, tuple(tables))
-
-
 FULL_SCAN_INSTANCES = {
     "additive_8x40_s0": lambda: gen_random_additive(8, 40, 2, (1, 1, 2), 0),
     "capped_6x30_s0": lambda: gen_capped_groups(6, 30, 2, (1, 3), (1, 3), 0),
@@ -340,22 +334,6 @@ def test_builders_equal_full_scan(monkeypatch, name):
     # rank never fall below the threshold
     assert any(phase1_varied) == name.startswith("capped")
     assert any(phase2_varied) == (not name.startswith("additive"))
-
-
-@st.composite
-def solver_instances(draw):
-    """A small additive, capped-groups or graphic-matroid ``Explicit``
-    instance."""
-    family = draw(st.sampled_from(("additive", "capped", "graphic")))
-    n = draw(st.integers(2, 5))
-    seed = draw(st.integers(0, 2**16))
-    if family == "graphic":
-        return graphic_matroid_instance(n, draw(st.integers(5, 9)), seed)
-    m = n * draw(st.integers(2, 5))
-    c = draw(st.integers(1, 3))
-    if family == "additive":
-        return gen_random_additive(n, m, c, (1, 1, 2), seed)
-    return gen_capped_groups(n, m, c, (1, 3), (1, 3), seed)
 
 
 def _rebuilt_iff_changed(before, after):

@@ -1,13 +1,15 @@
 import pytest
+from hypothesis import given, settings
 
 import manna.solver as solver_mod
 from manna.core import Instance
-from manna.errors import InvalidInstance, UnsupportedValuation
-from manna.exchange import clean_state_violations
+from manna.errors import CleannessViolation, InvalidInstance, UnsupportedValuation
+from manna.exchange import EXCHANGE, clean_state_violations
 from manna.oracle import brute_leximin
 from manna.solver import phase1, phase2, phase3, solve
 from manna.threshold import verify_tridecomposition
 from manna.valuations import Additive, GeneralAdditive
+from support import reference_phase2, solver_instances
 
 
 def test_phase1_examples(named_fixtures):
@@ -45,6 +47,43 @@ def test_phase2_ef1_fixture_sizes(named_fixtures):
     state = phase2(phase1(inst), inst)
     assert state.xc.sizes() == (2, 2)
     assert state.xc.bundle(2) == frozenset({0, 1})
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(solver_instances())
+def test_two_stage_phase2_equals_rescanning_reference(inst):
+    """The two-stage loop augments along the same paths, and reports the
+    same, as a loop that seeks Pareto paths again after every exchange and
+    filters every search by reachability; and every such rescan finds none."""
+    lines, reference_lines, rescans = [], [], []
+    report = solve(inst, trace=lines.append)
+    state = reference_phase2(phase1(inst), inst, reference_lines.append, rescans)
+    assert reference_lines == [line for line in lines if line.startswith("phase2")]
+    assert phase3(state, inst) == report
+    assert len(rescans) == report.exchange_augmentations
+    assert rescans == [None] * len(rescans)
+
+
+def test_phase2_rejects_a_pareto_path_left_after_the_exchange_stage(monkeypatch):
+    # Agent 1's Pareto searches find nothing until the first exchange search,
+    # so the Pareto stage ends with o2 in the pool, which agent 1 desires.
+    # The exchange stage hands agent 1 o0 from agent 2, and then the Pareto
+    # path to o2 is there to be found.
+    inst = Instance(2, 4, 2, (Additive((2, 2, 2, 0)), Additive((2, 2, 0, 0))))
+    search = solver_mod.min_weight_path
+    exchanges = []
+
+    def hobbled(graph, sources, kind, agent, target_agent=None):
+        if kind == EXCHANGE:
+            exchanges.append(agent)
+        elif agent == 1 and not exchanges:
+            return None
+        return search(graph, sources, kind, agent, target_agent)
+
+    monkeypatch.setattr(solver_mod, "min_weight_path", hobbled)
+    with pytest.raises(CleannessViolation, match=r"agent 1 .* path \[2\]"):
+        phase2(phase1(inst), inst)
+    assert exchanges == [1]  # one exchange search, which found o0
 
 
 def test_phase3_example2_noop(named_fixtures):
@@ -107,8 +146,9 @@ def test_potential_strictly_decreases_across_exchanges(named_fixtures, monkeypat
 
     monkeypatch.setattr(solver_mod, "_scaled_potential", recorder)
     report = solve(named_fixtures["ex_ef1"])
-    assert report.exchange_augmentations == len(calls) // 2 > 0
-    for before, after in zip(calls[::2], calls[1::2]):
+    # the potential of the exchange stage's first state, then one per exchange
+    assert len(calls) == report.exchange_augmentations + 1 > 1
+    for before, after in zip(calls, calls[1:]):
         assert after < before
 
 
