@@ -28,7 +28,13 @@ a search run to exhaustion would pick.
   discovery order through ascending edge lists, yields the next layer
   sorted by ``(parent's path key, item)``, which is that layer's path key.
   So the first parent to reach an item gives it its least key, and the
-  first pool item discovered is the one Dijkstra would settle first.
+  first pool item discovered is the one Dijkstra would settle first.  An
+  edge list that several items share -- one tuple object, as the builder
+  makes it when all of an agent's candidates are sure -- is walked only at
+  the first of them.  That walk gave every item on the list a parent, or
+  found the pool, so a second walk would skip every item on it.  The skip
+  keys on the list's identity, as the builders key on bundle identity,
+  and needs no node map.
 
 Both builders scan only each agent's *candidate items*, listed once per
 solve: the items whose marginal on the empty bundle reaches the threshold
@@ -41,7 +47,13 @@ Edge ``o -> o'`` needs the middle term to reach the threshold.  By the
 right inequality no other item can be an out-neighbour.  By the left one a
 candidate that reaches it on B itself (a *sure* one) is an out-neighbour of
 every item of B, so only the other candidates (*maybe* ones) are tested
-against each ``B - o``.  When there are none -- always for additive agents,
+against each ``B - o``.  The oracles are asked in batches: ``marginals(B,
+items)`` gives the marginals of a list of items on one bundle.  The
+candidates cost one call on the empty bundle, the sure test one call per
+agent and the maybe test one per held item, so the wrapper layers between
+a builder and the valuation, and their checks, are paid once per call
+instead of once per item.
+When there are no maybe candidates -- always for additive agents,
 whose marginals never change, and for capped agents with no group at its
 cap -- all items of B share one out-list.  Every test left out has a known
 answer and the candidates are walked in ascending order, so each edge list,
@@ -124,16 +136,17 @@ PARETO = "pareto_improving"
 EXCHANGE = "exchange"
 
 
-def candidate_items(marginal, threshold: int, num_items: int) -> tuple[int, ...]:
+def candidate_items(marginals, threshold: int, num_items: int) -> tuple[int, ...]:
     """Items whose marginal on the empty bundle reaches ``threshold``, in
-    ascending order.
+    ascending order; ``marginals(bundle, items)`` is the agent's batched
+    oracle, asked once.
 
     Marginals only fall as a bundle grows, so no other item reaches the
     threshold on any bundle: these are the only items an agent can desire
     and the only out-neighbours of the items it holds.
     """
-    empty: frozenset[int] = frozenset()
-    return tuple(o for o in range(num_items) if marginal(empty, o) >= threshold)
+    gains = marginals(frozenset(), range(num_items))
+    return tuple(o for o, d in enumerate(gains) if d >= threshold)
 
 
 def f_set(
@@ -150,43 +163,45 @@ def f_set(
     """
     spec = inst.valuation(agent)
     if candidates is None:
-        candidates = candidate_items(spec.marginal, tau, inst.num_items)
+        candidates = candidate_items(spec.marginals, tau, inst.num_items)
     bundle = allocation.bundle(agent)
     if not bundle:
         return frozenset(candidates)  # on the empty bundle, exactly these
-    return frozenset(
-        o for o in candidates if o not in bundle and spec.marginal(bundle, o) >= tau
-    )
+    outside = [o for o in candidates if o not in bundle]
+    gains = spec.marginals(bundle, outside)
+    return frozenset(o for o, d in zip(outside, gains) if d >= tau)
 
 
-def _out_lists(bundle, outside, entries, marginal, threshold):
+def _out_lists(bundle, outside, entries, marginals, threshold):
     """Out-lists of the items of one agent's ``bundle``, and which of the
     agent's candidates are *sure* ones.
 
-    ``o -> o'`` whenever ``marginal(bundle - {o}, o') >= threshold``.
-    ``outside`` lists the agent's candidate items that lie outside the
-    bundle, in ascending order, and ``entries`` what an out-list holds for
-    each (the item, or its ``(item, weight)`` edge).  A candidate that
-    already clears the threshold on the whole bundle clears it on every
-    ``bundle - {o}`` and is a sure out-neighbour of every held item; only
-    the others are tested per held item.  When every candidate is sure, all
-    held items share one out-list.  Items without out-edges are left out.
-    Returned with the out-lists are the sure candidates: the items the agent
-    desires.
+    ``o -> o'`` whenever ``marginals(bundle - {o}, [o'])`` reaches
+    ``threshold``; ``marginals`` is the agent's batched oracle.  ``outside``
+    lists the agent's candidate items that lie outside the bundle, in
+    ascending order, and ``entries`` what an out-list holds for each (the
+    item, or its ``(item, weight)`` edge).  A candidate that already clears
+    the threshold on the whole bundle clears it on every ``bundle - {o}``
+    and is a sure out-neighbour of every held item; only the others, the
+    *maybe* ones, are tested per held item, in one call each.  When every
+    candidate is sure, all held items share one out-list.  Items without
+    out-edges are left out.  Returned with the out-lists are the sure
+    candidates: the items the agent desires.
     """
-    sure = [marginal(bundle, op) >= threshold for op in outside]
+    sure = [d >= threshold for d in marginals(bundle, outside)]
     desired = frozenset(compress(outside, sure))
     if len(desired) == len(outside):
         shared = tuple(entries)
         return (dict.fromkeys(sorted(bundle), shared) if shared else {}), desired
+    maybe = [k for k, is_sure in enumerate(sure) if not is_sure]
+    maybe_items = [outside[k] for k in maybe]
     out = {}
     for o in sorted(bundle):
-        rest = bundle - {o}
-        edges = tuple(
-            entry
-            for op, entry, is_sure in zip(outside, entries, sure)
-            if is_sure or marginal(rest, op) >= threshold
-        )
+        keep = sure.copy()
+        for k, d in zip(maybe, marginals(bundle - {o}, maybe_items)):
+            if d >= threshold:
+                keep[k] = True
+        edges = tuple(compress(entries, keep))
         if edges:
             out[o] = edges
     return out, desired
@@ -202,7 +217,7 @@ def unweighted_adjacency(
     agent's desired items: its candidates outside its bundle whose marginal
     on the bundle is 1 (``desired[i-1]`` for agent i).
 
-    ``oracles[i-1]`` must expose ``marginal(bundle, item)`` with values in
+    ``oracles[i-1]`` must expose ``marginals(bundle, items)`` with values in
     {0, 1} that never grow as the bundle grows, and ``candidates[i-1]`` is its
     ``candidate_items`` at threshold 1.  Items in the pool have no outgoing
     edges.  ``previous``, an ``(allocation, adjacency, desired)`` triple built
@@ -232,7 +247,7 @@ def unweighted_adjacency(
             continue
         outside = [op for op in candidates[j - 1] if op not in bundle]
         out, desired[j - 1] = _out_lists(
-            bundle, outside, outside, oracles[j - 1].marginal, 1
+            bundle, outside, outside, oracles[j - 1].marginals, 1
         )
         adj.update(out)
     return adj, desired
@@ -322,7 +337,7 @@ def build_weighted_graph(
             raise ContractViolation("; ".join(violations))
     if previous is None:
         candidates = tuple(
-            candidate_items(inst.valuation(j).marginal, inst.c, inst.num_items)
+            candidate_items(inst.valuation(j).marginals, inst.c, inst.num_items)
             for j in inst.agents
         )
         n = inst.num_agents
@@ -388,7 +403,7 @@ def _advance(graph, changed, old_xc):
         # with the long-lived edges fragmented memory and raised peak RSS.
         edges = [(op, 1 if op in x0_j else 2) for op in outside]
         out, desired[j - 1] = _out_lists(
-            bundle, outside, edges, inst.valuation(j).marginal, inst.c
+            bundle, outside, edges, inst.valuation(j).marginals, inst.c
         )
         adjacency.update(out)
         shared = len(desired[j - 1]) == len(outside)  # every candidate sure
@@ -610,7 +625,9 @@ def shortest_path_to_pool(
 
     A breadth-first search: each layer is walked in discovery order and each
     edge list in its ascending order, an item's parent is the first item to
-    reach it, and the search stops at the first pool item it discovers.
+    reach it, and the search stops at the first pool item it discovers.  An
+    edge list shared by several items, the same object, is walked once:
+    walking it again would only meet items already reached.
     """
     pool = allocation.unallocated
     frontier = sorted(sources)
@@ -618,10 +635,15 @@ def shortest_path_to_pool(
         if o in pool:
             return (o,)
     parent: dict[int, Optional[int]] = dict.fromkeys(frontier)
+    walked = set()  # ids of the edge lists walked, alive in ``adjacency``
     while frontier:
         layer = []
         for u in frontier:
-            for v in adjacency.get(u, ()):
+            out = adjacency.get(u, ())
+            if id(out) in walked:
+                continue
+            walked.add(id(out))
+            for v in out:
                 if v in parent:
                     continue
                 parent[v] = u

@@ -214,13 +214,16 @@ def _exchange_scan(
     graph: WeightedExchangeGraph, sizes: tuple[int, ...]
 ) -> Optional[AugmentingPath]:
     """The exchange path of the lexicographically first pair (i, j) whose
-    counted sizes it balances or swaps toward the lower index."""
+    counted sizes it balances or swaps toward the lower index.  Every pair
+    needs |xc_i| + 1 <= |xc_j|, so an agent already within one of the
+    largest size has no partner and is skipped."""
     agents = graph.inst.agents
+    top = max(sizes)
     for i in agents:
         sources = graph.desired[i - 1]
-        if not sources:
-            continue
         size_i = sizes[i - 1]
+        if not sources or size_i + 1 > top:
+            continue
         for j in agents:
             if j == i:
                 continue

@@ -11,7 +11,7 @@ uses ``tau = 0`` and ``tau = c``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import Allocation, Instance
 from .errors import DecompositionFailure
@@ -49,6 +49,12 @@ class ThresholdBeta:
 
     def marginal(self, items: Iterable[int], item: int) -> int:
         return beta_marginal(self.spec, self.tau, items, item)
+
+    def marginals(self, items: Iterable[int], candidates: Sequence[int]) -> list[int]:
+        """``[self.marginal(items, o) for o in candidates]``, asking the
+        valuation once."""
+        tau = self.tau
+        return [1 if d >= tau else 0 for d in self.spec.marginals(items, candidates)]
 
 
 def is_clean(oracle, bundle: Iterable[int]) -> bool:

@@ -1,5 +1,10 @@
 """Valuation families, their value/marginal oracles, and structural validators.
 
+The solver's families answer ``marginal(bundle, item)`` and its batched form
+``marginals(bundle, items)``, which checks the bundle once for a whole list
+of items.  Both raise ``ContractViolation`` for an item already in the
+bundle.
+
 Three families are first-class citizens of the solver:
 
 * ``Additive`` -- one integer per item, each in ``{-1, 0, c}``;
@@ -43,6 +48,17 @@ def items_of(mask: int) -> frozenset[int]:
     return frozenset(out)
 
 
+def _outside(items: Iterable[int], candidates: Sequence[int]) -> Union[set, frozenset]:
+    """``items`` as a set, copied only when it is not one already, after
+    checking that no candidate lies in it."""
+    if not isinstance(items, (set, frozenset)):
+        items = frozenset(items)
+    if not items.isdisjoint(candidates):
+        item = next(o for o in candidates if o in items)
+        raise ContractViolation(f"item {item} already in bundle")
+    return items
+
+
 @dataclass(frozen=True)
 class Additive:
     """Additive valuation with per-item values restricted to ``{-1, 0, c}``."""
@@ -59,6 +75,12 @@ class Additive:
         if item in items:
             raise ContractViolation(f"item {item} already in bundle")
         return self.values[item]
+
+    def marginals(self, items: Iterable[int], candidates: Sequence[int]) -> list[int]:
+        """``[self.marginal(items, o) for o in candidates]``."""
+        _outside(items, candidates)
+        values = self.values
+        return [values[o] for o in candidates]
 
 
 @dataclass(frozen=True)
@@ -114,7 +136,8 @@ class CappedGroups:
         object.__setattr__(self, "_group_of", group_of)
 
     def value(self, items: Iterable[int]) -> int:
-        items = frozenset(items)
+        if not isinstance(items, (set, frozenset)):
+            items = frozenset(items)
         total = 0
         grouped = 0
         for g in self.groups:
@@ -124,7 +147,8 @@ class CappedGroups:
         return total + self.default * (len(items) - grouped)
 
     def marginal(self, items: Iterable[int], item: int) -> int:
-        items = frozenset(items)
+        if not isinstance(items, (set, frozenset)):
+            items = frozenset(items)
         if item in items:
             raise ContractViolation(f"item {item} already in bundle")
         gi = self._group_of.get(item)
@@ -132,6 +156,21 @@ class CappedGroups:
             return self.default
         g = self.groups[gi]
         return g.hi if len(items & g.items) < g.cap else g.lo
+
+    def marginals(self, items: Iterable[int], candidates: Sequence[int]) -> list[int]:
+        """``[self.marginal(items, o) for o in candidates]``, checking the
+        bundle once."""
+        items = _outside(items, candidates)
+        group_of, groups, default = self._group_of, self.groups, self.default
+        out = []
+        for o in candidates:
+            gi = group_of.get(o)
+            if gi is None:
+                out.append(default)
+            else:
+                g = groups[gi]
+                out.append(g.hi if len(items & g.items) < g.cap else g.lo)
+        return out
 
 
 @dataclass(frozen=True)
@@ -161,6 +200,17 @@ class Explicit:
         if m & bit:
             raise ContractViolation(f"item {item} already in bundle")
         return self.table[m | bit] - self.table[m]
+
+    def marginals(self, items: Iterable[int], candidates: Sequence[int]) -> list[int]:
+        """``[self.marginal(items, o) for o in candidates]``, building the
+        bundle's mask once."""
+        m = mask_of(items)
+        if m & mask_of(candidates):
+            item = next(o for o in candidates if m >> o & 1)
+            raise ContractViolation(f"item {item} already in bundle")
+        table = self.table
+        base = table[m]
+        return [table[m | 1 << o] - base for o in candidates]
 
 
 ValuationSpec = Union[Additive, GeneralAdditive, CappedGroups, Explicit]

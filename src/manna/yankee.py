@@ -7,6 +7,15 @@ first item; otherwise the agent retires.  The result is simultaneously
 leximin and welfare-maximal for the supplied oracles, and every bundle is
 clean (its oracle count equals its size).
 
+The turn order is a heap of ``(bundle size, agent)`` over the active agents.
+Only the gainer's entry ever needs to move.  A path ends in the pool, so
+each path item a holder gives up is replaced in its bundle by the next item
+on the path, and only the gainer, which receives the first item, grows: by
+exactly one.  The gainer goes back with its size plus one, an always-on
+check confirms that its bundle grew by exactly one, and a retiring agent
+leaves the heap.  The heap's least entry is then the one a scan of all
+active agents for the smallest bundle would pick.
+
 An agent's desired items and the out-neighbours of its items are sought
 only among the items it values on the empty bundle, so the oracles'
 marginals must not grow as a bundle grows (see ``exchange``).
@@ -14,6 +23,10 @@ marginals must not grow as a bundle grows (see ``exchange``).
 Every exchange-graph edge weighs 1 here, so the path search is breadth-first
 and stops at the first pool item it discovers; its path is the one Dijkstra
 would return (see ``exchange``).
+
+The oracles are asked in batches, through ``marginals(bundle, items)``, so
+one call through the wrapper that checks each marginal is 0 or 1 covers a
+whole list of items on one bundle (see ``exchange``).
 
 The exchange graph is built once and then advanced in place only after an
 augmentation.  The shift passes every bundle the path leaves alone through
@@ -31,13 +44,17 @@ is.
 
 from __future__ import annotations
 
+import heapq
 from typing import Sequence
 
 from . import exchange
 from .core import Allocation
-from .errors import OracleViolation
+from .errors import CleannessViolation, OracleViolation
 from .exchange import shift_along_path, shortest_path_to_pool
 from .threshold import is_clean
+
+
+_BINARY = frozenset((0, 1))
 
 
 class _CheckedOracle:
@@ -58,28 +75,50 @@ class _CheckedOracle:
             )
         return d
 
+    def marginals(self, items, candidates):
+        ds = self._oracle.marginals(items, candidates)
+        if len(ds) != len(candidates):
+            raise OracleViolation(
+                f"agent {self._agent}: binary oracle returned {len(ds)} "
+                f"marginals for {len(candidates)} items"
+            )
+        if not _BINARY.issuperset(ds):
+            d = next(d for d in ds if d not in _BINARY)
+            raise OracleViolation(
+                f"agent {self._agent}: binary oracle returned marginal {d}"
+            )
+        return ds
+
 
 def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
     """Compute a clean MAX-USW leximin allocation for ``betas``.
 
     ``betas[i-1]`` is agent i's binary submodular oracle exposing
-    ``value(bundle)`` and ``marginal(bundle, item)``; its marginals must not
-    grow as the bundle grows.
+    ``value(bundle)``, ``marginal(bundle, item)`` and
+    ``marginals(bundle, items)``; its marginals must not grow as the bundle
+    grows.
     """
     n = len(betas)
     oracles = [_CheckedOracle(b, i + 1) for i, b in enumerate(betas)]
-    candidates = [exchange.candidate_items(o.marginal, 1, num_items) for o in oracles]
+    candidates = [exchange.candidate_items(o.marginals, 1, num_items) for o in oracles]
     allocation = Allocation.empty(n, num_items)
     adjacency, desired = exchange.unweighted_adjacency(allocation, oracles, candidates)
-    active = set(range(1, n + 1))
-    while active:
-        agent = min(active, key=lambda i: (len(allocation.bundle(i)), i))
+    # (bundle size, agent) of every active agent; sorted, so already a heap
+    turns = [(0, i) for i in range(1, n + 1)]
+    while turns:
+        size, agent = turns[0]
         path = shortest_path_to_pool(allocation, adjacency, desired[agent - 1])
         if path is None:
-            active.discard(agent)
+            heapq.heappop(turns)
             continue
         previous = (allocation, adjacency, desired)
         allocation = shift_along_path(allocation, path, agent)
+        if len(allocation.bundle(agent)) != size + 1:
+            raise CleannessViolation(
+                f"agent {agent}: bundle size {len(allocation.bundle(agent))} "
+                f"after augmentation, expected {size + 1}"
+            )
+        heapq.heapreplace(turns, (size + 1, agent))
         if not is_clean(oracles[agent - 1], allocation.bundle(agent)):
             raise OracleViolation(
                 f"agent {agent}: bundle not clean after augmentation; "

@@ -1,7 +1,7 @@
 """Shared helpers for the test suite: the canonical randomized suite, a
 constructive source of two-valued submodular tables, a Hypothesis strategy
 for small solver instances, a reference path search, reference
-exchange-graph builders and a reference phase-2 loop."""
+exchange-graph builders and reference phase-1 and phase-2 loops."""
 
 from __future__ import annotations
 
@@ -10,12 +10,16 @@ import heapq
 from hypothesis import strategies as st
 
 from manna.core import Allocation, Instance
+from manna.errors import OracleViolation
 from manna.exchange import (
     EXCHANGE,
     PARETO,
     augment,
     build_weighted_graph,
+    candidate_items,
     min_weight_path,
+    shift_along_path,
+    unweighted_adjacency,
 )
 from manna.instgen import (
     SplitMix64,
@@ -23,7 +27,9 @@ from manna.instgen import (
     gen_random_additive,
     graphic_matroid_rank_table,
 )
+from manna.threshold import is_clean
 from manna.valuations import Additive, Explicit
+from manna.yankee import _CheckedOracle
 
 ADDITIVE_SEED_BASE = 1000
 CAPPED_SEED_BASE = 2000
@@ -97,11 +103,11 @@ def graphic_matroid_instance(n: int, m: int, seed: int) -> Instance:
 
 
 @st.composite
-def solver_instances(draw):
+def solver_instances(draw, max_agents=5):
     """A small additive, capped-groups or graphic-matroid ``Explicit``
-    instance."""
+    instance with 2 to ``max_agents`` agents."""
     family = draw(st.sampled_from(("additive", "capped", "graphic")))
-    n = draw(st.integers(2, 5))
+    n = draw(st.integers(2, max_agents))
     seed = draw(st.integers(0, 2**16))
     if family == "graphic":
         return graphic_matroid_instance(n, draw(st.integers(5, 9)), seed)
@@ -268,3 +274,56 @@ def reference_phase2(state, inst, trace, rescans):
             f"phase2 exchange i={found.source_agent} j={found.target} "
             f"path={list(found.items)} w={found.doubled_weight}"
         )
+
+
+def reference_shortest_path_to_pool(allocation, adjacency, sources):
+    """Reference for ``exchange.shortest_path_to_pool``: the same
+    breadth-first search, walking the edge list of every item it reaches."""
+    pool = allocation.unallocated
+    frontier = sorted(sources)
+    for o in frontier:
+        if o in pool:
+            return (o,)
+    parent = dict.fromkeys(frontier)
+    while frontier:
+        layer = []
+        for u in frontier:
+            for v in adjacency.get(u, ()):
+                if v in parent:
+                    continue
+                parent[v] = u
+                if v in pool:
+                    path = [v]
+                    while (v := parent[v]) is not None:
+                        path.append(v)
+                    return tuple(reversed(path))
+                layer.append(v)
+        frontier = layer
+    return None
+
+
+def reference_yankee_swap(num_items, betas, turns):
+    """Reference for ``yankee.yankee_swap``: each turn goes to the active
+    agent with the smallest bundle (ties to the lower index), found by a
+    scan of all active agents, and searches with
+    ``reference_shortest_path_to_pool``.  Each turn's ``(agent, path)`` is
+    appended to ``turns``, ``path`` None when the agent retires."""
+    n = len(betas)
+    oracles = [_CheckedOracle(b, i + 1) for i, b in enumerate(betas)]
+    candidates = [candidate_items(o.marginals, 1, num_items) for o in oracles]
+    allocation = Allocation.empty(n, num_items)
+    adjacency, desired = unweighted_adjacency(allocation, oracles, candidates)
+    active = set(range(1, n + 1))
+    while active:
+        agent = min(active, key=lambda i: (len(allocation.bundle(i)), i))
+        path = reference_shortest_path_to_pool(allocation, adjacency, desired[agent - 1])
+        turns.append((agent, path))
+        if path is None:
+            active.discard(agent)
+            continue
+        previous = (allocation, adjacency, desired)
+        allocation = shift_along_path(allocation, path, agent)
+        if not is_clean(oracles[agent - 1], allocation.bundle(agent)):
+            raise OracleViolation(f"agent {agent}: bundle not clean after augmentation")
+        adjacency, desired = unweighted_adjacency(allocation, oracles, candidates, previous)
+    return allocation

@@ -1,9 +1,10 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manna.errors import ContractViolation, MalformedValuation
-from manna.instgen import SplitMix64, gen_capped_groups
+from manna.errors import ContractViolation, MalformedValuation, OracleViolation
+from manna.instgen import SplitMix64, gen_capped_groups, gen_random_additive
+from manna.threshold import ThresholdBeta
 from manna.valuations import (
     Additive,
     CappedGroups,
@@ -16,7 +17,8 @@ from manna.valuations import (
     validate_range,
     validate_submodular,
 )
-from support import random_two_valued_table
+from manna.yankee import _CheckedOracle
+from support import graphic_matroid_instance, random_two_valued_table
 
 C = 2
 CAP_PAIR = CappedGroups((Group(frozenset({0, 1}), 1, C, 0),), 0)  # c·min(|S∩{0,1}|,1)
@@ -153,3 +155,60 @@ def test_capped_groups_rejects_overlapping_groups():
         CappedGroups(
             (Group(frozenset({0, 1}), 1, 1, 0), Group(frozenset({1, 2}), 1, 1, 0)), 0
         )
+
+
+@st.composite
+def batched_queries(draw):
+    """An in-scope valuation with its threshold wrappers, a bundle of some
+    container type, and items outside it in any order."""
+    family = draw(st.sampled_from(("additive", "capped", "graphic")))
+    seed = draw(st.integers(0, 2**16))
+    if family == "graphic":
+        inst = graphic_matroid_instance(1, draw(st.integers(1, 9)), seed)
+    else:
+        m, c = draw(st.integers(1, 12)), draw(st.integers(1, 3))
+        if family == "additive":
+            inst = gen_random_additive(1, m, c, (1, 1, 2), seed)
+        else:
+            inst = gen_capped_groups(1, m, c, (1, 3), (0, 3), seed)
+    spec = inst.valuation(1)
+    bundle = draw(st.sets(st.sampled_from(range(inst.num_items))))
+    outside = [o for o in range(inst.num_items) if o not in bundle]
+    items = draw(st.permutations(outside))
+    items = items[: draw(st.integers(0, len(items)))]
+    container = draw(st.sampled_from((frozenset, set, sorted)))
+    oracles = [spec]
+    for tau in (0, inst.c):
+        oracles += [ThresholdBeta(spec, tau), _CheckedOracle(ThresholdBeta(spec, tau), 1)]
+    return oracles, container(bundle), items
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(batched_queries(), st.data())
+def test_batched_marginals_equal_single_marginals(query, data):
+    oracles, bundle, items = query
+    for oracle in oracles:
+        assert oracle.marginals(bundle, items) == [oracle.marginal(bundle, o) for o in items]
+        if bundle:
+            held = data.draw(st.sampled_from(sorted(bundle)))
+            at = data.draw(st.integers(0, len(items)))
+            with pytest.raises(ContractViolation, match=f"item {held} already"):
+                oracle.marginals(bundle, items[:at] + [held] + items[at:])
+
+
+def test_checked_oracle_rejects_non_binary_batched_marginals():
+    class Doubler:
+        def marginal(self, items, item):
+            return 2
+
+        def marginals(self, items, candidates):
+            return [2] * len(candidates)
+
+    class Short(Doubler):
+        def marginals(self, items, candidates):
+            return [1] * (len(candidates) - 1)
+
+    with pytest.raises(OracleViolation, match="marginal 2"):
+        _CheckedOracle(Doubler(), 1).marginals(frozenset(), [0, 1])
+    with pytest.raises(OracleViolation, match="returned 1 marginals for 2 items"):
+        _CheckedOracle(Short(), 1).marginals(frozenset(), [0, 1])

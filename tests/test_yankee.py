@@ -1,8 +1,9 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
 
-from manna import exchange
+from manna import exchange, yankee
 from manna.core import Allocation
 from manna.errors import OracleViolation
 from manna.exchange import candidate_items, shift_along_path, unweighted_adjacency
@@ -10,6 +11,11 @@ from manna.instgen import gen_capped_groups, gen_random_additive
 from manna.threshold import ThresholdBeta, is_clean
 from manna.valuations import Explicit
 from manna.yankee import yankee_swap
+from support import (
+    reference_shortest_path_to_pool,
+    reference_yankee_swap,
+    solver_instances,
+)
 
 
 def brute_beta_leximin(num_items, betas):
@@ -79,6 +85,9 @@ def test_rejects_non_binary_oracle():
         def marginal(self, items, item):
             return 2
 
+        def marginals(self, items, candidates):
+            return [2] * len(candidates)
+
     with pytest.raises(OracleViolation):
         yankee_swap(2, [Doubler()])
 
@@ -118,7 +127,7 @@ def test_adjacency_recomputes_gainer_holding_no_path_item():
     uniform2 = Explicit(4, tuple(min(bin(s & 0b0111).count("1"), 2) for s in range(16)))
     either = Explicit(4, tuple(min(bin(s & 0b1100).count("1"), 1) for s in range(16)))
     oracles = [uniform2, either]
-    candidates = [candidate_items(o.marginal, 1, 4) for o in oracles]
+    candidates = [candidate_items(o.marginals, 1, 4) for o in oracles]
     assert candidates == [(0, 1, 2), (2, 3)]
     before = Allocation.from_bundles([{0}, {3}], 4)
     adj, desired = unweighted_adjacency(before, oracles, candidates)
@@ -137,3 +146,84 @@ def test_adjacency_recomputes_gainer_holding_no_path_item():
     # edge list and desired items
     assert reused[0] is adj and reused[1] is desired
     assert adj[3] is kept_edges and desired[1] is kept_desired
+
+
+class _Recording(list):
+    """A desired-items list that remembers the last index read from it."""
+
+    last = None
+
+    def __getitem__(self, k):
+        self.last = k
+        return super().__getitem__(k)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(solver_instances(max_agents=6))
+def test_heap_turn_order_equals_min_scan_reference(inst):
+    """Each turn goes to the same agent and finds the same path, and the
+    allocation is the same, as in the reference loop, which scans every
+    active agent for the smallest bundle and walks every edge list in its
+    searches."""
+    betas = [ThresholdBeta(inst.valuation(i), 0) for i in inst.agents]
+    want_turns = []
+    want = reference_yankee_swap(inst.num_items, betas, want_turns)
+    build, search = exchange.unweighted_adjacency, yankee.shortest_path_to_pool
+    turns, recorded = [], []
+
+    def recording_build(allocation, oracles, candidates, previous=None):
+        adjacency, desired = build(allocation, oracles, candidates, previous)
+        if previous is None:
+            desired = _Recording(desired)  # advanced in place from here on
+            recorded.append(desired)
+        return adjacency, desired
+
+    def recording_search(allocation, adjacency, sources):
+        path = search(allocation, adjacency, sources)
+        # yankee_swap reads its agent's sources just before the search
+        turns.append((recorded[0].last + 1, path))
+        return path
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exchange, "unweighted_adjacency", recording_build)
+        patch.setattr(yankee, "shortest_path_to_pool", recording_search)
+        got = yankee_swap(inst.num_items, betas)
+    assert turns == want_turns
+    assert got == want
+
+
+class _Walked(tuple):
+    """An edge list that counts the times it is walked."""
+
+    walks = 0
+
+    def __iter__(self):
+        self.walks += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("name", sorted(PHASE1_INSTANCES))
+def test_search_walks_each_shared_edge_list_once(monkeypatch, name):
+    """Every search of a solve walks each edge list object at most once and
+    finds the reference's path, which walks the list of every item it
+    reaches; lists shared by several items make that fewer walks in all."""
+    inst = PHASE1_INSTANCES[name]()
+    betas = [ThresholdBeta(inst.valuation(i), 0) for i in inst.agents]
+    search = yankee.shortest_path_to_pool
+    walks = {"search": 0, "reference": 0}
+
+    def counting_search(allocation, adjacency, sources):
+        copies = {}
+        lists = {u: copies.setdefault(id(out), _Walked(out)) for u, out in adjacency.items()}
+        path = search(allocation, lists, sources)
+        assert all(out.walks <= 1 for out in copies.values())
+        walks["search"] += sum(out.walks for out in copies.values())
+        for out in copies.values():
+            out.walks = 0
+        assert path == reference_shortest_path_to_pool(allocation, lists, sources)
+        walks["reference"] += sum(out.walks for out in copies.values())
+        return path
+
+    monkeypatch.setattr(yankee, "shortest_path_to_pool", counting_search)
+    yankee_swap(inst.num_items, betas)
+    assert 0 < walks["search"] < walks["reference"]
