@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .core import Allocation, Instance
@@ -19,12 +20,14 @@ from .errors import ContractViolation, InvalidInstance, ParseError
 from .solver import SolveReport
 from .threshold import TriDecomposition
 from .valuations import (
+    EXPLICIT_MAX_ITEMS,
     Additive,
     CappedGroups,
     Explicit,
     GeneralAdditive,
     Group,
     ValuationSpec,
+    mask_of,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -274,6 +277,18 @@ def fixtures() -> dict[str, Instance]:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=4)
+def _canonical_keys(num_items: int) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The explicit-table key of every subset of ``num_items`` items, in mask
+    order (ascending items joined by commas, ``""`` for the empty set), and
+    the map from each key back to its mask."""
+    keys = [""]
+    for o in range(num_items):
+        head = str(o)
+        keys += [f"{key},{head}" if key else head for key in keys]
+    return tuple(keys), {key: mask for mask, key in enumerate(keys)}
+
+
 def _spec_to_obj(spec: ValuationSpec) -> dict:
     if isinstance(spec, Additive):
         return {"kind": "additive", "values": list(spec.values)}
@@ -289,11 +304,8 @@ def _spec_to_obj(spec: ValuationSpec) -> dict:
             "default": spec.default,
         }
     if isinstance(spec, Explicit):
-        table = {}
-        for mask, v in enumerate(spec.table):
-            items = [o for o in range(spec.num_items) if mask >> o & 1]
-            table[",".join(str(o) for o in items)] = v
-        return {"kind": "explicit", "table": table}
+        keys, _ = _canonical_keys(spec.num_items)
+        return {"kind": "explicit", "table": dict(zip(keys, spec.table))}
     raise ContractViolation(f"unknown valuation kind {type(spec).__name__}")
 
 
@@ -337,29 +349,56 @@ def _spec_from_obj(obj: dict, num_items: int, loc: str) -> ValuationSpec:
         return CappedGroups(tuple(groups), _expect(obj, "default", int, loc))
     if kind == "explicit":
         raw = _expect(obj, "table", dict, loc)
+        if not 0 <= num_items <= EXPLICIT_MAX_ITEMS:
+            raise ParseError(
+                f"{loc}.table",
+                f"explicit tables cover 0 to {EXPLICIT_MAX_ITEMS} items, not {num_items}",
+            )
         if len(raw) != 1 << num_items:
             raise ParseError(
                 f"{loc}.table",
                 f"expected {1 << num_items} entries, found {len(raw)}",
             )
-        table = [None] * (1 << num_items)
-        for key, v in raw.items():
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise ParseError(f"{loc}.table[{key!r}]", "expected an integer value")
-            try:
-                items = [int(tok) for tok in key.split(",")] if key else []
-            except ValueError:
-                raise ParseError(f"{loc}.table[{key!r}]", "malformed subset key") from None
-            if any(o < 0 or o >= num_items for o in items) or len(set(items)) != len(items):
-                raise ParseError(f"{loc}.table[{key!r}]", "subset key out of range")
-            mask = 0
-            for o in items:
-                mask |= 1 << o
-            if table[mask] is not None:
-                raise ParseError(f"{loc}.table[{key!r}]", "duplicate subset key")
-            table[mask] = v
-        return Explicit(num_items, tuple(table))
+        return Explicit(num_items, _explicit_table(raw, num_items, loc))
     raise ParseError(f"{loc}.kind", f"unknown valuation kind {kind!r}")
+
+
+def _explicit_table(raw: dict, num_items: int, loc: str) -> tuple[int, ...]:
+    """The values of a table with ``2^num_items`` entries, in mask order.
+
+    When the keys are exactly the canonical ones and every value is a plain
+    integer, the table is read in one pass over the canonical keys.
+    Otherwise each key is looked up among the canonical keys, and only a
+    key that is not one of them is split and checked; the first bad entry in
+    the document's order raises.
+    """
+    keys, index = _canonical_keys(num_items)
+    if raw.keys() == index.keys():
+        table = tuple(map(raw.__getitem__, keys))
+        if set(map(type, table)) <= {int}:
+            return table
+    table = [None] * (1 << num_items)
+    for key, v in raw.items():
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ParseError(f"{loc}.table[{key!r}]", "expected an integer value")
+        mask = index.get(key)
+        if mask is None:
+            mask = _subset_mask(key, num_items, loc)
+        if table[mask] is not None:
+            raise ParseError(f"{loc}.table[{key!r}]", "duplicate subset key")
+        table[mask] = v
+    return tuple(table)
+
+
+def _subset_mask(key: str, num_items: int, loc: str) -> int:
+    """The mask of a subset key that is not canonical, such as ``"1,0"``."""
+    try:
+        items = [int(tok) for tok in key.split(",")] if key else []
+    except ValueError:
+        raise ParseError(f"{loc}.table[{key!r}]", "malformed subset key") from None
+    if any(o < 0 or o >= num_items for o in items) or len(set(items)) != len(items):
+        raise ParseError(f"{loc}.table[{key!r}]", "subset key out of range")
+    return mask_of(items)
 
 
 def instance_to_obj(inst: Instance) -> dict:

@@ -23,6 +23,7 @@ rejects it: the unrestricted problem is intractable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ContractViolation, MalformedValuation
@@ -181,7 +182,7 @@ class Explicit:
     table: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(int(v) for v in self.table))
+        object.__setattr__(self, "table", tuple(map(int, self.table)))
         if self.num_items > EXPLICIT_MAX_ITEMS:
             raise MalformedValuation(
                 f"explicit tables support at most {EXPLICIT_MAX_ITEMS} items"
@@ -305,88 +306,212 @@ def _require_explicit(spec) -> Explicit:
     return spec
 
 
+_BELOW_64 = bytes(range(64))
+
+
+@lru_cache(maxsize=2)
+def _lane_patterns(m: int, w: int) -> tuple[int, tuple[int, ...]]:
+    """For ``2^m`` lanes of ``w`` bytes: the integer with a 1 at the bottom
+    of every lane, and for each item ``o`` the one with a 1 at the bottom of
+    every lane ``S ∌ o``."""
+    n = 1 << m
+    lane = b"\x01" + bytes(w - 1)
+    ones = int.from_bytes(lane * n, "little")
+    free = tuple(
+        int.from_bytes((lane * (1 << o) + bytes(w << o)) * (n >> (o + 1)), "little")
+        for o in range(m)
+    )
+    return ones, free
+
+
+class _Lanes:
+    """An explicit table packed into one integer, one lane per subset.
+
+    Lane ``S`` of the packed integer ``T`` (bits ``8w·S`` up to
+    ``8w·(S+1)``) holds ``v(S) − low``.  With ``B = 2^k`` every packed value
+    is below ``B``, and ``w`` is the fewest bytes holding ``k + 2`` bits.
+    Any such ``k`` will do.  A table whose values all lie in ``[0, 64)``, the
+    common case, packs as its own bytes with ``low = 0`` and ``k = 6``;
+    any other takes ``low = min v`` and ``k = bitlen(max v − min v)``.  Then
+
+        ``delta[o] = ((T >> 8w·2^o) | B̄) − T``
+
+    holds ``Δ(S, o) + B`` in lane ``S`` for every ``S ∌ o``: the shift moves
+    lane ``S + o`` down onto lane ``S``, and the OR adds ``B`` to a value
+    below ``B``.  Every lane of ``delta[o]``, including those with ``o ∈ S``
+    and those past the shifted table's end, lies in ``[1, 2B)``, so no
+    subtraction borrows across a lane boundary.  (``X̄`` is ``X`` repeated
+    in every lane.)
+
+    Bit ``k + 1`` of each lane is its guard bit, above every lane value.
+    ``ge(a, b) = ((a | Ḡ) − b) & Ḡ`` leaves the guard bit set in exactly the
+    lanes where ``a ≥ b``: the guard absorbs a lane's borrow, so lanes stay
+    independent.  ``ne(a, b)`` is ``ge(a ^ b, 1̄)``, the lanes that differ.
+    ``free[o]`` holds the guard bits of the lanes ``S ∌ o``.
+
+    Each test below is a handful of such operations on the whole table per
+    item or item pair, so a validator makes at most ``m(m−1)/2`` passes of
+    ``O(2^m·w)`` machine words, where the loops it replaces made
+    ``O(2^m·m²)`` Python steps.
+    """
+
+    def __init__(self, spec: Explicit):
+        table, m = spec.table, spec.num_items
+        try:
+            data = bytes(table)  # raises unless every value is in [0, 256)
+            fits = not data.translate(None, _BELOW_64)
+        except ValueError:
+            fits = False
+        if fits:
+            k = 6
+        else:
+            low = min(table)
+            k = (max(table) - low).bit_length()
+        w = (k + 9) // 8  # k value bits, a carry bit and a guard bit
+        if not fits:
+            data = b"".join([(v - low).to_bytes(w, "little") for v in table])
+        packed = int.from_bytes(data, "little")
+        self.ones, free = _lane_patterns(m, w)
+        self.bits = bits = 8 * w
+        self.bias = 1 << k
+        self.guards = self.ones << (k + 1)
+        biased = self.ones << k
+        self.delta = [((packed >> (bits << o)) | biased) - packed for o in range(m)]
+        self.free = [lanes << (k + 1) for lanes in free]
+
+    def ge(self, a: int, b: int) -> int:
+        return ((a | self.guards) - b) & self.guards
+
+    def ne(self, a: int, b: int) -> int:
+        return self.ge(a ^ b, self.ones)
+
+    def up(self, a: int, p: int) -> int:
+        """``a`` with lane ``S + p`` moved onto lane ``S``."""
+        return a >> (self.bits << p)
+
+    def lowest(self, lanes: int) -> int:
+        """The lowest lane whose guard bit is set in ``lanes``."""
+        return ((lanes & -lanes).bit_length() - 1) // self.bits
+
+
 def validate_range(spec: Explicit, c: int) -> CheckResult:
-    """Check every marginal lies in ``{-1, 0, c}``; witness is ``(S, o, delta)``."""
+    """Check every marginal lies in ``{-1, 0, c}``; witness is ``(S, o, delta)``
+    for the first failing ``(S, o)`` in mask-then-item order.
+
+    One pass per item: lane ``S`` of ``delta[o]`` must equal ``B − 1``, ``B``
+    or ``B + c``.  A target outside the lanes' range ``[0, 2B)`` cannot
+    match and is left out.
+    """
     spec = _require_explicit(spec)
-    m = spec.num_items
-    allowed = {-1, 0, c}
-    for mask in range(1 << m):
-        for o in range(m):
-            bit = 1 << o
-            if mask & bit:
-                continue
-            delta = spec.table[mask | bit] - spec.table[mask]
-            if delta not in allowed:
-                return CheckResult(
-                    False,
-                    (items_of(mask), o, delta),
-                    f"marginal of item {o} on {sorted(items_of(mask))} is {delta}",
-                )
-    return CheckResult(True)
+    lanes = _Lanes(spec)
+    targets = [
+        lanes.ones * (lanes.bias + d) for d in {-1, 0, c} if 0 <= lanes.bias + d < 2 * lanes.bias
+    ]
+    first = None
+    for o, delta in enumerate(lanes.delta):
+        bad = lanes.free[o]
+        for target in targets:
+            bad &= lanes.ne(delta, target)
+        if bad:
+            failure = (lanes.lowest(bad), o)
+            first = failure if first is None else min(first, failure)
+    if first is None:
+        return CheckResult(True)
+    mask, o = first
+    delta = spec.table[mask | 1 << o] - spec.table[mask]
+    return CheckResult(
+        False,
+        (items_of(mask), o, delta),
+        f"marginal of item {o} on {sorted(items_of(mask))} is {delta}",
+    )
 
 
 def validate_submodular(spec: Explicit) -> CheckResult:
     """Check v(∅)=0 and decreasing marginals; witness is ``(S, T, o)``.
 
-    The pairwise test Δ(S, o) >= Δ(S+o', o) over all S and distinct o, o'
-    is equivalent to the full nested-set condition.
+    The pairwise test Δ(S, o) >= Δ(S+p, o) over all S and distinct o, p
+    is equivalent to the full nested-set condition.  Since
+    Δ(S, o) − Δ(S+p, o) = Δ(S, p) − Δ(S+o, p), one order per pair o < p is
+    enough: one pass compares lane S of ``delta[o]`` with lane S+p.  The
+    witness is the first failure over S, then o, then p ≠ o; a pair that
+    fails does so in both orders, so that is the least failing (S, o, p)
+    with o < p.
     """
     spec = _require_explicit(spec)
     if spec.table[0] != 0:
         return CheckResult(False, (frozenset(),), "value of the empty set is nonzero")
+    lanes = _Lanes(spec)
     m = spec.num_items
-    for mask in range(1 << m):
-        for o in range(m):
-            bit_o = 1 << o
-            if mask & bit_o:
-                continue
-            delta_s = spec.table[mask | bit_o] - spec.table[mask]
-            for op in range(m):
-                bit_p = 1 << op
-                if op == o or mask & bit_p:
-                    continue
-                bigger = mask | bit_p
-                delta_t = spec.table[bigger | bit_o] - spec.table[bigger]
-                if delta_s < delta_t:
-                    return CheckResult(
-                        False,
-                        (items_of(mask), items_of(bigger), o),
-                        f"marginal of item {o} grows from {delta_s} to {delta_t}",
-                    )
-    return CheckResult(True)
+    first = None
+    for o in range(m):
+        delta = lanes.delta[o]
+        for p in range(o + 1, m):
+            bad = lanes.free[o] & lanes.free[p] & ~lanes.ge(delta, lanes.up(delta, p))
+            if bad:
+                failure = (lanes.lowest(bad), o, p)
+                first = failure if first is None else min(first, failure)
+    if first is None:
+        return CheckResult(True)
+    mask, o, p = first
+    bigger = mask | 1 << p
+    table = spec.table
+    delta_s = table[mask | 1 << o] - table[mask]
+    delta_t = table[bigger | 1 << o] - table[bigger]
+    return CheckResult(
+        False,
+        (items_of(mask), items_of(bigger), o),
+        f"marginal of item {o} grows from {delta_s} to {delta_t}",
+    )
 
 
 def validate_order_neutral(spec: Explicit) -> CheckResult:
-    """Check every bundle has a unique sorted telescoping vector.
+    """Check every bundle has a unique sorted telescoping vector; witness is
+    ``(S, vec1, vec2)``, the first such bundle in mask order with its two
+    least vectors.
 
-    Dynamic program over subsets: the reachable sorted-gain multisets of S
-    are the multisets of S-o extended by Δ(S-o, o).  Pruned at the first
-    bundle with two distinct vectors; witness is ``(S, vec1, vec2)``.
+    The local square test decides it.  For a bundle X, each insertion order
+    gives a multiset of marginals, and any two orders differ by adjacent
+    transpositions.  Swapping o and p after a prefix S replaces
+    {Δ(S,o), Δ(S+o,p)} by {Δ(S,p), Δ(S+p,o)} and leaves every other
+    marginal alone.  So X has one vector iff every square (S, o, p) with
+    S+o+p ⊆ X keeps its pair; a square that changes its pair gives S+o+p,
+    and so every bundle above it, two vectors.  The pairs have equal sums,
+    v(S+o+p) − v(S), so the test is Δ(S,o) ∈ {Δ(S,p), Δ(S+p,o)}, two
+    lane comparisons per pair o < p.  The first bundle with two vectors is
+    then the least S+o+p over failing squares, which for one pair is given
+    by its lowest failing lane S.  Its vectors are rebuilt from
+    ``telescoping_vector`` of its parents, whose vectors are unique.
     """
     spec = _require_explicit(spec)
+    lanes = _Lanes(spec)
     m = spec.num_items
-    reachable: list[Optional[frozenset[tuple[int, ...]]]] = [None] * (1 << m)
-    reachable[0] = frozenset({()})
-    for mask in range(1, 1 << m):
-        vecs = set()
-        for o in range(m):
-            bit = 1 << o
-            if not mask & bit:
-                continue
-            parent = mask ^ bit
-            delta = spec.table[mask] - spec.table[parent]
-            for vec in reachable[parent]:
-                vecs.add(tuple(sorted(vec + (delta,))))
-        if len(vecs) > 1:
-            two = sorted(vecs)[:2]
-            return CheckResult(
-                False,
-                (items_of(mask), two[0], two[1]),
-                f"bundle {sorted(items_of(mask))} has telescoping vectors "
-                f"{two[0]} and {two[1]}",
+    first = None
+    for o in range(m):
+        delta = lanes.delta[o]
+        for p in range(o + 1, m):
+            bad = (
+                lanes.free[o]
+                & lanes.free[p]
+                & lanes.ne(delta, lanes.delta[p])
+                & lanes.ne(delta, lanes.up(delta, p))
             )
-        reachable[mask] = frozenset(vecs)
-    return CheckResult(True)
+            if bad:
+                bundle = lanes.lowest(bad) | 1 << o | 1 << p
+                first = bundle if first is None else min(first, bundle)
+    if first is None:
+        return CheckResult(True)
+    vecs = set()
+    for o in items_of(first):
+        parent = first ^ 1 << o
+        gain = spec.table[first] - spec.table[parent]
+        vecs.add(tuple(sorted(telescoping_vector(spec, items_of(parent)) + (gain,))))
+    two = sorted(vecs)[:2]
+    return CheckResult(
+        False,
+        (items_of(first), two[0], two[1]),
+        f"bundle {sorted(items_of(first))} has telescoping vectors "
+        f"{two[0]} and {two[1]}",
+    )
 
 
 def materialize(spec: ValuationSpec, num_items: int) -> Explicit:

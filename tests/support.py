@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: the canonical randomized suite, a
 constructive source of two-valued submodular tables, a Hypothesis strategy
 for small solver instances, a reference path search, reference
-exchange-graph builders and reference phase-1 and phase-2 loops."""
+exchange-graph builders, reference phase-1 and phase-2 loops and the
+per-subset validator loops the packed-lane validators replaced."""
 
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from manna.instgen import (
     graphic_matroid_rank_table,
 )
 from manna.threshold import is_clean
-from manna.valuations import Additive, Explicit
+from manna.valuations import Additive, CheckResult, Explicit, items_of
 from manna.yankee import _CheckedOracle
 
 ADDITIVE_SEED_BASE = 1000
@@ -327,3 +328,78 @@ def reference_yankee_swap(num_items, betas, turns):
             raise OracleViolation(f"agent {agent}: bundle not clean after augmentation")
         adjacency, desired = unweighted_adjacency(allocation, oracles, candidates, previous)
     return allocation
+
+
+def reference_validate_range(spec, c):
+    """Reference for ``valuations.validate_range``: every (S, o) in turn."""
+    m = spec.num_items
+    allowed = {-1, 0, c}
+    for mask in range(1 << m):
+        for o in range(m):
+            bit = 1 << o
+            if mask & bit:
+                continue
+            delta = spec.table[mask | bit] - spec.table[mask]
+            if delta not in allowed:
+                return CheckResult(
+                    False,
+                    (items_of(mask), o, delta),
+                    f"marginal of item {o} on {sorted(items_of(mask))} is {delta}",
+                )
+    return CheckResult(True)
+
+
+def reference_validate_submodular(spec):
+    """Reference for ``valuations.validate_submodular``: every (S, o, p) in
+    turn, both orders of each pair."""
+    if spec.table[0] != 0:
+        return CheckResult(False, (frozenset(),), "value of the empty set is nonzero")
+    m = spec.num_items
+    for mask in range(1 << m):
+        for o in range(m):
+            bit_o = 1 << o
+            if mask & bit_o:
+                continue
+            delta_s = spec.table[mask | bit_o] - spec.table[mask]
+            for op in range(m):
+                bit_p = 1 << op
+                if op == o or mask & bit_p:
+                    continue
+                bigger = mask | bit_p
+                delta_t = spec.table[bigger | bit_o] - spec.table[bigger]
+                if delta_s < delta_t:
+                    return CheckResult(
+                        False,
+                        (items_of(mask), items_of(bigger), o),
+                        f"marginal of item {o} grows from {delta_s} to {delta_t}",
+                    )
+    return CheckResult(True)
+
+
+def reference_validate_order_neutral(spec):
+    """Reference for ``valuations.validate_order_neutral``: a dynamic program
+    over subsets, where the sorted-gain multisets of S are those of S-o
+    extended by Δ(S-o, o), stopped at the first bundle with two."""
+    m = spec.num_items
+    reachable = [None] * (1 << m)
+    reachable[0] = frozenset({()})
+    for mask in range(1, 1 << m):
+        vecs = set()
+        for o in range(m):
+            bit = 1 << o
+            if not mask & bit:
+                continue
+            parent = mask ^ bit
+            delta = spec.table[mask] - spec.table[parent]
+            for vec in reachable[parent]:
+                vecs.add(tuple(sorted(vec + (delta,))))
+        if len(vecs) > 1:
+            two = sorted(vecs)[:2]
+            return CheckResult(
+                False,
+                (items_of(mask), two[0], two[1]),
+                f"bundle {sorted(items_of(mask))} has telescoping vectors "
+                f"{two[0]} and {two[1]}",
+            )
+        reachable[mask] = frozenset(vecs)
+    return CheckResult(True)

@@ -176,6 +176,63 @@ def test_validate_command(fixture_file, capsys):
     assert report["agents"][0]["order_neutral"] is False
 
 
+# Agent 2's table fails all three validators; the report pins each witness.
+FAILING_TABLES = {
+    "c": 1, "num_agents": 2, "num_items": 3,
+    "agents": [
+        {"kind": "explicit", "table": {
+            "": 0, "0": 1, "1": 1, "0,1": 1, "2": 1, "0,2": 1, "1,2": 1, "0,1,2": 1}},
+        {"kind": "explicit", "table": {
+            "": 0, "0": 1, "1": 0, "0,1": 2, "2": 1, "0,2": 1, "1,2": 1, "0,1,2": 3}},
+    ],
+}
+FAILING_REPORT = """{
+  "agents": [
+    {
+      "agent": 1,
+      "checked": true,
+      "kind": "Explicit",
+      "order_neutral": true,
+      "range": true,
+      "submodular": true
+    },
+    {
+      "agent": 2,
+      "checked": true,
+      "kind": "Explicit",
+      "order_neutral": false,
+      "order_neutral_witness": "bundle [0, 1] has telescoping vectors (0, 2) and (1, 1)",
+      "range": false,
+      "range_witness": "marginal of item 0 on [1] is 2",
+      "submodular": false,
+      "submodular_witness": "marginal of item 0 grows from 1 to 2"
+    }
+  ],
+  "ok": false
+}
+"""
+
+
+def test_validate_failing_tables_report_is_byte_identical(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(FAILING_TABLES))
+    code, out, _ = run(capsys, ["validate", "--instance", str(path)])
+    assert code == 4
+    assert out == FAILING_REPORT
+
+
+@pytest.mark.parametrize("num_items", [-1, 21, 10**12])
+def test_solve_rejects_explicit_item_count_out_of_range(tmp_path, capsys, num_items):
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({
+        "c": 1, "num_agents": 1, "num_items": num_items,
+        "agents": [{"kind": "explicit", "table": {"": 0}}],
+    }))
+    code, _, err = run(capsys, ["solve", "--instance", str(path)])
+    assert code == 4
+    assert f"explicit tables cover 0 to 20 items, not {num_items}" in err
+
+
 def test_bench_csv(capsys):
     code, out, _ = run(
         capsys,

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,57 @@ def test_parse_instance_structural_errors():
             '{"c": 1, "num_agents": 1, "num_items": 1,'
             ' "agents": [{"kind": "explicit", "table": {"": 0}}]}'
         )
+
+
+def _explicit_doc(table, num_items=2):
+    return json.dumps({
+        "c": 1, "num_agents": 1, "num_items": num_items,
+        "agents": [{"kind": "explicit", "table": table}],
+    })
+
+
+def test_parse_explicit_accepts_non_canonical_keys():
+    canonical = {"": 0, "0": 1, "1": 1, "0,1": 2, "2": 1, "0,2": 2, "1,2": 2, "0,1,2": 3}
+    shuffled = {"1,0": 2, "": 0, "2,1,0": 3, "1": 1, "2,0": 2, "0": 1, "2": 1, "1,2": 2}
+    expected = (0, 1, 1, 2, 1, 2, 2, 3)
+    assert parse_instance(_explicit_doc(canonical, 3)).valuation(1).table == expected
+    assert parse_instance(_explicit_doc(shuffled, 3)).valuation(1).table == expected
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ({"": 0, "0": 1, "0,1": 2, "1,0": 2},
+         "instance.agents[0].table['1,0']: duplicate subset key"),
+        ({"": 0, "0": 1, "1,0": 2, "0,1": 2},
+         "instance.agents[0].table['0,1']: duplicate subset key"),
+        ({"": 0, "0": True, "1": 1, "0,1": 2},
+         "instance.agents[0].table['0']: expected an integer value"),
+        ({"": 0, "0": 1, "1": "1", "0,1": 2},
+         "instance.agents[0].table['1']: expected an integer value"),
+        ({"1,0": 2, "0,1": True, "": 0, "0": 1},
+         "instance.agents[0].table['0,1']: expected an integer value"),
+        ({"": 0, "0": 1, "2": 1, "0,1": 2},
+         "instance.agents[0].table['2']: subset key out of range"),
+        ({"": 0, "0": 1, "x": 1, "0,1": 2},
+         "instance.agents[0].table['x']: malformed subset key"),
+        ({"": 0, "0": 1, "1": 1},
+         "instance.agents[0].table: expected 4 entries, found 3"),
+    ],
+)
+def test_parse_explicit_errors(table, message):
+    with pytest.raises(ParseError) as err:
+        parse_instance(_explicit_doc(table))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("num_items", [-1, 21, 10**12])
+def test_parse_explicit_rejects_item_count_out_of_range(num_items):
+    with pytest.raises(ParseError) as err:
+        parse_instance(_explicit_doc({"": 0}, num_items))
+    assert str(err.value) == (
+        f"instance.agents[0].table: explicit tables cover 0 to 20 items, not {num_items}"
+    )
 
 
 def test_allocation_round_trip_and_errors():

@@ -2,10 +2,11 @@
 
 ``perfbench/spans.py`` wraps manna's functions at the names their callers
 look them up by, so renaming one of them would break ``run.py --trace 1``
-without any other test noticing.  This test installs the tracer, solves a
-few ``desk-batch`` instances through the benchmark's own operation, and
-checks the reports and the trace's self-check against each other.  It reads
-``perfbench/`` and writes nothing there.
+without any other test noticing.  These tests install the tracer, solve a
+few ``desk-batch`` instances and one ``explicit-validate`` instance through
+the benchmark's own operation, and check the reports and the trace's
+counts against each other.  They read ``perfbench/`` and write nothing
+there.
 """
 
 from pathlib import Path
@@ -16,16 +17,19 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 INSTANCES = 8
 
 
-def test_traced_desk_batch_matches_digests_and_counts_augmentations(monkeypatch):
+def _traced(monkeypatch, name, count):
+    """Solve the first ``count`` instances of workload ``name`` at the default
+    seed under the tracer, check each report against its frozen digest, and
+    return the ``(instance, report, output)`` triples and the trace table."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import run
     import spans
     import workloads
 
-    workload = workloads.WORKLOADS["desk-batch"]
-    uids = workloads.pool_ids(workload, run.DEFAULT_SEED)[:INSTANCES]
+    workload = workloads.WORKLOADS[name]
+    uids = workloads.pool_ids(workload, run.DEFAULT_SEED)[:count]
     texts = workloads.generate(workload, uids)
-    digests = run.load_digests("desk-batch")
+    digests = run.load_digests(name)
 
     tracer = spans.Tracer()
     tracer.install(manna)
@@ -36,7 +40,11 @@ def test_traced_desk_batch_matches_digests_and_counts_augmentations(monkeypatch)
 
     for uid, (_inst, _report, out) in zip(uids, reports):
         assert run.report_digest(out) == digests[uid]
-    table = tracer.summary()
+    return reports, tracer.summary()
+
+
+def test_traced_desk_batch_matches_digests_and_counts_augmentations(monkeypatch):
+    reports, table = _traced(monkeypatch, "desk-batch", INSTANCES)
     augmentations = sum(
         r.pareto_augmentations + r.exchange_augmentations for _i, r, _o in reports
     )
@@ -45,3 +53,11 @@ def test_traced_desk_batch_matches_digests_and_counts_augmentations(monkeypatch)
     assert table["solver.phase1"]["calls"] == INSTANCES
     assert table["yankee.shortest_path_to_pool"]["calls"] > 0
     assert table["exchange.unweighted_adjacency"]["calls"] > 0
+
+
+def test_traced_explicit_validate_runs_each_validator_per_agent(monkeypatch):
+    reports, table = _traced(monkeypatch, "explicit-validate", 1)
+    ((inst, _report, _out),) = reports
+    assert inst.num_agents == 4
+    for name in ("submodular", "order_neutral", "range"):
+        assert table[f"valuations.validate_{name}"]["calls"] == inst.num_agents

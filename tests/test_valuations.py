@@ -18,7 +18,13 @@ from manna.valuations import (
     validate_submodular,
 )
 from manna.yankee import _CheckedOracle
-from support import graphic_matroid_instance, random_two_valued_table
+from support import (
+    graphic_matroid_instance,
+    random_two_valued_table,
+    reference_validate_order_neutral,
+    reference_validate_range,
+    reference_validate_submodular,
+)
 
 C = 2
 CAP_PAIR = CappedGroups((Group(frozenset({0, 1}), 1, C, 0),), 0)  # c·min(|S∩{0,1}|,1)
@@ -148,6 +154,48 @@ def test_two_valued_submodular_implies_order_neutral(seed):
     table = random_two_valued_table(4, -1, 1, seed)
     assert validate_submodular(table).ok
     assert validate_order_neutral(table).ok
+
+
+@st.composite
+def explicit_tables(draw):
+    """A table over m = 0..7 items and a c, drawn both near and far from the
+    validators' boundaries: a materialized additive or capped valuation, a
+    two-valued submodular table or raw small integers; then perhaps a few
+    entries perturbed, every value scaled up to 2^70, and the whole table
+    shifted off v(∅) = 0, into or across the top of the one-byte range
+    [0, 64) that packs without a scan for the span."""
+    m = draw(st.sampled_from(range(8)))
+    c = draw(st.sampled_from((1, 2, 3, 2**40 + 1)))
+    seed = draw(st.integers(0, 2**16))
+    family = draw(st.sampled_from(("additive", "capped", "two_valued", "raw")))
+    if family == "additive":
+        table = materialize(gen_random_additive(1, m, c, (1, 1, 2), seed).valuation(1), m).table
+    elif family == "capped":
+        inst = gen_capped_groups(1, m, c, (1, 3), (0, 3), seed)
+        table = materialize(inst.valuation(1), m).table
+    elif family == "two_valued" and m:
+        a, b = draw(st.sampled_from(((-1, 0), (-1, c), (0, c), (-2, 1))))
+        table = random_two_valued_table(m, a, b, seed).table
+    else:
+        table = draw(st.lists(st.integers(-3, 3), min_size=1 << m, max_size=1 << m))
+    table = list(table)
+    for _ in range(draw(st.integers(0, 2))):
+        table[draw(st.integers(0, (1 << m) - 1))] += draw(st.sampled_from((-1, 1, c, 2**70)))
+    scale = draw(st.sampled_from((1, 1, 2, 2**35, 2**70)))
+    shift = draw(st.sampled_from((0, 0, 0, 1, 40, 61, -(2**70))))
+    return Explicit(m, tuple(v * scale + shift for v in table)), c
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(explicit_tables())
+def test_packed_validators_equal_reference_loops(drawn):
+    spec, c = drawn
+    for fast, slow in (
+        (validate_submodular(spec), reference_validate_submodular(spec)),
+        (validate_order_neutral(spec), reference_validate_order_neutral(spec)),
+        (validate_range(spec, c), reference_validate_range(spec, c)),
+    ):
+        assert (fast.ok, fast.witness, fast.message) == (slow.ok, slow.witness, slow.message)
 
 
 def test_capped_groups_rejects_overlapping_groups():
