@@ -11,7 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ContractViolation, InvalidInstance
 from .valuations import ValuationSpec, validate_structure
@@ -54,7 +54,8 @@ class Allocation:
     """An (n+1)-way partition of the items ``0 .. m-1``.
 
     ``bundles[i-1]`` is agent ``i``'s bundle; ``unallocated`` is the pool.
-    The constructor enforces the disjoint-cover invariant.
+    The constructor enforces the disjoint-cover invariant, and
+    ``replace_bundles`` keeps it.
     """
 
     bundles: tuple[frozenset[int], ...]
@@ -103,9 +104,37 @@ class Allocation:
     def replace_bundle(self, agent: int, items: Iterable[int]) -> "Allocation":
         """New allocation with agent's bundle replaced; pool adjusts to cover.
         Every other bundle is passed through as the same object."""
-        new = list(self.bundles)
-        old, new[agent - 1] = new[agent - 1], frozenset(items)
-        return Allocation(tuple(new), (self.unallocated | old) - new[agent - 1])
+        new = frozenset(items)
+        pool = (self.unallocated | self.bundle(agent)) - new
+        return self.replace_bundles({agent: new, 0: pool})
+
+    def replace_bundles(self, parts: Mapping[int, Iterable[int]]) -> "Allocation":
+        """New allocation with ``parts[k]`` as agent k's bundle (``k = 0``:
+        the pool) for each key k, an agent or 0; every other bundle is
+        passed through as the same object.
+
+        Checked in O(n + size of the replaced parts), where the
+        constructor's check is O(n + m), and as strong.  This allocation is
+        a disjoint cover of the items, so its unreplaced bundles cover
+        exactly the items that its replaced parts do not.  The result is
+        therefore a disjoint cover exactly when the new parts are pairwise
+        disjoint and cover the same items as the parts they replace.
+        Raises ``ContractViolation`` otherwise.
+        """
+        everything = [self.unallocated, *self.bundles]  # indexed by agent
+        new = [frozenset(items) for items in parts.values()]
+        covered = frozenset().union(*new)
+        if len(covered) != sum(map(len, new)):
+            raise ContractViolation("allocation bundles are not pairwise disjoint")
+        if covered != frozenset().union(*[everything[k] for k in parts]):
+            raise ContractViolation("replaced bundles change the items they cover")
+        for k, bundle in zip(parts, new):
+            everything[k] = bundle
+        # the constructor would repeat the O(m) check just argued for
+        derived = object.__new__(Allocation)
+        object.__setattr__(derived, "bundles", tuple(everything[1:]))
+        object.__setattr__(derived, "unallocated", everything[0])
+        return derived
 
     @property
     def is_complete(self) -> bool:

@@ -19,9 +19,27 @@ lexicographically smallest item sequence.  A search stops at the first
 target it reaches, which holds the least key of all targets: exactly the one
 a search run to exhaustion would pick.
 
-* **Phase 2 runs Dijkstra.**  Extending a path strictly increases its key
-  ``(cost, edges, item sequence)``, so Dijkstra settles keys in increasing
-  order and the first target it settles has the least key.
+* **Phase 2 runs a lazy Dijkstra, one search for both path kinds.**
+  Extending a path strictly increases its key ``(cost, edges, item
+  sequence)``, so Dijkstra settles keys in increasing order and the first
+  target it settles has the least key.  The heap holds cursors, not edges.
+  Out-lists are sorted by item, and the extensions of a path through the
+  edges of one *class* share its cost, edge count and prefix, so their keys
+  rise with the item.  One cursor per expanded node and class stands for
+  all of them with its least key whose item is not yet settled; popped, it
+  moves on past the items settled since.  So the heap's least entry is the
+  least key an eager search, pushing every edge, would hold, and each item
+  is settled at its first pop.  The search stops at the first target, so
+  most of each out-list is never read.  An exchange edge's class is its
+  weight, 1 or 2.  A pool search's class adds whether the edge enters the
+  pool: an item picked up from the pool along ``u -> v`` costs 1 exactly
+  when ``v`` lies in the zero-valued bundle of ``u``'s holder, the very
+  test that made the edge's weight 1, so a pool edge costs twice its
+  weight.  The builder records, per node, the weights of its holder's
+  candidate edges: exactly its out-list's weights when the list is shared,
+  as every additive agent's is, so that no cursor walks such a list for a
+  class it lacks.  An item with a list of its own gets its holder's
+  weights too, which is cheaper than scanning each list.
 * **Phase 1 searches breadth-first.**  Every edge weighs 1, so cost equals
   edge count and the key is ``(edges, item sequence)``.  A FIFO search
   discovers items in that order: a layer sorted by path key, expanded in
@@ -88,18 +106,23 @@ these things are shared instead of recomputed:
 
 * **In-place updates.**  Agent j's weighted edges and desired items depend
   on ``xc_j``, ``x0_j`` and j's valuation, and ``build_weighted_graph``
-  recomputes them, with the owners of j's items, only when one of j's
-  bundle objects changed.  The desired items at threshold c, the sources
+  recomputes them, with j's nodes and their weights, only when one of
+  j's bundle objects changed.  The desired items at threshold c, the sources
   of j's searches, are the sure candidates of its out-lists.
 * **Agent quotient.**  The held items of an agent whose items all share one
   out-list -- every additive agent -- form one node; every other item with
-  out-edges is a node of its own.  The graph keeps, per item, the set of
-  nodes with an edge into it.  Only the entries that a rebuilt agent's old
-  or new nodes point into change.
+  out-edges is a node of its own.
+* **Reverse lists only where they are read.**  The graph keeps, per item,
+  the set of nodes with an edge into it, for the reverse search below.
+  Only pool searches read them.  In the Pareto stage they are kept in
+  place: only the entries that a rebuilt agent's old or new nodes point
+  into change.  The exchange stage makes no pool search until its final
+  check, so it stops keeping them, and ``reaching`` rebuilds them once,
+  from the nodes and their out-lists, before that check.
 * **Reachability pre-filter, for pool searches only.**  Each graph caches
   the items that can reach the pool, found by a reverse search that
   expands each node into its members once.  A ``pareto_improving`` search
-  returns None, before it builds start keys or runs Dijkstra, when no
+  returns None, before it builds start costs or runs Dijkstra, when no
   source is among them.  Those are exactly the runs in which Dijkstra
   would reach no target and return None, so the searches that do run are
   unchanged.  The one reverse search serves the Pareto scan of all n
@@ -109,7 +132,7 @@ these things are shared instead of recomputed:
   nearly always exists.  A reverse search there would cost about as much
   as the Dijkstra run it could spare, so exchange searches run Dijkstra
   directly.
-* **One expansion per node.**  Dijkstra relaxes a shared node's edges only
+* **One expansion per node.**  Dijkstra pushes a shared node's cursors only
   when the first of its members leaves the heap; a later member is still
   tested as a target, but not expanded.  This prunes nothing that matters.
   The members share one out-list, so the same weights, and one holder, so
@@ -257,16 +280,19 @@ def unweighted_adjacency(
 class WeightedExchangeGraph:
     """Exchange graph of ``xc`` under the c-threshold oracles, with doubled
     integer edge weights derived from ``x0`` membership.  ``candidates[i-1]``
-    is agent i's ``candidate_items`` at threshold c, ``desired[i-1]`` its
-    ``f_set`` at threshold c, and ``owner`` maps each item to the agent whose
-    counted bundle holds it (0 for the pool).
+    is agent i's ``candidate_items`` at threshold c and ``desired[i-1]`` its
+    ``f_set`` at threshold c.
 
     The graph is also kept as its agent quotient.  Each item with out-edges
     lies in one node: agent i's node ``-i`` when all of i's held items share
     one out-list, else a node of its own, named by the item.  ``node_of``
     maps such an item to its node, ``members`` a node to its items in
-    ascending order, and ``reverse`` an item to the nodes with an edge into
-    it.
+    ascending order, ``weights`` a node to the weights of its holder's
+    candidate edges (``(1,)``, ``(2,)`` or ``(1, 2)``; every weight its
+    out-list has, and exactly those for a shared list), and ``reverse`` an
+    item to the nodes with an edge into it.  ``reverse`` is valid wherever
+    it is read: while ``reverse_kept`` is False it is not kept up to date,
+    and ``reaching`` rebuilds it before reading it.
 
     A graph passed as ``previous`` to ``build_weighted_graph`` is advanced
     in place to the new state and returned.
@@ -275,13 +301,14 @@ class WeightedExchangeGraph:
     inst: Instance
     xc: Allocation
     x0: Allocation
-    owner: list[int]
     adjacency: dict[int, tuple[tuple[int, int], ...]]
     candidates: tuple[tuple[int, ...], ...]
     desired: list[frozenset[int]]
     node_of: dict[int, int]
     members: dict[int, tuple[int, ...]]
+    weights: dict[int, tuple[int, ...]]
     reverse: dict[int, set[int]]
+    reverse_kept: bool = True
     _reaching: dict[frozenset[int], frozenset[int]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -289,7 +316,16 @@ class WeightedExchangeGraph:
     def reaching(self, targets: frozenset[int]) -> frozenset[int]:
         """Items with a path to some item of ``targets`` (targets included),
         computed once per target set by a reverse search that expands each
-        node into its members once."""
+        node into its members once.  Rebuilds ``reverse`` first when it is
+        not kept."""
+        if not self.reverse_kept:
+            # The stale lists are freed only now, so that the new ones can
+            # take their memory: freed any earlier, it went to other objects
+            # and the rebuild raised the peak RSS.
+            self.reverse = {}
+            for node, items in self.members.items():
+                _point_into(self.reverse, node, self.adjacency[items[0]])
+            self.reverse_kept = True
         if targets not in self._reaching:
             seen = set(targets)
             stack = list(targets)
@@ -342,8 +378,7 @@ def build_weighted_graph(
         )
         n = inst.num_agents
         graph = WeightedExchangeGraph(
-            inst, xc, x0, [0] * inst.num_items, {}, candidates, [frozenset()] * n,
-            {}, {}, {},
+            inst, xc, x0, {}, candidates, [frozenset()] * n, {}, {}, {}, {}
         )
         old_xc = old_x0 = (None,) * n  # every agent is computed
     elif previous.inst is not inst:
@@ -363,30 +398,48 @@ def build_weighted_graph(
     return graph
 
 
+# Edge weights, indexed by (has weight 1) + 2 * (has weight 2): shared
+# constants, so that a node's entry allocates nothing.
+_WEIGHT_CLASSES = ((), (1,), (2,), (1, 2))
+
+
+def _point_into(reverse, node, out):
+    """Record in ``reverse`` that ``node`` has an edge into each item of its
+    out-list ``out``."""
+    for v, _w in out:
+        into = reverse.get(v)
+        if into is None:
+            reverse[v] = {node}
+        else:
+            into.add(node)
+
+
 def _advance(graph, changed, old_xc):
     """Recompute in place the entries of the agents in ``changed``, whose
     counted bundles were ``old_xc[j-1]`` (None: no entries yet).
 
     Every old entry goes before any new one is added, since an item can move
-    between two changed agents.  A node's reverse entries leave with it and
-    come back with its new out-list.
+    between two changed agents.  A node's reverse entries, while ``reverse``
+    is kept, leave with it and come back with its new out-list.
     """
     inst, xc, x0 = graph.inst, graph.xc, graph.x0
-    owner, adjacency, desired = graph.owner, graph.adjacency, graph.desired
-    node_of, members, reverse = graph.node_of, graph.members, graph.reverse
+    adjacency, desired = graph.adjacency, graph.desired
+    node_of, members, weights = graph.node_of, graph.members, graph.weights
+    reverse = graph.reverse if graph.reverse_kept else None
     for j in changed:
         for o in old_xc[j - 1] or ():
-            owner[o] = 0
             out = adjacency.pop(o, None)
             if out is None:
                 continue
             node = node_of.pop(o)
             if members.pop(node, None) is not None:  # the node's first member
-                for v, _w in out:
-                    into = reverse[v]
-                    into.discard(node)
-                    if not into:
-                        del reverse[v]
+                del weights[node]
+                if reverse is not None:
+                    for v, _w in out:
+                        into = reverse[v]
+                        into.discard(node)
+                        if not into:
+                            del reverse[v]
     for j in changed:
         bundle = xc.bundles[j - 1]
         candidates = graph.candidates[j - 1]
@@ -394,14 +447,13 @@ def _advance(graph, changed, old_xc):
             # on the empty bundle, exactly the candidates
             desired[j - 1] = frozenset(candidates)
             continue
-        for o in bundle:
-            owner[o] = j
         x0_j = x0.bundles[j - 1]
         outside = [op for op in candidates if op not in bundle]
         # One (item, weight) edge per candidate, shared by every out-list.
         # Parallel lists, not (item, edge) pairs: short-lived tuples mixed in
         # with the long-lived edges fragmented memory and raised peak RSS.
         edges = [(op, 1 if op in x0_j else 2) for op in outside]
+        light, heavy = not x0_j.isdisjoint(outside), not x0_j.issuperset(outside)
         out, desired[j - 1] = _out_lists(
             bundle, outside, edges, inst.valuation(j).marginals, inst.c
         )
@@ -411,12 +463,9 @@ def _advance(graph, changed, old_xc):
         for node, items in nodes.items():
             members[node] = items
             node_of.update(dict.fromkeys(items, node))
-            for v, _w in out[items[0]]:
-                into = reverse.get(v)
-                if into is None:
-                    reverse[v] = {node}
-                else:
-                    into.add(node)
+            weights[node] = _WEIGHT_CLASSES[light + 2 * heavy]
+            if reverse is not None:
+                _point_into(reverse, node, out[items[0]])
 
 
 @dataclass(frozen=True)
@@ -435,39 +484,64 @@ class AugmentingPath:
     doubled_weight: int
 
 
-def _run_dijkstra(starts, neighbors, targets, node_of):
+def _run_dijkstra(starts, adjacency, node_of, weights, targets, pool):
     """Least key ``(cost, edge count, item path)`` of a path from ``starts``
     to ``targets``, or None when no target is reachable.
 
-    Extending a path strictly increases its key, so keys leave the heap in
-    increasing order and the first target popped with its final key is the
-    least one; the search stops there.
+    ``starts`` maps each source to the cost of its one-item path.
+    ``adjacency`` maps an item to its out-list of ``(item, weight)`` edges in
+    ascending item order, ``node_of`` an item to its quotient node, and
+    ``weights`` a node to weights that include those on its out-list.  An
+    edge ``u -> v`` costs its weight ``w``, or ``2w`` when ``pool`` is set
+    and ``v`` is a target.
 
-    ``node_of`` maps items to quotient nodes whose members ``neighbors``
-    gives the same extensions, with the same added costs.  Only the first
-    member popped is expanded: a later one has a larger key, so each of its
-    extensions would have a larger key too and improve nothing.
+    The lazy search of the module docstring.  A heap entry is ``(cost, edge
+    count, prefix, item, out-list, index, weight)``: a cursor at ``index``
+    of ``out-list``, or, with no out-list, a start or a pool edge's target.
+    A target popped ends the search, so a target class never moves on: its
+    entry is its first target.  Entries with one prefix come from the
+    cursors of one item, which never point at the same item, so no two
+    entries agree on their first four fields and the rest is never compared.
     """
-    best = dict(starts)
-    heap = [(key, u) for u, key in sorted(starts.items())]
+    heap = [(cost, 0, (), o, None, 0, 0) for o, cost in starts.items()]
     heapq.heapify(heap)
+    skip = targets if pool else ()  # what a non-target cursor passes over
+    settled = set()
     expanded = set()
     while heap:
-        key, u = heapq.heappop(heap)
-        if key > best[u]:
+        cost, nedges, prefix, v, out, k, weight = heap[0]
+        if v in targets:
+            return cost, nedges, prefix + (v,)
+        if out is None:
+            heapq.heappop(heap)
+        else:
+            for k in range(k + 1, len(out)):
+                u, w = out[k]
+                if w == weight and u not in settled and u not in skip:
+                    heapq.heapreplace(heap, (cost, nedges, prefix, u, out, k, weight))
+                    break
+            else:
+                heapq.heappop(heap)
+        if v in settled:
             continue
-        if u in targets:
-            return key
-        node = node_of.get(u, u)
-        if node in expanded:
+        settled.add(v)
+        node = node_of.get(v)
+        if node is None or node in expanded:
             continue
         expanded.add(node)
-        cost, nedges, path = key
-        for v, add in neighbors(u):
-            cand = (cost + add, nedges + 1, path + (v,))
-            if v not in best or cand < best[v]:
-                best[v] = cand
-                heapq.heappush(heap, (cand, v))
+        out = adjacency[v]
+        path = prefix + (v,)
+        nedges += 1
+        for weight in weights[node]:
+            for k, (u, w) in enumerate(out):
+                if w == weight and u not in settled and u not in skip:
+                    heapq.heappush(heap, (cost + w, nedges, path, u, out, k, w))
+                    break
+            if pool:
+                for u, w in out:
+                    if w == weight and u in targets:
+                        heapq.heappush(heap, (cost + 2 * w, nedges, path, u, None, 0, 0))
+                        break
     return None
 
 
@@ -480,36 +554,31 @@ def min_weight_path(
 ) -> Optional[AugmentingPath]:
     """Least-cost augmenting path from ``sources`` (the requesting agent's
     desired items) to the pool (``pareto_improving``) or to ``target_agent``'s
-    counted bundle (``exchange``).  Returns None when no path exists."""
+    counted bundle (``exchange``).  Returns None when no path exists.
+
+    A pool item ``v`` reached along ``u -> v`` is picked up by ``u``'s
+    holder, at 1 when it holds ``v`` in its zero-valued bundle, else 2:
+    the edge's own weight, which tests the same membership.  So such an
+    edge costs twice its weight."""
     xc, x0 = graph.xc, graph.x0
     if kind == PARETO:
         targets = xc.unallocated
         if graph.reaching(targets).isdisjoint(sources):
             return None
+        held = x0.bundle(agent)
+        starts = {
+            o: (1 if o in held else 2) if o in targets else 0 for o in sources
+        }
     elif kind == EXCHANGE:
         if target_agent is None or target_agent == agent:
             raise ContractViolation("exchange paths need a distinct target agent")
         targets = xc.bundle(target_agent)
+        starts = dict.fromkeys(sources, 0)
     else:
         raise ContractViolation(f"unknown path kind {kind!r}")
-
-    def pickup(absorber: int, item: int) -> int:
-        return 1 if item in x0.bundle(absorber) else 2
-
-    starts = {}
-    for o in sorted(sources):
-        cost = pickup(agent, o) if (kind == PARETO and o in targets) else 0
-        starts[o] = (cost, 0, (o,))
-
-    if kind == PARETO:
-        def neighbors(u):
-            for v, w in graph.adjacency.get(u, ()):
-                yield v, w + (pickup(graph.owner[u], v) if v in targets else 0)
-    else:
-        def neighbors(u):
-            yield from graph.adjacency.get(u, ())
-
-    key = _run_dijkstra(starts, neighbors, targets, graph.node_of)
+    key = _run_dijkstra(
+        starts, graph.adjacency, graph.node_of, graph.weights, targets, kind == PARETO
+    )
     if key is None:
         return None
     target = 0 if kind == PARETO else target_agent
@@ -521,21 +590,20 @@ def shift_along_path(allocation: Allocation, items: Sequence[int], gainer: int) 
     toward the start, the last item leaves its bundle, and the first item
     joins ``gainer``'s bundle.
 
-    Only the gainer's and the path holders' bundles are rebuilt; every other
-    agent's bundle is passed through as the same object."""
+    Only the gainer's and the path holders' bundles, the pool among them
+    when the last item is unallocated, are rebuilt and checked; every other
+    bundle is passed through as the same object."""
     path_set = set(items)
     if len(path_set) != len(items):
         raise ContractViolation("augmenting path repeats an item")
     holders = [allocation.owner_of(o) for o in items]
     if 0 in holders[:-1]:
         raise ContractViolation("interior path item is unallocated")
-    receivers = [gainer, *holders[:-1]]  # items[k] goes to receivers[k]
-    bundles = list(allocation.bundles)
-    for k in {gainer, *holders} - {0}:
-        arrivals = {o for o, r in zip(items, receivers) if r == k}
-        bundles[k - 1] = (bundles[k - 1] - path_set) | arrivals
-    # every path item ends up held: items[k] goes to receivers[k], never 0
-    return Allocation(tuple(bundles), allocation.unallocated - path_set)
+    receivers = (gainer, *holders)  # items[k] goes to receivers[k], never 0
+    parts = {k: allocation.bundle(k) - path_set for k in receivers}
+    for o, k in zip(items, receivers):
+        parts[k] = parts[k] | {o}
+    return allocation.replace_bundles(parts)
 
 
 def clean_state_violations(

@@ -167,6 +167,10 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
             inst, state.xc, state.x0, check=False, previous=graph
         )
 
+    # Only Pareto searches read the reverse lists, through ``reaching``, so
+    # the exchange stage does not keep them; the final Pareto scan rebuilds
+    # them.
+    graph.reverse_kept = False
     sizes = state.xc.sizes()
     potential = _scaled_potential(sizes)
     exchanged = False

@@ -23,7 +23,7 @@ rejects it: the unrestricted problem is intractable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ContractViolation, MalformedValuation
@@ -212,6 +212,12 @@ class Explicit:
         table = self.table
         base = table[m]
         return [table[m | 1 << o] - base for o in candidates]
+
+    @cached_property
+    def _lanes(self) -> "_Lanes":
+        """The table packed into lanes, built at first use and kept with the
+        spec, so that the three validators pack each table once."""
+        return _Lanes(self)
 
 
 ValuationSpec = Union[Additive, GeneralAdditive, CappedGroups, Explicit]
@@ -403,7 +409,7 @@ def validate_range(spec: Explicit, c: int) -> CheckResult:
     match and is left out.
     """
     spec = _require_explicit(spec)
-    lanes = _Lanes(spec)
+    lanes = spec._lanes
     targets = [
         lanes.ones * (lanes.bias + d) for d in {-1, 0, c} if 0 <= lanes.bias + d < 2 * lanes.bias
     ]
@@ -440,7 +446,7 @@ def validate_submodular(spec: Explicit) -> CheckResult:
     spec = _require_explicit(spec)
     if spec.table[0] != 0:
         return CheckResult(False, (frozenset(),), "value of the empty set is nonzero")
-    lanes = _Lanes(spec)
+    lanes = spec._lanes
     m = spec.num_items
     first = None
     for o in range(m):
@@ -483,7 +489,7 @@ def validate_order_neutral(spec: Explicit) -> CheckResult:
     ``telescoping_vector`` of its parents, whose vectors are unique.
     """
     spec = _require_explicit(spec)
-    lanes = _Lanes(spec)
+    lanes = spec._lanes
     m = spec.num_items
     first = None
     for o in range(m):

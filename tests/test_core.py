@@ -85,6 +85,28 @@ def test_allocation_helpers():
         back.replace_bundle(2, {2})  # o2 is agent 1's
 
 
+def test_replace_bundles_checks_only_the_replaced_parts():
+    alloc = Allocation(
+        (frozenset({0, 1}), frozenset({3}), frozenset({4})), frozenset({2})
+    )
+    moved = alloc.replace_bundles({1: {0}, 0: {1, 2}})
+    assert moved == Allocation(
+        (frozenset({0}), frozenset({3}), frozenset({4})), frozenset({1, 2})
+    )
+    assert moved.bundles[1] is alloc.bundles[1] and moved.bundles[2] is alloc.bundles[2]
+    swapped = alloc.replace_bundles({1: {0, 3}, 2: {1}})
+    assert swapped.bundles == (frozenset({0, 3}), frozenset({1}), frozenset({4}))
+    assert swapped.unallocated is alloc.unallocated
+    for parts in (
+        {1: {0, 1, 4}},  # o4 duplicated into a bundle that agent 3 keeps
+        {1: {0, 1}, 0: {1, 2}},  # o1 in two replaced parts
+        {1: {0}},  # o1 dropped
+        {1: {0, 1, 5}},  # o5 added: there is no such item
+    ):
+        with pytest.raises(ContractViolation):
+            alloc.replace_bundles(parts)
+
+
 def test_instance_validation():
     with pytest.raises(InvalidInstance):
         Instance(0, 2, 1, ())

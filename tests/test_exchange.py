@@ -1,3 +1,6 @@
+import dataclasses
+import heapq
+import types
 from collections import deque
 
 import pytest
@@ -258,10 +261,19 @@ EQUIVALENCE_INSTANCES = {
 
 def _assert_equals_fresh_build(g):
     """Every part of ``g`` -- edge lists with their weights and order, the
-    quotient, owners and desired items -- equals a fresh build's."""
+    quotient with its weights, and desired items -- equals a fresh build's.
+    Reverse lists are compared where they are read: those of a graph that
+    does not keep them (the exchange stage's) are compared as ``reaching``
+    rebuilds them, on a copy that leaves ``g`` as it was."""
     fresh = build_weighted_graph(g.inst, g.xc, g.x0)
     assert g.dump() == fresh.dump()
-    for name in ("adjacency", "node_of", "members", "reverse", "owner", "desired"):
+    if not g.reverse_kept:
+        g = dataclasses.replace(g)
+        g.reaching(g.xc.unallocated)
+        assert g.reverse_kept
+    for name in (
+        "adjacency", "node_of", "members", "weights", "reverse", "desired"
+    ):
         assert getattr(g, name) == getattr(fresh, name), name
 
 
@@ -269,8 +281,10 @@ def _assert_equals_fresh_build(g):
 def test_incremental_graph_equals_fresh_build(monkeypatch, name):
     inst = EQUIVALENCE_INSTANCES[name]()
     kinds = set()
+    kept = []  # per graph, whether it keeps reverse lists
 
     def check(g):
+        kept.append(g.reverse_kept)
         _assert_equals_fresh_build(g)
         assert set(g.node_of) == set(g.adjacency)
         for node, items in g.members.items():
@@ -281,6 +295,8 @@ def test_incremental_graph_equals_fresh_build(monkeypatch, name):
 
     assert _phase2_graphs(monkeypatch, inst, check) > 10
     assert kinds == ({True} if name.startswith("additive") else {True, False})
+    # the Pareto stage keeps them in place; the exchange stage does not
+    assert kept[0] and not kept[-1]
 
 
 FULL_SCAN_INSTANCES = {
@@ -514,13 +530,28 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
     # searches that find nothing run too
     outcomes.clear()
     bounded = exchange._run_dijkstra
+    graph = None  # the graph being searched
 
-    def checked(starts, neighbors, targets, node_of):
-        key = bounded(starts, neighbors, targets, node_of)
-        assert key == exhaustive_least_key(starts, neighbors, targets)
+    def checked(starts, adjacency, node_of, weights, targets, pool):
+        key = bounded(starts, adjacency, node_of, weights, targets, pool)
+        x0 = graph.x0
+
+        def neighbors(u):
+            # the pickup as defined, not as the search derives it
+            for v, w in adjacency.get(u, ()):
+                pickup = 1 if v in x0.bundle(graph.xc.owner_of(u)) else 2
+                yield v, w + (pickup if pool and v in targets else 0)
+
+        reference_starts = {o: (cost, 0, (o,)) for o, cost in starts.items()}
+        assert key == exhaustive_least_key(reference_starts, neighbors, targets)
         if starts:
             outcomes.append(key is not None)
         return key
+
+    def search_all(g):
+        nonlocal graph
+        graph = g
+        list(_every_search(g))
 
     monkeypatch.setattr(exchange, "_run_dijkstra", checked)
     monkeypatch.setattr(
@@ -528,65 +559,120 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
     )
     for inst in instances.values():
         try:
-            _phase2_graphs(monkeypatch, inst, lambda g: list(_every_search(g)))
+            _phase2_graphs(monkeypatch, inst, search_all)
         except InvalidInstance:
             continue
     assert sum(outcomes) > 1000 and outcomes.count(False) > 2000
 
 
-def _pickup(owner, v):
-    return 1 + (owner + v) % 2
+def _reference_key(starts, adjacency, _node_of, _weights, targets, pool):
+    """What ``exchange._run_dijkstra`` must return for these arguments: the
+    exhaustive search's least key, where an edge costs its weight, doubled
+    into a target of a pool search."""
+
+    def neighbors(u):
+        for v, w in adjacency.get(u, ()):
+            yield v, 2 * w if pool and v in targets else w
+
+    reference_starts = {o: (cost, 0, (o,)) for o, cost in starts.items()}
+    return exhaustive_least_key(reference_starts, neighbors, targets)
+
+
+def _weights_of(out):
+    return tuple(sorted({w for _v, w in out}))
 
 
 @st.composite
 def quotient_searches(draw):
-    """A small weighted digraph shaped like a phase-2 exchange graph, with
-    its node map: each agent's held items either share one out-list tuple
+    """The arguments of a search over a small graph shaped like a phase-2
+    exchange graph: each agent's held items either share one out-list tuple
     (node ``-agent``) or have lists of their own (node ``item``); out-lists
-    avoid the holder's own items, pool items have none, edges weigh 1 or 2,
-    and an edge into a target adds a pickup cost that depends on the owner
-    of the item it leaves, as in a Pareto search."""
-    m = draw(st.integers(6, 12))
+    are ascending, avoid the holder's own items and mix weights 1 and 2,
+    and pool items have none.  A node's weights are its list's, or for
+    items with lists of their own, the weights of all their holder's
+    lists.  A pool search targets the pool, and an edge
+    into it costs twice its weight; any other search targets a few items.
+    Lists of up to six edges over at most ten items make cursors pass
+    over items settled after they were pushed, and make two cursors of one
+    cost meet, from two nodes or, in a pool search, from one."""
+    m = draw(st.integers(5, 10))
     item = st.integers(0, m - 1)
     n = draw(st.integers(1, 3))
     owner = [draw(st.integers(0, n)) for _ in range(m)]  # 0: the pool
-    adjacency, node_of = {}, {}
+    adjacency, node_of, weights = {}, {}, {}
 
     def out_list(held):
-        weights = draw(st.dictionaries(item, st.integers(1, 2), max_size=3))
-        return tuple(sorted((v, w) for v, w in weights.items() if v not in held))
+        edges = draw(st.dictionaries(item, st.integers(1, 2), min_size=1, max_size=6))
+        return tuple(sorted((v, w) for v, w in edges.items() if v not in held))
 
     for j in range(1, n + 1):
         held = [o for o in range(m) if owner[o] == j]
         if draw(st.booleans()):
             shared = out_list(held)
-            lists = {o: shared for o in held} if shared else {}
-            node_of.update((o, -j) for o in lists)
+            if shared and held:
+                adjacency.update(dict.fromkeys(held, shared))
+                node_of.update(dict.fromkeys(held, -j))
+                weights[-j] = _weights_of(shared)
         else:
-            lists = {o: out for o in held if (out := out_list(held))}
-            node_of.update((o, o) for o in lists)
-        adjacency.update(lists)
-    targets = draw(st.frozensets(item, min_size=1, max_size=3))
-    sources = draw(st.frozensets(item, min_size=1, max_size=3))
-    starts = {o: (draw(st.integers(0, 2)), 0, (o,)) for o in sorted(sources)}
-
-    def neighbors(u):
-        for v, w in adjacency.get(u, ()):
-            yield v, w + (_pickup(owner[u], v) if v in targets else 0)
-
-    return starts, neighbors, targets, node_of
+            # as the builder records them: the weights of all the lists
+            for o in held:
+                if out := out_list(held):
+                    adjacency[o], node_of[o] = out, o
+            every = tuple(sorted({w for o in held for _v, w in adjacency.get(o, ())}))
+            weights.update((o, every) for o in held if o in adjacency)
+    pool = draw(st.booleans())
+    if pool:
+        targets = frozenset(o for o in range(m) if owner[o] == 0)
+    else:
+        targets = draw(st.frozensets(item, min_size=1, max_size=3))
+    # a source in the targets ends most searches at once, so most have none
+    sources = draw(st.frozensets(item, min_size=1, max_size=4))
+    sources = (sources - targets or sources) if draw(st.integers(0, 3)) else sources
+    costs = st.just(0) if draw(st.booleans()) else st.integers(0, 2)
+    starts = {o: draw(costs) for o in sorted(sources)}
+    return starts, adjacency, node_of, weights, targets, pool
 
 
 @settings(derandomize=True, deadline=None, max_examples=1000)
 @given(quotient_searches())
 def test_one_expansion_search_equals_exhaustive_search(search):
-    starts, neighbors, targets, node_of = search
-    assert exchange._run_dijkstra(starts, neighbors, targets, node_of) == (
-        exhaustive_least_key(starts, neighbors, targets)
+    assert exchange._run_dijkstra(*search) == _reference_key(*search)
+
+
+def _recorded_search(monkeypatch, starts, adjacency, node_of, targets, pool=False):
+    """Run the search, recording the items whose node it expands and the
+    item of every heap entry it pops, in order."""
+    expanded, popped = [], []
+
+    class Recording(dict):
+        def __getitem__(self, u):
+            expanded.append(u)
+            return super().__getitem__(u)
+
+    def recorded(pop):
+        def wrapper(*args):
+            entry = pop(*args)
+            popped.append(entry[3])
+            return entry
+
+        return wrapper
+
+    heap = types.SimpleNamespace(
+        heapify=heapq.heapify,
+        heappush=heapq.heappush,
+        heappop=recorded(heapq.heappop),
+        heapreplace=recorded(heapq.heapreplace),
     )
+    weights = {node_of[u]: _weights_of(out) for u, out in adjacency.items()}
+    search = (starts, Recording(adjacency), node_of, weights, targets, pool)
+    with monkeypatch.context() as patch:
+        patch.setattr(exchange, "heapq", heap)
+        key = exchange._run_dijkstra(*search)
+    assert key == _reference_key(*search)
+    return key, expanded, popped
 
 
-def test_one_expansion_search_tie_break_between_members():
+def test_one_expansion_search_tie_break_between_members(monkeypatch):
     # o2 and o3 share agent 1's out-list; both are reached at cost 2 in one
     # edge and both reach the target o7 at cost 4 in two.  The path through
     # o0 is lexicographically smaller, so o3 is popped and expanded first
@@ -594,17 +680,40 @@ def test_one_expansion_search_tie_break_between_members():
     adjacency = {0: ((3, 2),), 1: ((2, 2),), 2: ((7, 2),), 3: ((7, 2),)}
     adjacency[2] = adjacency[3]
     node_of = {0: 0, 1: 1, 2: -1, 3: -1}
-    expanded = []
-
-    def neighbors(u):
-        expanded.append(u)
-        return adjacency.get(u, ())
-
-    starts = {0: (0, 0, (0,)), 1: (0, 0, (1,))}
-    key = exchange._run_dijkstra(starts, neighbors, frozenset({7}), node_of)
+    starts = {0: 0, 1: 0}
+    key, expanded, _popped = _recorded_search(
+        monkeypatch, starts, adjacency, node_of, frozenset({7})
+    )
     assert key == (4, 2, (0, 3, 7))
     assert expanded == [0, 1, 3]
-    assert exhaustive_least_key(starts, neighbors, frozenset({7})) == key
+
+
+def test_cursor_passes_over_items_settled_after_it_was_pushed(monkeypatch):
+    # o0's cursor is pushed pointing at o1 at cost 2.  o5 then reaches o2
+    # at cost 1 and settles it, so when the cursor is popped at o1 it moves
+    # straight on to o3, the target: no item is popped twice.
+    adjacency = {0: ((1, 2), (2, 2), (3, 2)), 5: ((2, 1),)}
+    node_of = {0: 0, 5: 5}
+    key, _expanded, popped = _recorded_search(
+        monkeypatch, {0: 0, 5: 0}, adjacency, node_of, frozenset({3})
+    )
+    assert key == (2, 1, (0, 3))
+    assert popped == [0, 5, 2, 1]
+
+
+def test_pool_search_ties_two_classes_of_one_cursor_cost(monkeypatch):
+    # From o0, the weight-2 edge to o1 and the weight-1 edge into the pool
+    # item o2 both cost 2, so two of o0's cursors tie on cost, edge count
+    # and prefix; the smaller item, o1, goes first.  The pool item o4 is
+    # reached through o1 at cost 4, but o2 costs 2 and ends the search.
+    adjacency = {0: ((1, 2), (2, 1)), 1: ((4, 1),)}
+    node_of = {0: 0, 1: 1}
+    key, expanded, popped = _recorded_search(
+        monkeypatch, {0: 0}, adjacency, node_of, frozenset({2, 4}), pool=True
+    )
+    assert key == (2, 1, (0, 2))
+    assert expanded == [0, 1]
+    assert popped == [0, 1]
 
 
 @st.composite

@@ -4,7 +4,7 @@ Each case names a seeded generator call; its canonical report JSON
 (``instgen.dumps(report_to_obj(solve(inst)))``) is stored under
 ``golden/reports/<name>.json``.  The test re-solves every case and compares
 bytes, so an optimisation cannot quietly change an answer.  The additive
-32x160 case, the largest, is marked ``slow``; it solves in 0.6-0.9 s on a
+32x160 case, the largest, is marked ``slow``; it solves in 0.35-0.5 s on a
 2-vCPU Xeon VM.  ``pytest -m "not slow"`` skips it.
 
 To regenerate the corpus from a known-good tree::
