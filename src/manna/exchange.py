@@ -65,19 +65,26 @@ Edge ``o -> o'`` needs the middle term to reach the threshold.  By the
 right inequality no other item can be an out-neighbour.  By the left one a
 candidate that reaches it on B itself (a *sure* one) is an out-neighbour of
 every item of B, so only the other candidates (*maybe* ones) are tested
-against each ``B - o``.  The oracles are asked in batches: ``marginals(B,
-items)`` gives the marginals of a list of items on one bundle.  The
-candidates cost one call on the empty bundle, the sure test one call per
-agent and the maybe test one per held item, so the wrapper layers between
-a builder and the valuation, and their checks, are paid once per call
-instead of once per item.
-When there are no maybe candidates -- always for additive agents,
-whose marginals never change, and for capped agents with no group at its
-cap -- all items of B share one out-list.  Every test left out has a known
-answer and the candidates are walked in ascending order, so each edge list,
-its weights and its order are what a scan of all items gives.  The same
-lists bound ``f_set``.  An agent's desired items, its ``f_set``, are its
-sure candidates, so both builders keep them with the edges.
+against each ``B - o``.  A candidate that the agent's valuation declares
+*bundle-independent* (see ``valuations``) is sure without an oracle call:
+its marginal on B is still its marginal on ∅, which reached the threshold.
+So the sure test asks only about the undeclared candidates.  The oracles
+are asked in batches: ``marginals(B, items)`` gives the marginals of a list
+of items on one bundle.  The candidates cost one call on the empty bundle,
+the sure test at most one call per agent and the maybe test one per held
+item, so the wrapper layers between a builder and the valuation, and their
+checks, are paid once per call instead of once per item.
+When there are no maybe candidates -- always when every candidate is
+declared, as for additive agents, and for capped agents with no group at
+its cap -- all items of B share one out-list.  Every test left out has a
+known answer and the candidates are walked in ascending order, so each edge
+list, its weights and its order are what a scan of all items gives.  The
+same lists bound ``f_set``.  An agent's desired items, its ``f_set``, are
+its sure candidates, so both builders keep them with the edges.  An agent
+whose candidates are all declared makes no oracle call after its candidates
+are listed: its one shared list is written over its held items directly,
+and of its old entries only those of the items that left its bundle are
+popped.
 
 Both phases advance one graph in place along each augmentation instead of
 building a new one per state, and this changes no tie-break.  The
@@ -88,13 +95,15 @@ other agent's bundle through as the same object.  So a builder given the
 previous graph keys each agent on the identity of its bundles.  An agent
 whose bundle objects are the previous graph's keeps its entries; every
 other agent's entries are dropped, all of them before any is computed anew,
-since an item may move between two such agents.  A bundle rebuilt equal to
-the old one is merely recomputed, so identity is a safe stand-in for
-equality, and the builder never reads the path: the gainer's bundle changes
-even when it holds no path item.  A fresh build is the same code starting
-from an empty graph, in which every agent counts as changed.  The entries
-kept are the ones a fresh build would compute, so the graph -- edges,
-weights and their order -- is the same as a from-scratch build.  The
+since an item may move between two such agents.  (An agent whose candidates
+are all declared drops only the entries of the items that left it; those of
+the items it kept are overwritten with its new shared list.)  A bundle
+rebuilt equal to the old one is merely recomputed, so identity is a safe
+stand-in for equality, and the builder never reads the path: the gainer's
+bundle changes even when it holds no path item.  A fresh build is the same
+code starting from an empty graph, in which every agent counts as changed.
+The entries kept are the ones a fresh build would compute, so the graph --
+edges, weights and their order -- is the same as a from-scratch build.  The
 graph passed to a builder as ``previous`` is consumed: the builder updates
 it in place, so it no longer describes the state it was built for.
 
@@ -195,7 +204,7 @@ def f_set(
     return frozenset(o for o, d in zip(outside, gains) if d >= tau)
 
 
-def _out_lists(bundle, outside, entries, marginals, threshold):
+def _out_lists(bundle, outside, entries, dependent, marginals, threshold):
     """Out-lists of the items of one agent's ``bundle``, and which of the
     agent's candidates are *sure* ones.
 
@@ -203,19 +212,25 @@ def _out_lists(bundle, outside, entries, marginals, threshold):
     ``threshold``; ``marginals`` is the agent's batched oracle.  ``outside``
     lists the agent's candidate items that lie outside the bundle, in
     ascending order, and ``entries`` what an out-list holds for each (the
-    item, or its ``(item, weight)`` edge).  A candidate that already clears
-    the threshold on the whole bundle clears it on every ``bundle - {o}``
-    and is a sure out-neighbour of every held item; only the others, the
-    *maybe* ones, are tested per held item, in one call each.  When every
-    candidate is sure, all held items share one out-list.  Items without
-    out-edges are left out.  Returned with the out-lists are the sure
-    candidates: the items the agent desires.
+    item, or its ``(item, weight)`` edge).  Only the candidates in
+    ``dependent``, those the agent's valuation does not declare
+    bundle-independent, are asked about: any other is sure without a call.
+    One that clears the threshold on the whole bundle clears it on every
+    ``bundle - {o}`` and is sure too.  A sure candidate is an out-neighbour
+    of every held item; only the others, the *maybe* ones, are tested per
+    held item, in one call each.  When every candidate is sure, all held
+    items share one out-list.  Items without out-edges are left out.
+    Returned with the out-lists are the sure candidates: the items the agent
+    desires.
     """
-    sure = [d >= threshold for d in marginals(bundle, outside)]
-    desired = frozenset(compress(outside, sure))
-    if len(desired) == len(outside):
+    asked = [o for o in outside if o in dependent] if dependent else ()
+    low = asked and {o for o, d in zip(asked, marginals(bundle, asked)) if d < threshold}
+    if not low:
         shared = tuple(entries)
-        return (dict.fromkeys(sorted(bundle), shared) if shared else {}), desired
+        out = dict.fromkeys(sorted(bundle), shared) if shared else {}
+        return out, frozenset(outside)
+    sure = [o not in low for o in outside]
+    desired = frozenset(compress(outside, sure))
     maybe = [k for k, is_sure in enumerate(sure) if not is_sure]
     maybe_items = [outside[k] for k in maybe]
     out = {}
@@ -235,6 +250,7 @@ def unweighted_adjacency(
     oracles: Sequence,
     candidates: Sequence[Sequence[int]],
     previous: Optional[tuple[Allocation, dict, list[frozenset[int]]]] = None,
+    dependent: Optional[Sequence[frozenset[int]]] = None,
 ) -> tuple[dict[int, tuple[int, ...]], list[frozenset[int]]]:
     """Edge lists of the exchange graph of a clean allocation, and each
     agent's desired items: its candidates outside its bundle whose marginal
@@ -242,12 +258,16 @@ def unweighted_adjacency(
 
     ``oracles[i-1]`` must expose ``marginals(bundle, items)`` with values in
     {0, 1} that never grow as the bundle grows, and ``candidates[i-1]`` is its
-    ``candidate_items`` at threshold 1.  Items in the pool have no outgoing
-    edges.  ``previous``, an ``(allocation, adjacency, desired)`` triple built
-    with the same oracles, is consumed: its adjacency and desired items are
-    advanced in place and returned, recomputed only for the agents whose
-    bundle is not the same object as in its allocation.
+    ``candidate_items`` at threshold 1, of which ``dependent[i-1]`` (by
+    default all) are those the oracle does not declare bundle-independent,
+    the only ones it is asked about.  Items in the pool have no outgoing
+    edges.  ``previous``, an ``(allocation, adjacency, desired)`` triple
+    built with the same oracles, is consumed: its adjacency and desired
+    items are advanced in place and returned, recomputed only for the agents
+    whose bundle is not the same object as in its allocation.
     """
+    if dependent is None:
+        dependent = [frozenset(c) for c in candidates]
     if previous is None:
         before = (None,) * allocation.num_agents  # every agent is computed
         adj: dict[int, tuple[int, ...]] = {}
@@ -260,7 +280,11 @@ def unweighted_adjacency(
         if bundle is not old
     ]
     for j in changed:
-        for o in before[j - 1] or ():
+        old = before[j - 1] or ()
+        if old and not dependent[j - 1]:
+            # one shared list, rewritten below: only departed items leave it
+            old = old - allocation.bundles[j - 1]
+        for o in old:
             adj.pop(o, None)
     for j in changed:
         bundle = allocation.bundles[j - 1]
@@ -270,8 +294,11 @@ def unweighted_adjacency(
             continue
         outside = [op for op in candidates[j - 1] if op not in bundle]
         out, desired[j - 1] = _out_lists(
-            bundle, outside, outside, oracles[j - 1].marginals, 1
+            bundle, outside, outside, dependent[j - 1], oracles[j - 1].marginals, 1
         )
+        if not (out or dependent[j - 1]):  # no list: drop the entries kept above
+            for o in bundle:
+                adj.pop(o, None)
         adj.update(out)
     return adj, desired
 
@@ -280,8 +307,9 @@ def unweighted_adjacency(
 class WeightedExchangeGraph:
     """Exchange graph of ``xc`` under the c-threshold oracles, with doubled
     integer edge weights derived from ``x0`` membership.  ``candidates[i-1]``
-    is agent i's ``candidate_items`` at threshold c and ``desired[i-1]`` its
-    ``f_set`` at threshold c.
+    is agent i's ``candidate_items`` at threshold c, ``dependent[i-1]``
+    those of them its valuation does not declare bundle-independent, and
+    ``desired[i-1]`` its ``f_set`` at threshold c.
 
     The graph is also kept as its agent quotient.  Each item with out-edges
     lies in one node: agent i's node ``-i`` when all of i's held items share
@@ -303,6 +331,7 @@ class WeightedExchangeGraph:
     x0: Allocation
     adjacency: dict[int, tuple[tuple[int, int], ...]]
     candidates: tuple[tuple[int, ...], ...]
+    dependent: tuple[frozenset[int], ...]
     desired: list[frozenset[int]]
     node_of: dict[int, int]
     members: dict[int, tuple[int, ...]]
@@ -372,13 +401,17 @@ def build_weighted_graph(
         if violations:
             raise ContractViolation("; ".join(violations))
     if previous is None:
+        specs = inst.valuations
         candidates = tuple(
-            candidate_items(inst.valuation(j).marginals, inst.c, inst.num_items)
-            for j in inst.agents
+            candidate_items(spec.marginals, inst.c, inst.num_items) for spec in specs
+        )
+        dependent = tuple(
+            frozenset(c).difference(spec.bundle_independent(c))
+            for spec, c in zip(specs, candidates)
         )
         n = inst.num_agents
         graph = WeightedExchangeGraph(
-            inst, xc, x0, {}, candidates, [frozenset()] * n, {}, {}, {}, {}
+            inst, xc, x0, {}, candidates, dependent, [frozenset()] * n, {}, {}, {}, {}
         )
         old_xc = old_x0 = (None,) * n  # every agent is computed
     elif previous.inst is not inst:
@@ -414,20 +447,46 @@ def _point_into(reverse, node, out):
             into.add(node)
 
 
+def _point_out_of(reverse, node, out):
+    """Undo ``_point_into(reverse, node, out)``."""
+    for v, _w in out:
+        into = reverse[v]
+        into.discard(node)
+        if not into:
+            del reverse[v]
+
+
 def _advance(graph, changed, old_xc):
     """Recompute in place the entries of the agents in ``changed``, whose
     counted bundles were ``old_xc[j-1]`` (None: no entries yet).
 
     Every old entry goes before any new one is added, since an item can move
     between two changed agents.  A node's reverse entries, while ``reverse``
-    is kept, leave with it and come back with its new out-list.
+    is kept, leave with it and come back with its new out-list.  An agent
+    whose candidates are all declared bundle-independent, every additive
+    one, has every candidate sure on every bundle: its held items always
+    share node ``-j``, so only the items that left its bundle are popped,
+    and the node is written directly over those that stayed.
     """
     inst, xc, x0 = graph.inst, graph.xc, graph.x0
     adjacency, desired = graph.adjacency, graph.desired
     node_of, members, weights = graph.node_of, graph.members, graph.weights
     reverse = graph.reverse if graph.reverse_kept else None
+    dependent = graph.dependent
     for j in changed:
-        for o in old_xc[j - 1] or ():
+        old = old_xc[j - 1]
+        if not old:
+            continue
+        if not dependent[j - 1]:
+            held = members.pop(-j, None)
+            if held is not None:  # else no held item had an out-edge
+                del weights[-j]
+                if reverse is not None:
+                    _point_out_of(reverse, -j, adjacency[held[0]])
+                for o in old - xc.bundles[j - 1]:
+                    del adjacency[o], node_of[o]
+            continue
+        for o in old:
             out = adjacency.pop(o, None)
             if out is None:
                 continue
@@ -435,11 +494,7 @@ def _advance(graph, changed, old_xc):
             if members.pop(node, None) is not None:  # the node's first member
                 del weights[node]
                 if reverse is not None:
-                    for v, _w in out:
-                        into = reverse[v]
-                        into.discard(node)
-                        if not into:
-                            del reverse[v]
+                    _point_out_of(reverse, node, out)
     for j in changed:
         bundle = xc.bundles[j - 1]
         candidates = graph.candidates[j - 1]
@@ -455,8 +510,12 @@ def _advance(graph, changed, old_xc):
         edges = [(op, 1 if op in x0_j else 2) for op in outside]
         light, heavy = not x0_j.isdisjoint(outside), not x0_j.issuperset(outside)
         out, desired[j - 1] = _out_lists(
-            bundle, outside, edges, inst.valuation(j).marginals, inst.c
+            bundle, outside, edges, dependent[j - 1], inst.valuation(j).marginals, inst.c
         )
+        if not (out or dependent[j - 1]):  # no node: drop the entries kept above
+            for o in bundle:
+                adjacency.pop(o, None)
+                node_of.pop(o, None)
         adjacency.update(out)
         shared = len(desired[j - 1]) == len(outside)  # every candidate sure
         nodes = {-j: tuple(out)} if out and shared else {o: (o,) for o in out}

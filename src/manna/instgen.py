@@ -188,25 +188,42 @@ def gen_hardness(expdm: ExPDMInstance, q: int) -> Instance:
 
 def graphic_matroid_rank_table(num_edges: int, edges: Sequence[tuple[int, int]]) -> Explicit:
     """Explicit {0,1} table: rank of each edge subset in the graphic matroid
-    (size of the largest acyclic sub-subset), computed by union-find."""
-    table = []
-    for mask in range(1 << num_edges):
-        parent: dict[int, int] = {}
+    (size of the largest acyclic sub-subset).
 
-        def find(x: int) -> int:
-            while parent.setdefault(x, x) != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    A subset's rank is that of the subset without its highest edge, plus 1
+    when that edge joins two of its components.  The subsets are visited
+    depth first, each child adding an edge above its parent's highest, and a
+    union-find with undo holds the components of the subset being visited:
+    union by size and no path compression, so that undoing a union restores
+    two parent links and one size."""
+    table = [0] * (1 << num_edges)
+    ends = [tuple(edges[e]) for e in range(num_edges)]
+    parent = {x: x for end in ends for x in end}
+    size = dict.fromkeys(parent, 1)
 
-        rank = 0
-        for e in range(num_edges):
-            if mask >> e & 1:
-                ru, rv = find(edges[e][0]), find(edges[e][1])
-                if ru != rv:
-                    parent[ru] = rv
-                    rank += 1
-        table.append(rank)
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def visit(mask: int, rank: int, lowest: int) -> None:
+        for e in range(lowest, num_edges):
+            child = mask | 1 << e
+            ru, rv = find(ends[e][0]), find(ends[e][1])
+            if ru == rv:
+                table[child] = rank
+                visit(child, rank, e + 1)
+                continue
+            if size[ru] < size[rv]:
+                ru, rv = rv, ru
+            parent[rv] = ru
+            size[ru] += size[rv]
+            table[child] = rank + 1
+            visit(child, rank + 1, e + 1)
+            size[ru] -= size[rv]
+            parent[rv] = rv
+
+    visit(0, 0, 0)
     return Explicit(num_edges, tuple(table))
 
 

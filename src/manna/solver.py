@@ -11,6 +11,7 @@ ascending, is lexicographically maximal among all complete allocations.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -244,7 +245,13 @@ def _exchange_scan(
 
 def phase3(state: SolverState, inst: Instance, trace: Trace = None) -> SolveReport:
     """Hand each leftover item to the currently happiest agent (ties to the
-    higher index), then assemble and verify the report."""
+    higher index), then assemble and verify the report.
+
+    The agents wait in a heap keyed on (-utility, -agent), built only when
+    an item is left.  Each item costs its receiver exactly 1, which the
+    marginal check before each push asserts, so only the receiver's key
+    moves, and the heap's least entry is the agent a scan of all utilities
+    would pick."""
     remaining = sorted(
         state.xc.unallocated & state.x0.unallocated & state.xm1.unallocated
     )
@@ -253,15 +260,18 @@ def phase3(state: SolverState, inst: Instance, trace: Trace = None) -> SolveRepo
     def bundle_of(i: int) -> frozenset[int]:
         return state.xc.bundle(i) | state.x0.bundle(i) | frozenset(xm1_bundles[i - 1])
 
+    if remaining:
+        happiest = [(-inst.value(i, bundle_of(i)), -i) for i in inst.agents]
+        heapq.heapify(happiest)
     for o in remaining:
-        utilities = [inst.value(i, bundle_of(i)) for i in inst.agents]
-        top = max(utilities)
-        receiver = max(i for i in inst.agents if utilities[i - 1] == top)
+        minus_utility, minus_receiver = happiest[0]
+        receiver = -minus_receiver
         if inst.marginal(receiver, bundle_of(receiver), o) != -1:
             raise CleannessViolation(
                 f"item {o} has marginal != -1 for agent {receiver}; this "
                 "contradicts welfare maximality of the non-negative part"
             )
+        heapq.heapreplace(happiest, (minus_utility + 1, minus_receiver))
         xm1_bundles[receiver - 1].add(o)
         if trace:
             trace(f"phase3 give o{o} to agent {receiver}")

@@ -15,12 +15,23 @@ from typing import Iterable, Sequence
 
 from .core import Allocation, Instance
 from .errors import DecompositionFailure
-from .valuations import ValuationSpec
+from .valuations import Additive, ValuationSpec
 
 
 def beta(spec: ValuationSpec, tau: int, items: Iterable[int]) -> int:
     """Number of telescoping-vector entries of ``items`` that are >= ``tau``,
-    computed along the canonical ascending insertion order."""
+    computed along the canonical ascending insertion order.
+
+    An ``Additive`` spec declares every item bundle-independent: each entry
+    is the item's value, whatever the prefix.  So for a set of items, the
+    form every solver caller passes, the count is read off the values in one
+    pass, with no prefix set.  Any other spec, or items in another form, take
+    the prefix walk, which raises ``ContractViolation`` for a repeated item;
+    a set cannot hold one.
+    """
+    if type(spec) is Additive and isinstance(items, (set, frozenset)):
+        values = spec.values
+        return len([o for o in items if values[o] >= tau])
     count = 0
     prefix: set[int] = set()
     for o in sorted(items):
@@ -55,6 +66,11 @@ class ThresholdBeta:
         valuation once."""
         tau = self.tau
         return [1 if d >= tau else 0 for d in self.spec.marginals(items, candidates)]
+
+    def bundle_independent(self, items: Iterable[int]) -> frozenset[int]:
+        """The valuation's bundle-independent items: a constant marginal
+        gives a constant threshold marginal."""
+        return self.spec.bundle_independent(items)
 
 
 def is_clean(oracle, bundle: Iterable[int]) -> bool:

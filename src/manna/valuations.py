@@ -18,6 +18,19 @@ Three families are first-class citizens of the solver:
 ``GeneralAdditive`` (arbitrary integer item values) is parseable and usable
 by the brute-force oracles and the hardness generator, but the solver
 rejects it: the unrestricted problem is intractable.
+
+Each of the three also declares its *bundle-independent* items:
+``bundle_independent(items)`` returns those items ``o`` of ``items`` whose
+marginal is the same on every bundle without ``o``, Δ(B, o) = Δ(∅, o).  The
+exchange-graph builders never ask the oracle about such an item again (see
+``exchange``).  A declaration may leave such items out, never put others
+in:
+
+* ``Additive`` declares every item: its marginals are its item values;
+* ``CappedGroups`` declares its ungrouped items, whose marginal is always
+  ``default``; a grouped item's marginal falls once its group is at its cap;
+* ``Explicit`` declares none, since finding them would take a pass over
+  the whole table.
 """
 
 from __future__ import annotations
@@ -82,6 +95,10 @@ class Additive:
         _outside(items, candidates)
         values = self.values
         return [values[o] for o in candidates]
+
+    def bundle_independent(self, items: Iterable[int]) -> frozenset[int]:
+        """Every item of ``items``: each marginal is the item's value."""
+        return frozenset(items)
 
 
 @dataclass(frozen=True)
@@ -173,6 +190,10 @@ class CappedGroups:
                 out.append(g.hi if len(items & g.items) < g.cap else g.lo)
         return out
 
+    def bundle_independent(self, items: Iterable[int]) -> frozenset[int]:
+        """The ungrouped items of ``items``, whose marginal is ``default``."""
+        return frozenset(items).difference(self._group_of)
+
 
 @dataclass(frozen=True)
 class Explicit:
@@ -212,6 +233,10 @@ class Explicit:
         table = self.table
         base = table[m]
         return [table[m | 1 << o] - base for o in candidates]
+
+    def bundle_independent(self, items: Iterable[int]) -> frozenset[int]:
+        """None of ``items``: the table is not searched for them."""
+        return frozenset()
 
     @cached_property
     def _lanes(self) -> "_Lanes":

@@ -89,6 +89,12 @@ class _CheckedOracle:
             )
         return ds
 
+    def bundle_independent(self, items):
+        """The wrapped oracle's bundle-independent items among ``items``;
+        none when it declares nothing."""
+        declared = getattr(self._oracle, "bundle_independent", None)
+        return frozenset() if declared is None else declared(items)
+
 
 def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
     """Compute a clean MAX-USW leximin allocation for ``betas``.
@@ -96,13 +102,21 @@ def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
     ``betas[i-1]`` is agent i's binary submodular oracle exposing
     ``value(bundle)``, ``marginal(bundle, item)`` and
     ``marginals(bundle, items)``; its marginals must not grow as the bundle
-    grows.
+    grows.  An oracle may also declare its bundle-independent items through
+    ``bundle_independent(items)``, which the builder then never asks about
+    again.
     """
     n = len(betas)
     oracles = [_CheckedOracle(b, i + 1) for i, b in enumerate(betas)]
     candidates = [exchange.candidate_items(o.marginals, 1, num_items) for o in oracles]
+    dependent = [
+        frozenset(c).difference(o.bundle_independent(c))
+        for o, c in zip(oracles, candidates)
+    ]
     allocation = Allocation.empty(n, num_items)
-    adjacency, desired = exchange.unweighted_adjacency(allocation, oracles, candidates)
+    adjacency, desired = exchange.unweighted_adjacency(
+        allocation, oracles, candidates, dependent=dependent
+    )
     # (bundle size, agent) of every active agent; sorted, so already a heap
     turns = [(0, i) for i in range(1, n + 1)]
     while turns:
@@ -125,7 +139,7 @@ def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
                 "the supplied oracle is not binary submodular"
             )
         adjacency, desired = exchange.unweighted_adjacency(
-            allocation, oracles, candidates, previous
+            allocation, oracles, candidates, previous, dependent=dependent
         )
     for i in range(1, n + 1):
         if not is_clean(oracles[i - 1], allocation.bundle(i)):

@@ -1,8 +1,9 @@
 """Shared helpers for the test suite: the canonical randomized suite, a
 constructive source of two-valued submodular tables, a Hypothesis strategy
 for small solver instances, a reference path search, reference
-exchange-graph builders, reference phase-1 and phase-2 loops and the
-per-subset validator loops the packed-lane validators replaced."""
+exchange-graph builders, reference phase-1 and phase-2 loops, the
+per-subset rank-table loop and the per-subset validator loops the
+packed-lane validators replaced."""
 
 from __future__ import annotations
 
@@ -328,6 +329,30 @@ def reference_yankee_swap(num_items, betas, turns):
             raise OracleViolation(f"agent {agent}: bundle not clean after augmentation")
         adjacency, desired = unweighted_adjacency(allocation, oracles, candidates, previous)
     return allocation
+
+
+def reference_rank_table(num_edges, edges):
+    """Reference for ``instgen.graphic_matroid_rank_table``: a fresh
+    union-find over every edge of each subset."""
+    table = []
+    for mask in range(1 << num_edges):
+        parent = {}
+
+        def find(x):
+            while parent.setdefault(x, x) != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        rank = 0
+        for e in range(num_edges):
+            if mask >> e & 1:
+                ru, rv = find(edges[e][0]), find(edges[e][1])
+                if ru != rv:
+                    parent[ru] = rv
+                    rank += 1
+        table.append(rank)
+    return Explicit(num_edges, tuple(table))
 
 
 def reference_validate_range(spec, c):

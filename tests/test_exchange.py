@@ -25,7 +25,7 @@ from manna.exchange import (
 )
 from manna.instgen import gen_capped_groups, gen_random_additive
 from manna.solver import phase1
-from manna.valuations import Additive
+from manna.valuations import Additive, CappedGroups
 from support import (
     exhaustive_least_key,
     full_scan_f_set,
@@ -299,6 +299,51 @@ def test_incremental_graph_equals_fresh_build(monkeypatch, name):
     assert kept[0] and not kept[-1]
 
 
+def _recorded_marginals(monkeypatch):
+    """Record each batched ``Additive`` or ``CappedGroups`` oracle call as
+    ``(spec, bundle, items)``."""
+    calls = []
+    for family in (Additive, CappedGroups):
+
+        def recording(self, items, candidates, _ask=family.marginals):
+            calls.append((self, frozenset(items), tuple(candidates)))
+            return _ask(self, items, candidates)
+
+        monkeypatch.setattr(family, "marginals", recording)
+    return calls
+
+
+def test_additive_rebuilds_make_no_oracle_call(monkeypatch):
+    """An additive agent declares every item bundle-independent, so after
+    the candidates are found, once per agent in each phase, no builder call
+    asks ``Additive.marginals`` anything."""
+    calls = _recorded_marginals(monkeypatch)
+    inst = EQUIVALENCE_INSTANCES["additive_8x40_s0"]()
+    asked_by_fresh_build = []
+
+    def check(g):
+        if not asked_by_fresh_build:  # phase 2's fresh build
+            asked_by_fresh_build.append(len(calls))
+
+    assert _phase2_graphs(monkeypatch, inst, check) > 10
+    assert asked_by_fresh_build == [len(calls)] == [2 * inst.num_agents]
+    assert all(not bundle for _spec, bundle, _items in calls)
+
+
+def test_capped_rebuilds_ask_only_about_grouped_items(monkeypatch):
+    """A capped agent declares its ungrouped items bundle-independent, so no
+    builder passes one to ``CappedGroups.marginals``; only the candidate
+    scans, on the empty bundle, ask about them."""
+    calls = _recorded_marginals(monkeypatch)
+    inst = EQUIVALENCE_INSTANCES["capped_6x30_s0"]()
+    _phase2_graphs(monkeypatch, inst, lambda g: None)
+    asked = [(spec, items) for spec, bundle, items in calls if bundle]
+    assert len(asked) > 10
+    for spec, items in asked:
+        grouped = frozenset().union(*(g.items for g in spec.groups))
+        assert grouped.issuperset(items)
+
+
 FULL_SCAN_INSTANCES = {
     "additive_8x40_s0": lambda: gen_random_additive(8, 40, 2, (1, 1, 2), 0),
     "capped_6x30_s0": lambda: gen_capped_groups(6, 30, 2, (1, 3), (1, 3), 0),
@@ -323,8 +368,8 @@ def test_builders_equal_full_scan(monkeypatch, name):
     phase1_varied, phase2_varied = [], []
     build = exchange.unweighted_adjacency
 
-    def recording(allocation, oracles, candidates, previous=None):
-        adjacency, desired = build(allocation, oracles, candidates, previous)
+    def recording(allocation, oracles, candidates, previous=None, dependent=None):
+        adjacency, desired = build(allocation, oracles, candidates, previous, dependent)
         assert adjacency == full_scan_unweighted_adjacency(allocation, oracles)
         assert desired == [
             full_scan_f_set(allocation, oracles[i - 1], i, 1)
@@ -366,11 +411,16 @@ def test_graphs_advanced_in_place_equal_fresh_builds(inst):
     unweighted, weighted = exchange.unweighted_adjacency, solver.build_weighted_graph
     shift, augment_state = yankee.shift_along_path, solver.augment
 
-    def checked_adjacency(allocation, oracles, candidates, previous=None):
-        adjacency, desired = unweighted(allocation, oracles, candidates, previous)
+    def checked_adjacency(allocation, oracles, candidates, previous=None, dependent=None):
+        adjacency, desired = unweighted(
+            allocation, oracles, candidates, previous, dependent
+        )
         if previous is not None:
             assert adjacency is previous[1] and desired is previous[2]
-        assert (adjacency, desired) == unweighted(allocation, oracles, candidates)
+        fresh = unweighted(allocation, oracles, candidates, dependent=dependent)
+        assert (adjacency, desired) == fresh
+        # a fresh build that asks about every candidate agrees
+        assert fresh == unweighted(allocation, oracles, candidates)
         return adjacency, desired
 
     def checked_graph(inst_, xc, x0, check=True, previous=None):

@@ -25,13 +25,16 @@ from manna.solver import solve
 REPORTS = Path(__file__).parent / "golden" / "reports"
 
 # name -> (family, n, m, seed); every case uses c = 2 and the defaults of
-# ``manna bench`` (additive odds 1:1:2, capped groups and caps in 1..3).
+# ``manna bench`` (additive odds 1:1:2, capped groups and caps in 1..3).  The
+# "chores" family is additive with odds 1:1:120, so phase 3 gives out most
+# items: 54 of the 60 in its one case.
 CASES = {
     **{f"additive_8x40_s{s}": ("additive", 8, 40, s) for s in range(4)},
     "additive_16x80_s0": ("additive", 16, 80, 0),
     **{f"capped_16x80_s{s}": ("capped", 16, 80, s) for s in range(4)},
     **{f"capped_32x160_s{s}": ("capped", 32, 160, s) for s in range(2)},
     "additive_32x160_s0": ("additive", 32, 160, 0),
+    "additive_chores_8x60_s0": ("chores", 8, 60, 0),
 }
 SLOW = {"additive_32x160_s0"}
 
@@ -40,6 +43,8 @@ def make_instance(name: str):
     family, n, m, seed = CASES[name]
     if family == "additive":
         return instgen.gen_random_additive(n, m, 2, (1, 1, 2), seed)
+    if family == "chores":
+        return instgen.gen_random_additive(n, m, 2, (1, 1, 120), seed)
     return instgen.gen_capped_groups(n, m, 2, (1, 3), (1, 3), seed)
 
 

@@ -2,6 +2,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from manna.core import Allocation
 from manna.errors import ContractViolation, ParseError
@@ -13,6 +15,7 @@ from manna.instgen import (
     gen_capped_groups,
     gen_hardness,
     gen_random_additive,
+    graphic_matroid_rank_table,
     parse_allocation,
     parse_instance,
     serialize_allocation,
@@ -20,6 +23,7 @@ from manna.instgen import (
 )
 from manna.oracle import brute_leximin
 from manna.valuations import Additive, CappedGroups, GeneralAdditive, Group
+from support import reference_rank_table
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -210,3 +214,20 @@ def test_allocation_round_trip_and_errors():
         parse_allocation('{"bundles": [[0], [0]], "unallocated": [1]}')
     with pytest.raises(ParseError):
         parse_allocation(serialize_allocation(alloc), num_items=7)
+
+
+@st.composite
+def multigraphs(draw):
+    """0 to 12 edges on up to six vertices, parallel edges and self-loops
+    included."""
+    vertices = st.integers(0, draw(st.integers(0, 5)))
+    return draw(st.lists(st.tuples(vertices, vertices), max_size=12))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(multigraphs())
+@example([(0, 1), (1, 2), (2, 0), (0, 1), (3, 3), (2, 3)] * 2)
+def test_rank_table_equals_per_subset_union_find(edges):
+    assert graphic_matroid_rank_table(len(edges), edges) == reference_rank_table(
+        len(edges), edges
+    )

@@ -12,7 +12,14 @@ from manna.threshold import (
     decompose_threshold,
     verify_tridecomposition,
 )
-from manna.valuations import Explicit, items_of, validate_submodular
+from manna.valuations import (
+    Additive,
+    CappedGroups,
+    Explicit,
+    Group,
+    items_of,
+    validate_submodular,
+)
 
 
 def test_beta_examples(named_fixtures):
@@ -21,6 +28,32 @@ def test_beta_examples(named_fixtures):
     assert beta(v1, ex2.c, {0, 1}) == 1
     assert beta(v2, 0, {2, 3}) == 0
     assert beta(v1, 0, {0, 1}) == 2
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Additive((2, 0, -1, 2, 0)),
+        # capped: at most one of {0, 1, 3} counts c, the rest count 0
+        CappedGroups((Group(frozenset({0, 1, 3}), 1, 2, 0),), 2),
+        Explicit(3, (0, 1, 1, 1, 1, 1, 1, 1)),
+    ],
+)
+def test_beta_of_a_set_equals_the_prefix_walk(spec):
+    """A set of items may be counted without the prefix walk only for a spec
+    whose marginals never depend on the bundle; every count equals the walk
+    along a sorted list."""
+    m = spec.num_items if isinstance(spec, Explicit) else 5
+    for mask in range(1 << m):
+        items = sorted(items_of(mask))
+        for tau in (0, 2):
+            assert beta(spec, tau, frozenset(items)) == beta(spec, tau, items)
+            assert beta(spec, tau, set(items)) == beta(spec, tau, items)
+
+
+def test_beta_rejects_a_repeated_item():
+    with pytest.raises(ContractViolation, match="item 1 already"):
+        beta(Additive((2, 2, 0)), 0, [1, 0, 1])
 
 
 def test_beta_marginal_examples(named_fixtures):

@@ -260,3 +260,69 @@ def test_checked_oracle_rejects_non_binary_batched_marginals():
         _CheckedOracle(Doubler(), 1).marginals(frozenset(), [0, 1])
     with pytest.raises(OracleViolation, match="returned 1 marginals for 2 items"):
         _CheckedOracle(Short(), 1).marginals(frozenset(), [0, 1])
+
+
+_HI_LO = ((None, 0), (None, -1), (0, -1), (0, 0))  # None stands for c
+
+
+@st.composite
+def declaring_oracles(draw):
+    """A valuation of a declaring family -- additive, capped groups with caps
+    0 to 3, or a graphic-matroid table -- bare, behind ``ThresholdBeta`` at
+    0 or c, or behind ``_CheckedOracle`` over ``ThresholdBeta``, with its
+    item count and the items it must declare bundle-independent."""
+    family = draw(st.sampled_from(("additive", "capped", "graphic")))
+    c = draw(st.integers(1, 3))
+    if family == "graphic":
+        seed = draw(st.integers(0, 2**16))
+        inst = graphic_matroid_instance(1, draw(st.integers(1, 9)), seed)
+        spec, m, c, want = inst.valuation(1), inst.num_items, 1, frozenset()
+    else:
+        m = draw(st.integers(1, 12))
+        values = st.sampled_from((-1, 0, c))
+        if family == "additive":
+            spec = Additive(tuple(draw(st.lists(values, min_size=m, max_size=m))))
+            want = frozenset(range(m))
+        else:
+            items = draw(st.permutations(range(m)))
+            cuts = sorted(draw(st.lists(st.integers(0, m), max_size=4)))
+            groups = []
+            for lo_k, hi_k in zip([0] + cuts, cuts):
+                if lo_k < hi_k:
+                    hi, lo = draw(st.sampled_from(_HI_LO))
+                    cap = draw(st.integers(0, 3))
+                    hi = c if hi is None else hi
+                    groups.append(Group(frozenset(items[lo_k:hi_k]), cap, hi, lo))
+            spec = CappedGroups(tuple(groups), draw(values))
+            want = frozenset(range(m)).difference(*(g.items for g in groups))
+    tau = draw(st.sampled_from((0, c)))
+    oracle = draw(
+        st.sampled_from(
+            (spec, ThresholdBeta(spec, tau), _CheckedOracle(ThresholdBeta(spec, tau), 1))
+        )
+    )
+    return oracle, m, want
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(declaring_oracles(), st.data())
+def test_declared_items_keep_their_empty_bundle_marginal(drawn, data):
+    """Each family declares exactly its documented items, the wrappers pass
+    the declaration through, and every declared item has the same marginal
+    on drawn bundles as on the empty one."""
+    oracle, m, want = drawn
+    items = data.draw(st.permutations(range(m)))
+    declared = oracle.bundle_independent(items)
+    assert declared == want
+    for _ in range(3):
+        bundle = data.draw(st.frozensets(st.sampled_from(range(m))))
+        for o in sorted(declared - bundle):
+            assert oracle.marginal(bundle, o) == oracle.marginal(frozenset(), o)
+
+
+def test_checked_oracle_over_an_undeclaring_oracle_declares_nothing():
+    class Binary:
+        def marginal(self, items, item):
+            return 1
+
+    assert _CheckedOracle(Binary(), 1).bundle_independent(range(4)) == frozenset()

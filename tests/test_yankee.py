@@ -105,11 +105,13 @@ def test_reused_adjacency_equals_fresh_build(monkeypatch, name):
     betas = [ThresholdBeta(inst.valuation(i), 0) for i in inst.agents]
     built = 0
 
-    def recording(allocation, oracles, candidates, previous=None):
+    def recording(allocation, oracles, candidates, previous=None, dependent=None):
         nonlocal built
-        graph = unweighted_adjacency(allocation, oracles, candidates, previous)
+        graph = unweighted_adjacency(allocation, oracles, candidates, previous, dependent)
         # checked before the next build advances it in place
-        assert graph == unweighted_adjacency(allocation, oracles, candidates)
+        assert graph == unweighted_adjacency(
+            allocation, oracles, candidates, dependent=dependent
+        )
         built += 1
         return graph
 
@@ -171,8 +173,8 @@ def test_heap_turn_order_equals_min_scan_reference(inst):
     build, search = exchange.unweighted_adjacency, yankee.shortest_path_to_pool
     turns, recorded = [], []
 
-    def recording_build(allocation, oracles, candidates, previous=None):
-        adjacency, desired = build(allocation, oracles, candidates, previous)
+    def recording_build(allocation, oracles, candidates, previous=None, dependent=None):
+        adjacency, desired = build(allocation, oracles, candidates, previous, dependent)
         if previous is None:
             desired = _Recording(desired)  # advanced in place from here on
             recorded.append(desired)
