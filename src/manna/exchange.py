@@ -82,9 +82,7 @@ list, its weights and its order are what a scan of all items gives.  The
 same lists bound ``f_set``.  An agent's desired items, its ``f_set``, are
 its sure candidates, so both builders keep them with the edges.  An agent
 whose candidates are all declared makes no oracle call after its candidates
-are listed: its one shared list is written over its held items directly,
-and of its old entries only those of the items that left its bundle are
-popped.
+are listed.
 
 Both phases advance one graph in place along each augmentation instead of
 building a new one per state, and this changes no tie-break.  The
@@ -95,15 +93,13 @@ other agent's bundle through as the same object.  So a builder given the
 previous graph keys each agent on the identity of its bundles.  An agent
 whose bundle objects are the previous graph's keeps its entries; every
 other agent's entries are dropped, all of them before any is computed anew,
-since an item may move between two such agents.  (An agent whose candidates
-are all declared drops only the entries of the items that left it; those of
-the items it kept are overwritten with its new shared list.)  A bundle
-rebuilt equal to the old one is merely recomputed, so identity is a safe
-stand-in for equality, and the builder never reads the path: the gainer's
-bundle changes even when it holds no path item.  A fresh build is the same
-code starting from an empty graph, in which every agent counts as changed.
-The entries kept are the ones a fresh build would compute, so the graph --
-edges, weights and their order -- is the same as a from-scratch build.  The
+since an item may move between two such agents.  A bundle rebuilt equal to
+the old one is merely recomputed, so identity is a safe stand-in for
+equality, and the builder never reads the path: the gainer's bundle changes
+even when it holds no path item.  A fresh build is the same code starting
+from an empty graph, in which every agent counts as changed.  The entries
+kept are the ones a fresh build would compute, so the graph -- edges,
+weights and their order -- is the same as a from-scratch build.  The
 graph passed to a builder as ``previous`` is consumed: the builder updates
 it in place, so it no longer describes the state it was built for.
 
@@ -249,8 +245,8 @@ def unweighted_adjacency(
     allocation: Allocation,
     oracles: Sequence,
     candidates: Sequence[Sequence[int]],
+    dependent: Sequence[frozenset[int]],
     previous: Optional[tuple[Allocation, dict, list[frozenset[int]]]] = None,
-    dependent: Optional[Sequence[frozenset[int]]] = None,
 ) -> tuple[dict[int, tuple[int, ...]], list[frozenset[int]]]:
     """Edge lists of the exchange graph of a clean allocation, and each
     agent's desired items: its candidates outside its bundle whose marginal
@@ -258,16 +254,14 @@ def unweighted_adjacency(
 
     ``oracles[i-1]`` must expose ``marginals(bundle, items)`` with values in
     {0, 1} that never grow as the bundle grows, and ``candidates[i-1]`` is its
-    ``candidate_items`` at threshold 1, of which ``dependent[i-1]`` (by
-    default all) are those the oracle does not declare bundle-independent,
-    the only ones it is asked about.  Items in the pool have no outgoing
-    edges.  ``previous``, an ``(allocation, adjacency, desired)`` triple
-    built with the same oracles, is consumed: its adjacency and desired
-    items are advanced in place and returned, recomputed only for the agents
-    whose bundle is not the same object as in its allocation.
+    ``candidate_items`` at threshold 1, of which ``dependent[i-1]`` are those
+    the oracle does not declare bundle-independent, the only ones it is
+    asked about.  Items in the pool have no outgoing edges.  ``previous``,
+    an ``(allocation, adjacency, desired)`` triple built with the same
+    oracles, is consumed: its adjacency and desired items are advanced in
+    place and returned, recomputed only for the agents whose bundle is not
+    the same object as in its allocation.
     """
-    if dependent is None:
-        dependent = [frozenset(c) for c in candidates]
     if previous is None:
         before = (None,) * allocation.num_agents  # every agent is computed
         adj: dict[int, tuple[int, ...]] = {}
@@ -280,11 +274,7 @@ def unweighted_adjacency(
         if bundle is not old
     ]
     for j in changed:
-        old = before[j - 1] or ()
-        if old and not dependent[j - 1]:
-            # one shared list, rewritten below: only departed items leave it
-            old = old - allocation.bundles[j - 1]
-        for o in old:
+        for o in before[j - 1] or ():
             adj.pop(o, None)
     for j in changed:
         bundle = allocation.bundles[j - 1]
@@ -296,9 +286,6 @@ def unweighted_adjacency(
         out, desired[j - 1] = _out_lists(
             bundle, outside, outside, dependent[j - 1], oracles[j - 1].marginals, 1
         )
-        if not (out or dependent[j - 1]):  # no list: drop the entries kept above
-            for o in bundle:
-                adj.pop(o, None)
         adj.update(out)
     return adj, desired
 
@@ -447,26 +434,13 @@ def _point_into(reverse, node, out):
             into.add(node)
 
 
-def _point_out_of(reverse, node, out):
-    """Undo ``_point_into(reverse, node, out)``."""
-    for v, _w in out:
-        into = reverse[v]
-        into.discard(node)
-        if not into:
-            del reverse[v]
-
-
 def _advance(graph, changed, old_xc):
     """Recompute in place the entries of the agents in ``changed``, whose
     counted bundles were ``old_xc[j-1]`` (None: no entries yet).
 
     Every old entry goes before any new one is added, since an item can move
     between two changed agents.  A node's reverse entries, while ``reverse``
-    is kept, leave with it and come back with its new out-list.  An agent
-    whose candidates are all declared bundle-independent, every additive
-    one, has every candidate sure on every bundle: its held items always
-    share node ``-j``, so only the items that left its bundle are popped,
-    and the node is written directly over those that stayed.
+    is kept, leave with it and come back with its new out-list.
     """
     inst, xc, x0 = graph.inst, graph.xc, graph.x0
     adjacency, desired = graph.adjacency, graph.desired
@@ -474,19 +448,7 @@ def _advance(graph, changed, old_xc):
     reverse = graph.reverse if graph.reverse_kept else None
     dependent = graph.dependent
     for j in changed:
-        old = old_xc[j - 1]
-        if not old:
-            continue
-        if not dependent[j - 1]:
-            held = members.pop(-j, None)
-            if held is not None:  # else no held item had an out-edge
-                del weights[-j]
-                if reverse is not None:
-                    _point_out_of(reverse, -j, adjacency[held[0]])
-                for o in old - xc.bundles[j - 1]:
-                    del adjacency[o], node_of[o]
-            continue
-        for o in old:
+        for o in old_xc[j - 1] or ():
             out = adjacency.pop(o, None)
             if out is None:
                 continue
@@ -494,7 +456,11 @@ def _advance(graph, changed, old_xc):
             if members.pop(node, None) is not None:  # the node's first member
                 del weights[node]
                 if reverse is not None:
-                    _point_out_of(reverse, node, out)
+                    for v, _w in out:
+                        into = reverse[v]
+                        into.discard(node)
+                        if not into:
+                            del reverse[v]
     for j in changed:
         bundle = xc.bundles[j - 1]
         candidates = graph.candidates[j - 1]
@@ -512,10 +478,6 @@ def _advance(graph, changed, old_xc):
         out, desired[j - 1] = _out_lists(
             bundle, outside, edges, dependent[j - 1], inst.valuation(j).marginals, inst.c
         )
-        if not (out or dependent[j - 1]):  # no node: drop the entries kept above
-            for o in bundle:
-                adjacency.pop(o, None)
-                node_of.pop(o, None)
         adjacency.update(out)
         shared = len(desired[j - 1]) == len(outside)  # every candidate sure
         nodes = {-j: tuple(out)} if out and shared else {o: (o,) for o in out}

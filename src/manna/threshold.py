@@ -15,23 +15,24 @@ from typing import Iterable, Sequence
 
 from .core import Allocation, Instance
 from .errors import DecompositionFailure
-from .valuations import Additive, ValuationSpec
+from .valuations import ValuationSpec
 
 
 def beta(spec: ValuationSpec, tau: int, items: Iterable[int]) -> int:
     """Number of telescoping-vector entries of ``items`` that are >= ``tau``,
     computed along the canonical ascending insertion order.
 
-    An ``Additive`` spec declares every item bundle-independent: each entry
-    is the item's value, whatever the prefix.  So for a set of items, the
-    form every solver caller passes, the count is read off the values in one
-    pass, with no prefix set.  Any other spec, or items in another form, take
-    the prefix walk, which raises ``ContractViolation`` for a repeated item;
-    a set cannot hold one.
+    For a set of items, the form every solver caller passes, a spec with
+    ``count_at_least(tau, items)`` gives the count in one pass, with no
+    prefix set: only ``Additive`` has it, whose entries are its item values
+    whatever the prefix.  Any other spec, or items in another form, take the
+    prefix walk, which raises ``ContractViolation`` for a repeated item; a
+    set cannot hold one.
     """
-    if type(spec) is Additive and isinstance(items, (set, frozenset)):
-        values = spec.values
-        return len([o for o in items if values[o] >= tau])
+    if isinstance(items, (set, frozenset)):
+        count_at_least = getattr(spec, "count_at_least", None)
+        if count_at_least is not None:
+            return count_at_least(tau, items)
     count = 0
     prefix: set[int] = set()
     for o in sorted(items):

@@ -100,6 +100,13 @@ class Additive:
         """Every item of ``items``: each marginal is the item's value."""
         return frozenset(items)
 
+    def count_at_least(self, tau: int, items: Iterable[int]) -> int:
+        """Number of ``items`` whose value is at least ``tau``: the
+        telescoping-vector count of ``threshold.beta``, whatever the order,
+        for distinct items."""
+        values = self.values
+        return len([o for o in items if values[o] >= tau])
+
 
 @dataclass(frozen=True)
 class GeneralAdditive:

@@ -51,7 +51,7 @@ from . import exchange
 from .core import Allocation
 from .errors import CleannessViolation, OracleViolation
 from .exchange import shift_along_path, shortest_path_to_pool
-from .threshold import is_clean
+from .threshold import ThresholdBeta, is_clean
 
 
 _BINARY = frozenset((0, 1))
@@ -90,10 +90,13 @@ class _CheckedOracle:
         return ds
 
     def bundle_independent(self, items):
-        """The wrapped oracle's bundle-independent items among ``items``;
-        none when it declares nothing."""
-        declared = getattr(self._oracle, "bundle_independent", None)
-        return frozenset() if declared is None else declared(items)
+        """The bundle-independent items among ``items`` that a wrapped
+        ``ThresholdBeta`` declares for its valuation; none for any other
+        oracle.  No later call checks a declared item, so only manna's own
+        valuation families are trusted to declare."""
+        if type(self._oracle) is ThresholdBeta:
+            return self._oracle.bundle_independent(items)
+        return frozenset()
 
 
 def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
@@ -102,9 +105,8 @@ def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
     ``betas[i-1]`` is agent i's binary submodular oracle exposing
     ``value(bundle)``, ``marginal(bundle, item)`` and
     ``marginals(bundle, items)``; its marginals must not grow as the bundle
-    grows.  An oracle may also declare its bundle-independent items through
-    ``bundle_independent(items)``, which the builder then never asks about
-    again.
+    grows.  The items a ``ThresholdBeta`` oracle declares bundle-independent
+    (see ``valuations``) are never asked about again.
     """
     n = len(betas)
     oracles = [_CheckedOracle(b, i + 1) for i, b in enumerate(betas)]
@@ -115,7 +117,7 @@ def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
     ]
     allocation = Allocation.empty(n, num_items)
     adjacency, desired = exchange.unweighted_adjacency(
-        allocation, oracles, candidates, dependent=dependent
+        allocation, oracles, candidates, dependent
     )
     # (bundle size, agent) of every active agent; sorted, so already a heap
     turns = [(0, i) for i in range(1, n + 1)]
@@ -139,7 +141,7 @@ def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
                 "the supplied oracle is not binary submodular"
             )
         adjacency, desired = exchange.unweighted_adjacency(
-            allocation, oracles, candidates, previous, dependent=dependent
+            allocation, oracles, candidates, dependent, previous
         )
     for i in range(1, n + 1):
         if not is_clean(oracles[i - 1], allocation.bundle(i)):

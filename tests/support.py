@@ -313,8 +313,9 @@ def reference_yankee_swap(num_items, betas, turns):
     n = len(betas)
     oracles = [_CheckedOracle(b, i + 1) for i, b in enumerate(betas)]
     candidates = [candidate_items(o.marginals, 1, num_items) for o in oracles]
+    asked = [frozenset(c) for c in candidates]  # no declaration is used
     allocation = Allocation.empty(n, num_items)
-    adjacency, desired = unweighted_adjacency(allocation, oracles, candidates)
+    adjacency, desired = unweighted_adjacency(allocation, oracles, candidates, asked)
     active = set(range(1, n + 1))
     while active:
         agent = min(active, key=lambda i: (len(allocation.bundle(i)), i))
@@ -327,7 +328,9 @@ def reference_yankee_swap(num_items, betas, turns):
         allocation = shift_along_path(allocation, path, agent)
         if not is_clean(oracles[agent - 1], allocation.bundle(agent)):
             raise OracleViolation(f"agent {agent}: bundle not clean after augmentation")
-        adjacency, desired = unweighted_adjacency(allocation, oracles, candidates, previous)
+        adjacency, desired = unweighted_adjacency(
+            allocation, oracles, candidates, asked, previous
+        )
     return allocation
 
 

@@ -368,8 +368,8 @@ def test_builders_equal_full_scan(monkeypatch, name):
     phase1_varied, phase2_varied = [], []
     build = exchange.unweighted_adjacency
 
-    def recording(allocation, oracles, candidates, previous=None, dependent=None):
-        adjacency, desired = build(allocation, oracles, candidates, previous, dependent)
+    def recording(allocation, oracles, candidates, dependent, previous=None):
+        adjacency, desired = build(allocation, oracles, candidates, dependent, previous)
         assert adjacency == full_scan_unweighted_adjacency(allocation, oracles)
         assert desired == [
             full_scan_f_set(allocation, oracles[i - 1], i, 1)
@@ -411,16 +411,17 @@ def test_graphs_advanced_in_place_equal_fresh_builds(inst):
     unweighted, weighted = exchange.unweighted_adjacency, solver.build_weighted_graph
     shift, augment_state = yankee.shift_along_path, solver.augment
 
-    def checked_adjacency(allocation, oracles, candidates, previous=None, dependent=None):
+    def checked_adjacency(allocation, oracles, candidates, dependent, previous=None):
         adjacency, desired = unweighted(
-            allocation, oracles, candidates, previous, dependent
+            allocation, oracles, candidates, dependent, previous
         )
         if previous is not None:
             assert adjacency is previous[1] and desired is previous[2]
-        fresh = unweighted(allocation, oracles, candidates, dependent=dependent)
+        fresh = unweighted(allocation, oracles, candidates, dependent)
         assert (adjacency, desired) == fresh
         # a fresh build that asks about every candidate agrees
-        assert fresh == unweighted(allocation, oracles, candidates)
+        asked = [frozenset(c) for c in candidates]
+        assert fresh == unweighted(allocation, oracles, candidates, asked)
         return adjacency, desired
 
     def checked_graph(inst_, xc, x0, check=True, previous=None):

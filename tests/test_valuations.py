@@ -320,9 +320,21 @@ def test_declared_items_keep_their_empty_bundle_marginal(drawn, data):
             assert oracle.marginal(bundle, o) == oracle.marginal(frozenset(), o)
 
 
-def test_checked_oracle_over_an_undeclaring_oracle_declares_nothing():
+def test_checked_oracle_trusts_only_threshold_beta_declarations():
+    """No later call checks a declared item, so the phase-1 wrapper passes
+    on only the declarations of manna's own families, through
+    ``ThresholdBeta``; an outside oracle's, or a bare spec's, are dropped."""
+
     class Binary:
         def marginal(self, items, item):
             return 1
 
-    assert _CheckedOracle(Binary(), 1).bundle_independent(range(4)) == frozenset()
+    class Declaring(Binary):
+        def bundle_independent(self, items):
+            return frozenset(items)
+
+    spec = Additive((1, 0, 1, 1))
+    for oracle in (Binary(), Declaring(), spec):
+        assert _CheckedOracle(oracle, 1).bundle_independent(range(4)) == frozenset()
+    wrapped = _CheckedOracle(ThresholdBeta(spec, 1), 1)
+    assert wrapped.bundle_independent(range(4)) == frozenset(range(4))

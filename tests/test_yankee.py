@@ -105,13 +105,11 @@ def test_reused_adjacency_equals_fresh_build(monkeypatch, name):
     betas = [ThresholdBeta(inst.valuation(i), 0) for i in inst.agents]
     built = 0
 
-    def recording(allocation, oracles, candidates, previous=None, dependent=None):
+    def recording(allocation, oracles, candidates, dependent, previous=None):
         nonlocal built
-        graph = unweighted_adjacency(allocation, oracles, candidates, previous, dependent)
+        graph = unweighted_adjacency(allocation, oracles, candidates, dependent, previous)
         # checked before the next build advances it in place
-        assert graph == unweighted_adjacency(
-            allocation, oracles, candidates, dependent=dependent
-        )
+        assert graph == unweighted_adjacency(allocation, oracles, candidates, dependent)
         built += 1
         return graph
 
@@ -131,16 +129,17 @@ def test_adjacency_recomputes_gainer_holding_no_path_item():
     oracles = [uniform2, either]
     candidates = [candidate_items(o.marginals, 1, 4) for o in oracles]
     assert candidates == [(0, 1, 2), (2, 3)]
+    asked = [frozenset(c) for c in candidates]
     before = Allocation.from_bundles([{0}, {3}], 4)
-    adj, desired = unweighted_adjacency(before, oracles, candidates)
+    adj, desired = unweighted_adjacency(before, oracles, candidates, asked)
     assert adj == {0: (1, 2), 3: (2,)}
     assert desired == [{1, 2}, set()]
     kept_edges, kept_desired = adj[3], desired[1]
     # the path is a lone pool item: no agent holds a path item, yet the
     # gainer's bundle grows and its edges change
     after = shift_along_path(before, (1,), 1)
-    reused = unweighted_adjacency(after, oracles, candidates, (before, adj, desired))
-    fresh = unweighted_adjacency(after, oracles, candidates)
+    reused = unweighted_adjacency(after, oracles, candidates, asked, (before, adj, desired))
+    fresh = unweighted_adjacency(after, oracles, candidates, asked)
     # o2 is an out-neighbour of both held items but not desired: agent 1
     # already counts two of items 0..2
     assert reused == fresh == ({0: (2,), 1: (2,), 3: (2,)}, [set(), set()])
@@ -173,8 +172,8 @@ def test_heap_turn_order_equals_min_scan_reference(inst):
     build, search = exchange.unweighted_adjacency, yankee.shortest_path_to_pool
     turns, recorded = [], []
 
-    def recording_build(allocation, oracles, candidates, previous=None, dependent=None):
-        adjacency, desired = build(allocation, oracles, candidates, previous, dependent)
+    def recording_build(allocation, oracles, candidates, dependent, previous=None):
+        adjacency, desired = build(allocation, oracles, candidates, dependent, previous)
         if previous is None:
             desired = _Recording(desired)  # advanced in place from here on
             recorded.append(desired)
