@@ -19,40 +19,18 @@ lexicographically smallest item sequence.  A search stops at the first
 target it reaches, which holds the least key of all targets: exactly the one
 a search run to exhaustion would pick.
 
-* **Phase 2 runs a lazy Dijkstra, one search for both path kinds.**
-  Extending a path strictly increases its key ``(cost, edges, item
-  sequence)``, so Dijkstra settles keys in increasing order and the first
-  target it settles has the least key.  The heap holds cursors, not edges.
-  Out-lists are sorted by item, and the extensions of a path through the
-  edges of one *class* share its cost, edge count and prefix, so their keys
-  rise with the item.  One cursor per expanded node and class stands for
-  all of them with its least key whose item is not yet settled; popped, it
-  moves on past the items settled since.  So the heap's least entry is the
-  least key an eager search, pushing every edge, would hold, and each item
-  is settled at its first pop.  The search stops at the first target, so
-  most of each out-list is never read.  An exchange edge's class is its
-  weight, 1 or 2.  A pool search's class adds whether the edge enters the
-  pool: an item picked up from the pool along ``u -> v`` costs 1 exactly
-  when ``v`` lies in the zero-valued bundle of ``u``'s holder, the very
-  test that made the edge's weight 1, so a pool edge costs twice its
-  weight.  The builder records, per node, the weights of its holder's
-  candidate edges: exactly its out-list's weights when the list is shared,
-  as every additive agent's is, so that no cursor walks such a list for a
-  class it lacks.  An item with a list of its own gets its holder's
-  weights too, which is cheaper than scanning each list.
-* **Phase 1 searches breadth-first.**  Every edge weighs 1, so cost equals
-  edge count and the key is ``(edges, item sequence)``.  A FIFO search
-  discovers items in that order: a layer sorted by path key, expanded in
-  discovery order through ascending edge lists, yields the next layer
-  sorted by ``(parent's path key, item)``, which is that layer's path key.
-  So the first parent to reach an item gives it its least key, and the
-  first pool item discovered is the one Dijkstra would settle first.  An
-  edge list that several items share -- one tuple object, as the builder
-  makes it when all of an agent's candidates are sure -- is walked only at
-  the first of them.  That walk gave every item on the list a parent, or
-  found the pool, so a second walk would skip every item on it.  The skip
-  keys on the list's identity, as the builders key on bundle identity,
-  and needs no node map.
+Phase 2 runs one search for both path kinds, the lazy Dijkstra of
+``dijkstra``, over the graph's out-lists, sorted by item, and its agent
+quotient (below).  An exchange edge's class there is its weight, 1 or 2.
+A pool search's class adds whether the edge enters the pool: an item picked
+up from the pool along ``u -> v`` costs 1 exactly when ``v`` lies in the
+zero-valued bundle of ``u``'s holder, the very test that made the edge's
+weight 1, so a pool edge costs twice its weight.  The builder records, per
+node, the weights of its holder's candidate edges: exactly its out-list's
+weights when the list is shared, as every additive agent's is, so that no
+cursor walks such a list for a class it lacks.  An item with a list of its
+own gets its holder's weights too, which is cheaper than scanning each
+list.  Phase 1's search is breadth-first (``yankee.shortest_path_to_pool``).
 
 Both builders scan only each agent's *candidate items*, listed once per
 solve: the items whose marginal on the empty bundle reaches the threshold
@@ -92,10 +70,11 @@ items have new bundles: ``shift_along_path`` and ``augment`` pass every
 other agent's bundle through as the same object.  So a builder given the
 previous graph keys each agent on the identity of its bundles.  An agent
 whose bundle objects are the previous graph's keeps its entries; every
-other agent's entries are dropped, all of them before any is computed anew,
-since an item may move between two such agents.  A bundle rebuilt equal to
-the old one is merely recomputed, so identity is a safe stand-in for
-equality, and the builder never reads the path: the gainer's bundle changes
+other agent's entries are dropped, or edited where phase 2 splices them
+(below), every removal before any addition, since an item may move between
+two such agents.  A bundle rebuilt equal to the old one is merely
+recomputed, so identity is a safe stand-in for equality, and the builder
+never reads the path: the gainer's bundle changes
 even when it holds no path item.  A fresh build is the same code starting
 from an empty graph, in which every agent counts as changed.  The entries
 kept are the ones a fresh build would compute, so the graph -- edges,
@@ -114,16 +93,35 @@ these things are shared instead of recomputed:
   recomputes them, with j's nodes and their weights, only when one of
   j's bundle objects changed.  The desired items at threshold c, the sources
   of j's searches, are the sure candidates of its out-lists.
+* **Splices, for fully declared agents.**  An agent is *fully declared*
+  when its valuation declares every candidate bundle-independent: every
+  additive agent, and every capped agent without groups.  All its
+  candidates are sure, so all its held items share one out-list, which
+  holds exactly its candidates outside ``xc_j``, each weighted by whether
+  ``x0_j`` holds it, and its desired items are the same candidates.  When
+  ``x0_j`` is the same object and only ``xc_j`` changed, both bundles
+  clean, the new list is the old one less the items that entered ``xc_j``
+  and plus the items that left it.  Every item of a clean bundle is a
+  candidate (its marginal on the items before it reaches c, and on the
+  empty bundle it is no smaller), so an item that entered had an edge and
+  one that left gets one, weighted as a fresh build would weigh it.  So
+  the builder edits the shared list in place, which every held item's
+  entry points to, and touches the adjacency, node, members, weight class,
+  desired and reverse entries of the moved items only.  An exchange moves
+  one or two items of an agent, while a rebuild walks all its candidates.
+  A list that empties leaves no entry, as in a fresh build; the agent is
+  rebuilt when it next changes.
 * **Agent quotient.**  The held items of an agent whose items all share one
   out-list -- every additive agent -- form one node; every other item with
-  out-edges is a node of its own.
+  out-edges is a node of its own.  A search expands each node once.
 * **Reverse lists only where they are read.**  The graph keeps, per item,
   the set of nodes with an edge into it, for the reverse search below.
   Only pool searches read them.  In the Pareto stage they are kept in
   place: only the entries that a rebuilt agent's old or new nodes point
-  into change.  The exchange stage makes no pool search until its final
-  check, so it stops keeping them, and ``reaching`` rebuilds them once,
-  from the nodes and their out-lists, before that check.
+  into, and those of the items a splice moves, change.  The exchange stage
+  makes no pool search until its final check, so it stops keeping them,
+  and ``reaching`` rebuilds them once, from the nodes and their out-lists,
+  before that check.
 * **Reachability pre-filter, for pool searches only.**  Each graph caches
   the items that can reach the pool, found by a reverse search that
   expands each node into its members once.  A ``pareto_improving`` search
@@ -137,25 +135,22 @@ these things are shared instead of recomputed:
   nearly always exists.  A reverse search there would cost about as much
   as the Dijkstra run it could spare, so exchange searches run Dijkstra
   directly.
-* **One expansion per node.**  Dijkstra pushes a shared node's cursors only
-  when the first of its members leaves the heap; a later member is still
-  tested as a target, but not expanded.  This prunes nothing that matters.
-  The members share one out-list, so the same weights, and one holder, so
-  the same Pareto pickup costs: each offers the same extensions at the same
-  added cost.  A later member's key is larger, since keys leave the heap in
-  increasing order and no two are equal.  Extended by the same edge it
-  stays larger: a smaller cost or edge count carries over, and with both
-  equal the two paths have one length and differ before their last item.
-  So a later member's extension improves no key a search would settle.
+* **One-item steals without a search.**  When some source of an exchange
+  search lies in the target's counted bundle, the search returns the least
+  such item as a one-item path of cost 0.  Every start has cost 0 and
+  no edges, so no key is below ``(0, 0, (o,))`` for the least such item
+  ``o``: it is the first target Dijkstra would settle.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, insort
 from itertools import compress
+from operator import is_not, itemgetter
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Optional, Sequence
 
+from . import dijkstra
 from .core import Allocation, Instance
 from .errors import CleannessViolation, ContractViolation
 from .threshold import beta
@@ -200,7 +195,7 @@ def f_set(
     return frozenset(o for o, d in zip(outside, gains) if d >= tau)
 
 
-def _out_lists(bundle, outside, entries, dependent, marginals, threshold):
+def _out_lists(bundle, outside, entries, dependent, marginals, threshold, share=tuple):
     """Out-lists of the items of one agent's ``bundle``, and which of the
     agent's candidates are *sure* ones.
 
@@ -215,14 +210,15 @@ def _out_lists(bundle, outside, entries, dependent, marginals, threshold):
     ``bundle - {o}`` and is sure too.  A sure candidate is an out-neighbour
     of every held item; only the others, the *maybe* ones, are tested per
     held item, in one call each.  When every candidate is sure, all held
-    items share one out-list.  Items without out-edges are left out.
+    items share one out-list, made by ``share`` from ``entries``.  Items
+    without out-edges are left out.
     Returned with the out-lists are the sure candidates: the items the agent
     desires.
     """
     asked = [o for o in outside if o in dependent] if dependent else ()
     low = asked and {o for o, d in zip(asked, marginals(bundle, asked)) if d < threshold}
     if not low:
-        shared = tuple(entries)
+        shared = share(entries)
         out = dict.fromkeys(sorted(bundle), shared) if shared else {}
         return out, frozenset(outside)
     sure = [o not in low for o in outside]
@@ -300,7 +296,10 @@ class WeightedExchangeGraph:
 
     The graph is also kept as its agent quotient.  Each item with out-edges
     lies in one node: agent i's node ``-i`` when all of i's held items share
-    one out-list, else a node of its own, named by the item.  ``node_of``
+    one out-list, else a node of its own, named by the item.  A fully
+    declared agent's shared out-list and members are lists, which a splice
+    edits in place; every other out-list and member sequence is a tuple.
+    ``node_of``
     maps such an item to its node, ``members`` a node to its items in
     ascending order, ``weights`` a node to the weights of its holder's
     candidate edges (``(1,)``, ``(2,)`` or ``(1, 2)``; every weight its
@@ -316,12 +315,12 @@ class WeightedExchangeGraph:
     inst: Instance
     xc: Allocation
     x0: Allocation
-    adjacency: dict[int, tuple[tuple[int, int], ...]]
+    adjacency: dict[int, Sequence[tuple[int, int]]]
     candidates: tuple[tuple[int, ...], ...]
     dependent: tuple[frozenset[int], ...]
     desired: list[frozenset[int]]
     node_of: dict[int, int]
-    members: dict[int, tuple[int, ...]]
+    members: dict[int, Sequence[int]]
     weights: dict[int, tuple[int, ...]]
     reverse: dict[int, set[int]]
     reverse_kept: bool = True
@@ -407,20 +406,22 @@ def build_weighted_graph(
         graph = previous
         old_xc, old_x0 = graph.xc.bundles, graph.x0.bundles
         graph.xc, graph.x0, graph._reaching = xc, x0, {}
-    changed = [
-        j
-        for j, bundle, x0_j, old, old0 in zip(
-            inst.agents, xc.bundles, x0.bundles, old_xc, old_x0
-        )
-        if bundle is not old or x0_j is not old0
-    ]
-    _advance(graph, changed, old_xc)
+    # the agents with a new bundle object, compared at C speed: after an
+    # augmentation nearly all of them keep both
+    changed = sorted(
+        {
+            *compress(inst.agents, map(is_not, xc.bundles, old_xc)),
+            *compress(inst.agents, map(is_not, x0.bundles, old_x0)),
+        }
+    )
+    _advance(graph, changed, old_xc, old_x0)
     return graph
 
 
 # Edge weights, indexed by (has weight 1) + 2 * (has weight 2): shared
 # constants, so that a node's entry allocates nothing.
 _WEIGHT_CLASSES = ((), (1,), (2,), (1, 2))
+_weight = itemgetter(1)  # of an (item, weight) edge
 
 
 def _point_into(reverse, node, out):
@@ -434,21 +435,40 @@ def _point_into(reverse, node, out):
             into.add(node)
 
 
-def _advance(graph, changed, old_xc):
+def _advance(graph, changed, old_xc, old_x0):
     """Recompute in place the entries of the agents in ``changed``, whose
-    counted bundles were ``old_xc[j-1]`` (None: no entries yet).
+    bundles were ``old_xc[j-1]`` and ``old_x0[j-1]`` (None: no entries yet).
 
-    Every old entry goes before any new one is added, since an item can move
-    between two changed agents.  A node's reverse entries, while ``reverse``
-    is kept, leave with it and come back with its new out-list.
+    An agent is spliced (``_splice``) when it is fully declared (no
+    ``dependent`` candidate), its ``x0`` bundle is the same object, it has
+    a shared out-list and its counted bundle is not empty.  Every other
+    changed agent is rebuilt from its candidates.  Every old entry goes
+    before any new one is added, since an item can move between two
+    changed agents.  A rebuilt node's reverse entries, while ``reverse`` is
+    kept, leave with it and come back with its new out-list.
     """
     inst, xc, x0 = graph.inst, graph.xc, graph.x0
     adjacency, desired = graph.adjacency, graph.desired
     node_of, members, weights = graph.node_of, graph.members, graph.weights
     reverse = graph.reverse if graph.reverse_kept else None
     dependent = graph.dependent
+    spliced, rebuilt = [], []
     for j in changed:
-        for o in old_xc[j - 1] or ():
+        old, bundle = old_xc[j - 1], xc.bundles[j - 1]
+        if (
+            bundle
+            and -j in members
+            and not dependent[j - 1]
+            and x0.bundles[j - 1] is old_x0[j - 1]
+        ):
+            out = adjacency[members[-j][0]]
+            left = old - bundle
+            for o in left:
+                del adjacency[o], node_of[o]
+            spliced.append((j, out, left, bundle - old))
+            continue
+        rebuilt.append(j)
+        for o in old or ():
             out = adjacency.pop(o, None)
             if out is None:
                 continue
@@ -457,11 +477,10 @@ def _advance(graph, changed, old_xc):
                 del weights[node]
                 if reverse is not None:
                     for v, _w in out:
-                        into = reverse[v]
-                        into.discard(node)
-                        if not into:
-                            del reverse[v]
-    for j in changed:
+                        _unpoint(reverse, node, v)
+    for j, out, left, entered in spliced:
+        _splice(graph, reverse, j, out, left, entered)
+    for j in rebuilt:
         bundle = xc.bundles[j - 1]
         candidates = graph.candidates[j - 1]
         if not bundle:
@@ -475,18 +494,83 @@ def _advance(graph, changed, old_xc):
         # with the long-lived edges fragmented memory and raised peak RSS.
         edges = [(op, 1 if op in x0_j else 2) for op in outside]
         light, heavy = not x0_j.isdisjoint(outside), not x0_j.issuperset(outside)
+        # Only a fully declared agent is spliced, so only its shared list and
+        # members are lists, edited in place; any other agent's are tuples.
+        share = tuple if dependent[j - 1] else list
         out, desired[j - 1] = _out_lists(
-            bundle, outside, edges, dependent[j - 1], inst.valuation(j).marginals, inst.c
+            bundle,
+            outside,
+            edges,
+            dependent[j - 1],
+            inst.valuation(j).marginals,
+            inst.c,
+            share,
         )
         adjacency.update(out)
         shared = len(desired[j - 1]) == len(outside)  # every candidate sure
-        nodes = {-j: tuple(out)} if out and shared else {o: (o,) for o in out}
+        nodes = {-j: share(out)} if out and shared else {o: (o,) for o in out}
         for node, items in nodes.items():
             members[node] = items
             node_of.update(dict.fromkeys(items, node))
             weights[node] = _WEIGHT_CLASSES[light + 2 * heavy]
             if reverse is not None:
                 _point_into(reverse, node, out[items[0]])
+
+
+def _unpoint(reverse, node, v):
+    """Record in ``reverse`` that ``node`` no longer has an edge into ``v``."""
+    into = reverse[v]
+    into.discard(node)
+    if not into:
+        del reverse[v]
+
+
+def _splice(graph, reverse, j, out, left, entered):
+    """Advance the entries of fully declared agent j by the items that
+    ``left`` and ``entered`` its counted bundle, editing its shared
+    out-list ``out`` and its members in place.  The items that left are
+    already out of ``adjacency`` and ``node_of``.
+
+    Every candidate of j is sure, so ``out`` holds one edge per candidate
+    outside the bundle, weighted by the unchanged ``x0`` bundle.  Both
+    counted bundles are clean, and every item of a clean bundle is a
+    candidate: its marginal on the items before it reaches c, and on the
+    empty bundle it is no smaller.  So an item that entered loses its edge,
+    and one that left gains one at its place in item order.  Only weight
+    classes whose last edge went are looked for in the list.  When the
+    list empties, every candidate is held and j keeps no entry, as a fresh
+    build would.
+    """
+    adjacency, node_of = graph.adjacency, graph.node_of
+    node, items = -j, graph.members[-j]
+    x0_j = graph.x0.bundles[j - 1]
+    dropped, added = [], []
+    for o in entered:
+        dropped.append(out.pop(bisect_left(out, (o,)))[1])
+        if reverse is not None:
+            _unpoint(reverse, node, o)
+    for o in left:
+        del items[bisect_left(items, o)]
+        edge = (o, 1 if o in x0_j else 2)
+        insort(out, edge)
+        added.append(edge[1])
+        if reverse is not None:
+            _point_into(reverse, node, (edge,))
+    graph.desired[j - 1] = graph.desired[j - 1].difference(entered).union(left)
+    if not out:
+        for o in items:
+            del adjacency[o], node_of[o]
+        del graph.members[node], graph.weights[node]
+        return
+    for o in entered:
+        adjacency[o] = out
+        node_of[o] = node
+        insort(items, o)
+    present = {*graph.weights[node], *added}
+    for w in set(dropped).difference(added):
+        if w not in map(_weight, out):
+            present.discard(w)
+    graph.weights[node] = _WEIGHT_CLASSES[(1 in present) + 2 * (2 in present)]
 
 
 @dataclass(frozen=True)
@@ -503,67 +587,6 @@ class AugmentingPath:
     source_agent: int
     target: int
     doubled_weight: int
-
-
-def _run_dijkstra(starts, adjacency, node_of, weights, targets, pool):
-    """Least key ``(cost, edge count, item path)`` of a path from ``starts``
-    to ``targets``, or None when no target is reachable.
-
-    ``starts`` maps each source to the cost of its one-item path.
-    ``adjacency`` maps an item to its out-list of ``(item, weight)`` edges in
-    ascending item order, ``node_of`` an item to its quotient node, and
-    ``weights`` a node to weights that include those on its out-list.  An
-    edge ``u -> v`` costs its weight ``w``, or ``2w`` when ``pool`` is set
-    and ``v`` is a target.
-
-    The lazy search of the module docstring.  A heap entry is ``(cost, edge
-    count, prefix, item, out-list, index, weight)``: a cursor at ``index``
-    of ``out-list``, or, with no out-list, a start or a pool edge's target.
-    A target popped ends the search, so a target class never moves on: its
-    entry is its first target.  Entries with one prefix come from the
-    cursors of one item, which never point at the same item, so no two
-    entries agree on their first four fields and the rest is never compared.
-    """
-    heap = [(cost, 0, (), o, None, 0, 0) for o, cost in starts.items()]
-    heapq.heapify(heap)
-    skip = targets if pool else ()  # what a non-target cursor passes over
-    settled = set()
-    expanded = set()
-    while heap:
-        cost, nedges, prefix, v, out, k, weight = heap[0]
-        if v in targets:
-            return cost, nedges, prefix + (v,)
-        if out is None:
-            heapq.heappop(heap)
-        else:
-            for k in range(k + 1, len(out)):
-                u, w = out[k]
-                if w == weight and u not in settled and u not in skip:
-                    heapq.heapreplace(heap, (cost, nedges, prefix, u, out, k, weight))
-                    break
-            else:
-                heapq.heappop(heap)
-        if v in settled:
-            continue
-        settled.add(v)
-        node = node_of.get(v)
-        if node is None or node in expanded:
-            continue
-        expanded.add(node)
-        out = adjacency[v]
-        path = prefix + (v,)
-        nedges += 1
-        for weight in weights[node]:
-            for k, (u, w) in enumerate(out):
-                if w == weight and u not in settled and u not in skip:
-                    heapq.heappush(heap, (cost + w, nedges, path, u, out, k, w))
-                    break
-            if pool:
-                for u, w in out:
-                    if w == weight and u in targets:
-                        heapq.heappush(heap, (cost + 2 * w, nedges, path, u, None, 0, 0))
-                        break
-    return None
 
 
 def min_weight_path(
@@ -594,10 +617,14 @@ def min_weight_path(
         if target_agent is None or target_agent == agent:
             raise ContractViolation("exchange paths need a distinct target agent")
         targets = xc.bundle(target_agent)
+        if not targets.isdisjoint(sources):  # a one-item steal, the least key
+            return AugmentingPath(
+                (min(targets.intersection(sources)),), kind, agent, target_agent, 0
+            )
         starts = dict.fromkeys(sources, 0)
     else:
         raise ContractViolation(f"unknown path kind {kind!r}")
-    key = _run_dijkstra(
+    key = dijkstra.least_key(
         starts, graph.adjacency, graph.node_of, graph.weights, targets, kind == PARETO
     )
     if key is None:
@@ -614,6 +641,12 @@ def shift_along_path(allocation: Allocation, items: Sequence[int], gainer: int) 
     Only the gainer's and the path holders' bundles, the pool among them
     when the last item is unallocated, are rebuilt and checked; every other
     bundle is passed through as the same object."""
+    return allocation.replace_bundles(_shifted_parts(allocation, items, gainer))
+
+
+def _shifted_parts(allocation, items, gainer):
+    """The bundles ``shift_along_path`` replaces, keyed by agent (0: the
+    pool), as they are after the shift."""
     path_set = set(items)
     if len(path_set) != len(items):
         raise ContractViolation("augmenting path repeats an item")
@@ -624,7 +657,7 @@ def shift_along_path(allocation: Allocation, items: Sequence[int], gainer: int) 
     parts = {k: allocation.bundle(k) - path_set for k in receivers}
     for o, k in zip(items, receivers):
         parts[k] = parts[k] | {o}
-    return allocation.replace_bundles(parts)
+    return parts
 
 
 def clean_state_violations(
@@ -667,25 +700,26 @@ def augment(
     the same object.  With ``check`` on, the postconditions (cleanness,
     disjointness, bundle-size deltas) are asserted and any failure raises
     ``CleannessViolation`` -- which must never happen for valid inputs.  The
-    state passed in must be sound: cleanness and disjointness are rechecked
-    only for the agents whose ``xc`` or ``x0`` bundle changed.
+    state passed in must be sound.  The changed agents are the ones whose
+    counted bundles the shift replaced, plus the x0 holder of a Pareto
+    terminal: exactly the agents with a new bundle object, found without a
+    walk over all n agents.  Cleanness and disjointness are rechecked only
+    for them.
     """
     items = path.items
-    new_xc = shift_along_path(xc, items, path.source_agent)
+    parts = _shifted_parts(xc, items, path.source_agent)
+    new_xc = xc.replace_bundles(parts)
     new_x0 = x0
+    changed = set(parts)
+    changed.discard(0)
     if path.kind == PARETO:
         terminal = items[-1]
         holder = x0.owner_of(terminal)
         if holder:
             new_x0 = x0.replace_bundle(holder, x0.bundle(holder) - {terminal})
+            changed.add(holder)
     if check:
-        changed = [
-            k
-            for k, new, old, new0, old0 in zip(
-                inst.agents, new_xc.bundles, xc.bundles, new_x0.bundles, x0.bundles
-            )
-            if new is not old or new0 is not old0
-        ]
+        changed = sorted(changed)
         # A bundle passed through as the same object kept its size, so only
         # the changed agents, the source and the target are compared.
         delta = dict.fromkeys(changed, 0)
@@ -703,44 +737,3 @@ def augment(
         if problems:
             raise CleannessViolation("; ".join(problems))
     return new_xc, new_x0
-
-
-def shortest_path_to_pool(
-    allocation: Allocation, adjacency: dict[int, Sequence[int]], sources: Iterable[int]
-) -> Optional[tuple[int, ...]]:
-    """Shortest path from ``sources`` to the unallocated pool in
-    ``adjacency``, the ``unweighted_adjacency`` of ``allocation``; ties go
-    to the lexicographically smallest item sequence.
-
-    A breadth-first search: each layer is walked in discovery order and each
-    edge list in its ascending order, an item's parent is the first item to
-    reach it, and the search stops at the first pool item it discovers.  An
-    edge list shared by several items, the same object, is walked once:
-    walking it again would only meet items already reached.
-    """
-    pool = allocation.unallocated
-    frontier = sorted(sources)
-    for o in frontier:
-        if o in pool:
-            return (o,)
-    parent: dict[int, Optional[int]] = dict.fromkeys(frontier)
-    walked = set()  # ids of the edge lists walked, alive in ``adjacency``
-    while frontier:
-        layer = []
-        for u in frontier:
-            out = adjacency.get(u, ())
-            if id(out) in walked:
-                continue
-            walked.add(id(out))
-            for v in out:
-                if v in parent:
-                    continue
-                parent[v] = u
-                if v in pool:
-                    path = [v]
-                    while (v := parent[v]) is not None:
-                        path.append(v)
-                    return tuple(reversed(path))
-                layer.append(v)
-        frontier = layer
-    return None

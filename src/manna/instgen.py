@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .core import Allocation, Instance
 from .errors import ContractViolation, InvalidInstance, ParseError
+from .jsontext import dumps
 from .solver import SolveReport
 from .threshold import TriDecomposition
 from .valuations import (
@@ -489,11 +490,6 @@ def report_to_obj(report: SolveReport) -> dict:
         },
         "decomposition": decomposition_to_obj(report.decomposition),
     }
-
-
-def dumps(obj) -> str:
-    """Canonical JSON rendering: sorted keys, two-space indent, newline end."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def loads(text: str):

@@ -102,11 +102,23 @@ def phase1(inst: Instance) -> SolverState:
     return state
 
 
-def _scaled_potential(sizes: tuple[int, ...]) -> int:
+def _scaled_potential(sizes) -> int:
     # sum_h (|xc_h| + h/n^2)^2 over the counted sizes, scaled by n^4 to stay
     # integral
     n = len(sizes)
     return sum((n * n * size + h) ** 2 for h, size in enumerate(sizes, start=1))
+
+
+def _exchanged_potential(potential: int, sizes: list[int], path: AugmentingPath) -> int:
+    """The scaled potential after an exchange along ``path``: the source's
+    counted size rises by one and the target's falls by one, in ``sizes``
+    too.  Only their two terms of the sum change."""
+    n = len(sizes)
+    for h, step in ((path.source_agent, 1), (path.target, -1)):
+        term = n * n * sizes[h - 1] + h
+        sizes[h - 1] += step
+        potential += (term + n * n * step) ** 2 - term**2
+    return potential
 
 
 def augmentation_bounds(n: int, m: int) -> tuple[int, int]:
@@ -135,6 +147,14 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
     the -1 for j.  After an exchange stage that augmented, a Pareto scan of
     the final graph checks this and raises ``CleannessViolation`` if it
     finds a path.
+
+    The exchange stage keeps the counted sizes and the scaled potential
+    Σ_h (n²·|xc_h| + h)² up to date instead of recomputing them from the
+    allocation: an exchange adds 1 to the source's size and takes 1 from
+    the target's, and ``augment`` has asserted that no other size moved,
+    so only those two terms of the sum change.  The potential must still
+    strictly decrease across every exchange, or ``TerminationGuard`` is
+    raised.
     """
     n = inst.num_agents
     pareto_bound, exchange_bound = augmentation_bounds(n, inst.num_items)
@@ -172,13 +192,12 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
     # the exchange stage does not keep them; the final Pareto scan rebuilds
     # them.
     graph.reverse_kept = False
-    sizes = state.xc.sizes()
+    sizes = list(state.xc.sizes())
     potential = _scaled_potential(sizes)
     exchanged = False
     while (path := _exchange_scan(graph, sizes)) is not None:
         state.xc, state.x0 = augment(inst, state.xc, state.x0, path)
-        sizes = state.xc.sizes()
-        before, potential = potential, _scaled_potential(sizes)
+        before, potential = potential, _exchanged_potential(potential, sizes, path)
         if potential >= before:
             raise TerminationGuard(
                 f"potential failed to decrease ({before} -> {potential}) "
@@ -216,7 +235,7 @@ def _pareto_scan(graph: WeightedExchangeGraph) -> Optional[AugmentingPath]:
 
 
 def _exchange_scan(
-    graph: WeightedExchangeGraph, sizes: tuple[int, ...]
+    graph: WeightedExchangeGraph, sizes: list[int]
 ) -> Optional[AugmentingPath]:
     """The exchange path of the lexicographically first pair (i, j) whose
     counted sizes it balances or swaps toward the lower index.  Every pair

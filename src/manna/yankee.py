@@ -20,9 +20,19 @@ An agent's desired items and the out-neighbours of its items are sought
 only among the items it values on the empty bundle, so the oracles'
 marginals must not grow as a bundle grows (see ``exchange``).
 
-Every exchange-graph edge weighs 1 here, so the path search is breadth-first
-and stops at the first pool item it discovers; its path is the one Dijkstra
-would return (see ``exchange``).
+Every exchange-graph edge weighs 1 here, so cost equals edge count and a
+path's key is ``(edges, item sequence)``; ties go to the lexicographically
+smallest item sequence.  A FIFO search discovers items in that order: a
+layer sorted by path key, expanded in discovery order through ascending
+edge lists, yields the next layer sorted by ``(parent's path key, item)``,
+which is that layer's path key.  So the first parent to reach an item gives
+it its least key, and the first pool item discovered is the one Dijkstra
+would settle first.  An edge list that several items share -- one tuple
+object, as the builder makes it when all of an agent's candidates are sure
+-- is walked only at the first of them.  That walk gave every item on the
+list a parent, or found the pool, so a second walk would skip every item on
+it.  The skip keys on the list's identity, as the builders key on bundle
+identity, and needs no node map.
 
 The oracles are asked in batches, through ``marginals(bundle, items)``, so
 one call through the wrapper that checks each marginal is 0 or 1 covers a
@@ -45,12 +55,12 @@ is.
 from __future__ import annotations
 
 import heapq
-from typing import Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import exchange
 from .core import Allocation
 from .errors import CleannessViolation, OracleViolation
-from .exchange import shift_along_path, shortest_path_to_pool
+from .exchange import shift_along_path
 from .threshold import ThresholdBeta, is_clean
 
 
@@ -147,3 +157,44 @@ def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
         if not is_clean(oracles[i - 1], allocation.bundle(i)):
             raise OracleViolation(f"agent {i}: final bundle not clean")
     return allocation
+
+
+def shortest_path_to_pool(
+    allocation: Allocation, adjacency: dict[int, Sequence[int]], sources: Iterable[int]
+) -> Optional[tuple[int, ...]]:
+    """Shortest path from ``sources`` to the unallocated pool in
+    ``adjacency``, the ``unweighted_adjacency`` of ``allocation``; ties go
+    to the lexicographically smallest item sequence.
+
+    A breadth-first search: each layer is walked in discovery order and each
+    edge list in its ascending order, an item's parent is the first item to
+    reach it, and the search stops at the first pool item it discovers.  An
+    edge list shared by several items, the same object, is walked once:
+    walking it again would only meet items already reached.
+    """
+    pool = allocation.unallocated
+    frontier = sorted(sources)
+    for o in frontier:
+        if o in pool:
+            return (o,)
+    parent: dict[int, Optional[int]] = dict.fromkeys(frontier)
+    walked = set()  # ids of the edge lists walked, alive in ``adjacency``
+    while frontier:
+        layer = []
+        for u in frontier:
+            out = adjacency.get(u, ())
+            if id(out) in walked:
+                continue
+            walked.add(id(out))
+            for v in out:
+                if v in parent:
+                    continue
+                parent[v] = u
+                if v in pool:
+                    path = [v]
+                    while (v := parent[v]) is not None:
+                        path.append(v)
+                    return tuple(reversed(path))
+                layer.append(v)
+        frontier = layer
+    return None

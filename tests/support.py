@@ -141,8 +141,8 @@ def permute_allocation(allocation: Allocation, item_perm: list[int]) -> Allocati
 
 
 def exhaustive_least_key(starts, neighbors, targets):
-    """Reference for both path searches, ``exchange._run_dijkstra`` and
-    ``exchange.shortest_path_to_pool`` (every edge weighing 1): run Dijkstra
+    """Reference for both path searches, ``dijkstra.least_key`` and
+    ``yankee.shortest_path_to_pool`` (every edge weighing 1): run Dijkstra
     over the whole reachable graph, then take the least key among the
     reached targets."""
     best = dict(starts)
@@ -279,7 +279,7 @@ def reference_phase2(state, inst, trace, rescans):
 
 
 def reference_shortest_path_to_pool(allocation, adjacency, sources):
-    """Reference for ``exchange.shortest_path_to_pool``: the same
+    """Reference for ``yankee.shortest_path_to_pool``: the same
     breadth-first search, walking the edge list of every item it reaches."""
     pool = allocation.unallocated
     frontier = sorted(sources)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manna import exchange, solver, yankee
+from manna import dijkstra, exchange, solver, yankee
 from manna.core import Allocation, Instance
 from manna.errors import CleannessViolation, ContractViolation, InvalidInstance
 from manna.exchange import (
@@ -21,11 +21,11 @@ from manna.exchange import (
     f_set,
     min_weight_path,
     shift_along_path,
-    shortest_path_to_pool,
 )
 from manna.instgen import gen_capped_groups, gen_random_additive
 from manna.solver import phase1
 from manna.valuations import Additive, CappedGroups
+from manna.yankee import shortest_path_to_pool
 from support import (
     exhaustive_least_key,
     full_scan_f_set,
@@ -136,6 +136,21 @@ def test_augment_catches_a_path_holder_left_unclean():
     nxc, nx0 = augment(inst, xc, x0, forced, check=False)
     assert nxc.bundles == (frozenset({0}), frozenset({1}))
     assert clean_state_violations(inst, nxc, nx0, [1]) == []
+
+
+def test_augment_catches_an_exchange_path_holder_left_unclean():
+    # agent 1 takes o0 from agent 2, who takes o1 from the target, agent 3;
+    # agent 2 counts o1 at 0.  Every size moves as an exchange's should, so
+    # only the cleanness recheck of the path holders catches it.
+    inst = Instance(
+        3, 3, 2, (Additive((2, 0, 0)), Additive((2, 0, 0)), Additive((0, 2, 2)))
+    )
+    xc = Allocation.from_bundles([set(), {0}, {1, 2}], 3)
+    x0 = Allocation.empty(3, 3)
+    forced = AugmentingPath((0, 1), EXCHANGE, 1, 3, 4)
+    unclean = "^agent 2: xc bundle not clean at threshold c$"
+    with pytest.raises(CleannessViolation, match=unclean):
+        augment(inst, xc, x0, forced)
 
 
 def test_augment_exchange_size_bookkeeping():
@@ -282,9 +297,21 @@ def test_incremental_graph_equals_fresh_build(monkeypatch, name):
     inst = EQUIVALENCE_INSTANCES[name]()
     kinds = set()
     kept = []  # per graph, whether it keeps reverse lists
+    listed = []  # per graph, the agents with a shared out-list
+    # per splice: the graph it builds, whether that graph keeps reverse
+    # lists (the Pareto stage), and the agent whose out-list it emptied
+    spliced = []
+    splice = exchange._splice
+
+    def recording_splice(graph, reverse, j, out, left, entered):
+        splice(graph, reverse, j, out, left, entered)
+        spliced.append((len(kept), reverse is not None, None if out else j))
+
+    monkeypatch.setattr(exchange, "_splice", recording_splice)
 
     def check(g):
         kept.append(g.reverse_kept)
+        listed.append({-node for node in g.members if node < 0})
         _assert_equals_fresh_build(g)
         assert set(g.node_of) == set(g.adjacency)
         for node, items in g.members.items():
@@ -297,6 +324,13 @@ def test_incremental_graph_equals_fresh_build(monkeypatch, name):
     assert kinds == ({True} if name.startswith("additive") else {True, False})
     # the Pareto stage keeps them in place; the exchange stage does not
     assert kept[0] and not kept[-1]
+    if name.startswith("additive"):
+        # every agent is fully declared, so both stages splice, and some
+        # agent comes to hold all its candidates and later has a list again
+        assert {stage for _k, stage, _j in spliced} == {True, False}
+        emptied = [(k, j) for k, _stage, j in spliced if j is not None]
+        assert any(j not in listed[k] for k, j in emptied)
+        assert any(j in later for k, j in emptied for later in listed[k + 1 :])
 
 
 def _recorded_marginals(monkeypatch):
@@ -356,7 +390,7 @@ FULL_SCAN_INSTANCES = {
 def _per_item_lists(allocation, adjacency):
     """Whether some agent's held items have different out-lists."""
     return any(
-        len({adjacency.get(o) for o in allocation.bundle(j)}) > 1
+        len({tuple(adjacency.get(o, ())) for o in allocation.bundle(j)}) > 1
         for j in range(1, allocation.num_agents + 1)
     )
 
@@ -379,7 +413,9 @@ def test_builders_equal_full_scan(monkeypatch, name):
         return adjacency, desired
 
     def check(g):
-        assert g.adjacency == full_scan_weighted_adjacency(inst, g.xc, g.x0)
+        # a shared out-list is a list, edited in place; compare the edges
+        edges = {u: tuple(out) for u, out in g.adjacency.items()}
+        assert edges == full_scan_weighted_adjacency(inst, g.xc, g.x0)
         for i in inst.agents:
             want = full_scan_f_set(g.xc, inst.valuation(i), i, inst.c)
             assert g.desired[i - 1] == want
@@ -461,6 +497,30 @@ def test_build_weighted_graph_recomputes_agents_whose_x0_changed(named_fixtures)
     # o0 goes back to the pool, which the solver's augmentations never do
     g = build_weighted_graph(ex2, bare, bare, previous=g)
     assert g.dump() == ""
+    _assert_equals_fresh_build(g)
+
+
+def test_spliced_node_loses_and_regains_a_weight_class():
+    # agent 1 counts o0, o1 and o2 at c and holds o1 in its zero-valued
+    # bundle, so from o0 the edge to o1 weighs 1 and the edge to o2 weighs 2
+    inst = Instance(2, 4, 2, (Additive((2, 2, 2, 0)), Additive((2, 2, 2, 2))))
+    x0 = Allocation.from_bundles([{1}, set()], 4)
+    def advanced(g, bundles):
+        xc = Allocation.from_bundles(bundles, 4)
+        return build_weighted_graph(inst, xc, x0, previous=g)
+
+    g = build_weighted_graph(inst, Allocation.from_bundles([{0}, {2}], 4), x0)
+    out = g.adjacency[0]
+    assert (out, g.weights[-1]) == ([(1, 1), (2, 2)], (1, 2))
+    # o2 joins agent 1's counted bundle: its last weight-2 edge goes
+    g = advanced(g, [{0, 2}, set()])
+    assert g.adjacency[0] is g.adjacency[2] is out  # spliced, not rebuilt
+    assert (out, g.weights[-1]) == ([(1, 1)], (1,))
+    _assert_equals_fresh_build(g)
+    # o2 goes back to agent 2: the weight-2 edge returns
+    g = advanced(g, [{0}, {2}])
+    assert g.adjacency[0] is out and 2 not in g.members[-1]
+    assert (out, g.weights[-1]) == ([(1, 1), (2, 2)], (1, 2))
     _assert_equals_fresh_build(g)
 
 
@@ -580,7 +640,7 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
     # every min_weight_path of every phase-2 state, unfiltered so that the
     # searches that find nothing run too
     outcomes.clear()
-    bounded = exchange._run_dijkstra
+    bounded = dijkstra.least_key
     graph = None  # the graph being searched
 
     def checked(starts, adjacency, node_of, weights, targets, pool):
@@ -604,7 +664,7 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
         graph = g
         list(_every_search(g))
 
-    monkeypatch.setattr(exchange, "_run_dijkstra", checked)
+    monkeypatch.setattr(dijkstra, "least_key", checked)
     monkeypatch.setattr(
         WeightedExchangeGraph, "reaching", lambda self, targets: frozenset(self.inst.items)
     )
@@ -616,8 +676,59 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
     assert sum(outcomes) > 1000 and outcomes.count(False) > 2000
 
 
+@st.composite
+def exchange_searches(draw):
+    """A weighted exchange graph of an arbitrary state of a small instance
+    and an exchange search in it, from agent i's sources to agent j's
+    counted bundle: in about a third of the searches the sources meet that
+    bundle, a one-item steal."""
+    inst = draw(solver_instances(max_agents=4))
+    n, m = inst.num_agents, inst.num_items
+    agent = st.integers(0, n)  # 0: the pool
+    xc_owner = [draw(agent) for _ in range(m)]
+    x0_owner = [draw(agent) if not k else 0 for k in xc_owner]
+    xc, x0 = (
+        Allocation.from_bundles(
+            [{o for o in inst.items if owner[o] == k} for k in inst.agents], m
+        )
+        for owner in (xc_owner, x0_owner)
+    )
+    graph = build_weighted_graph(inst, xc, x0, check=False)
+    i, j = draw(st.permutations(list(inst.agents)))[:2]
+    targets = xc.bundle(j)
+    # sources mostly among the items with a path to the targets, so that
+    # most searches that are not steals find one
+    reaching = sorted(graph.reaching(targets) - targets)
+    near = st.sampled_from(reaching or list(inst.items))
+    sources = draw(st.frozensets(near, max_size=3))
+    sources |= draw(st.frozensets(st.integers(0, m - 1), max_size=1))
+    if targets and draw(st.booleans()):
+        sources |= {draw(st.sampled_from(sorted(targets)))}
+    else:
+        sources -= targets
+    return graph, sources, i, j
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(exchange_searches())
+def test_exchange_search_equals_exhaustive_search(search):
+    graph, sources, i, j = search
+    path = min_weight_path(graph, sources, EXCHANGE, i, target_agent=j)
+
+    def neighbors(u):
+        yield from graph.adjacency.get(u, ())
+
+    starts = {o: (0, 0, (o,)) for o in sources}
+    key = exhaustive_least_key(starts, neighbors, graph.xc.bundle(j))
+    if key is None:
+        assert path is None
+    else:
+        assert (path.kind, path.source_agent, path.target) == (EXCHANGE, i, j)
+        assert (path.doubled_weight, len(path.items) - 1, path.items) == key
+
+
 def _reference_key(starts, adjacency, _node_of, _weights, targets, pool):
-    """What ``exchange._run_dijkstra`` must return for these arguments: the
+    """What ``dijkstra.least_key`` must return for these arguments: the
     exhaustive search's least key, where an edge costs its weight, doubled
     into a target of a pool search."""
 
@@ -687,7 +798,7 @@ def quotient_searches(draw):
 @settings(derandomize=True, deadline=None, max_examples=1000)
 @given(quotient_searches())
 def test_one_expansion_search_equals_exhaustive_search(search):
-    assert exchange._run_dijkstra(*search) == _reference_key(*search)
+    assert dijkstra.least_key(*search) == _reference_key(*search)
 
 
 def _recorded_search(monkeypatch, starts, adjacency, node_of, targets, pool=False):
@@ -717,8 +828,8 @@ def _recorded_search(monkeypatch, starts, adjacency, node_of, targets, pool=Fals
     weights = {node_of[u]: _weights_of(out) for u, out in adjacency.items()}
     search = (starts, Recording(adjacency), node_of, weights, targets, pool)
     with monkeypatch.context() as patch:
-        patch.setattr(exchange, "heapq", heap)
-        key = exchange._run_dijkstra(*search)
+        patch.setattr(dijkstra, "heapq", heap)
+        key = dijkstra.least_key(*search)
     assert key == _reference_key(*search)
     return key, expanded, popped
 

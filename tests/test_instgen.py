@@ -5,12 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from manna.core import Allocation
-from manna.errors import ContractViolation, ParseError
+from manna.core import Allocation, Instance
+from manna.errors import ContractViolation, MannaError, ParseError
 from manna.instgen import (
     ExPDMInstance,
     SplitMix64,
     canonical_parts,
+    dumps,
     fixtures,
     gen_capped_groups,
     gen_hardness,
@@ -231,3 +232,102 @@ def test_rank_table_equals_per_subset_union_find(edges):
     assert graphic_matroid_rank_table(len(edges), edges) == reference_rank_table(
         len(edges), edges
     )
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+
+
+def json_values(scalars=JSON_SCALARS):
+    """Small JSON values: nested lists, tuples and string-keyed dicts."""
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.tuples(inner, inner)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        max_leaves=12,
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(json_values())
+@example({})
+@example([{}, [], ()])
+@example({"été": [" ", "\x00\x1f\"\\", "\U0001f600"], "": None})
+@example([True, False, None, 0, -(10**30)])
+@example({"b": {"a": 1, "A": [2]}, "a": True})
+@example({2: "two", 10: "ten"})  # keys that are not strings: json.dumps renders them
+@example([1.5, float("inf"), -0.0])  # floats: json.dumps renders them
+def test_dumps_equals_indented_json_dumps(obj):
+    assert dumps(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _paths(obj, prefix=()):
+    """The path of every value inside ``obj``, the root's ``()`` included."""
+    yield prefix
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _paths(value, prefix + (key,))
+    elif isinstance(obj, list):
+        for k, value in enumerate(obj):
+            yield from _paths(value, prefix + (k,))
+
+
+@st.composite
+def near_documents(draw, bases):
+    """One of the valid documents ``bases`` with one to three values inside
+    it, picked uniformly, replaced by a small integer or arbitrary JSON or
+    removed, as JSON text."""
+    obj = json.loads(draw(st.sampled_from(bases)))
+    pick = draw(st.randoms(use_true_random=False))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(obj))[1:]
+        if not paths:
+            break
+        *keys, last = pick.choice(paths)
+        parent = obj
+        for key in keys:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[last] = draw(st.integers(-2, 25) | json_values())
+        else:
+            del parent[last]
+    return json.dumps(obj)
+
+
+INSTANCE_DOCS = [
+    serialize_instance(gen_random_additive(2, 4, 2, (1, 1, 2), 0)),
+    serialize_instance(gen_capped_groups(2, 5, 2, (1, 3), (1, 3), 1)),
+    serialize_instance(
+        Instance(1, 2, 1, (graphic_matroid_rank_table(2, [(0, 1), (1, 2)]),))
+    ),
+    serialize_instance(Instance(1, 2, 1, (GeneralAdditive((5, -2)),))),
+]
+ALLOCATION_DOCS = [
+    serialize_allocation(Allocation((frozenset({0, 2}), frozenset({1})), frozenset({3})))
+]
+
+
+def documents(bases):
+    """JSON text that is mostly malformed: any text, any JSON value, and
+    valid documents with a few values replaced or removed."""
+    return st.one_of(
+        st.text(max_size=12), json_values().map(json.dumps), near_documents(bases)
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=250)
+@given(documents(INSTANCE_DOCS))
+def test_parse_instance_raises_only_manna_errors(text):
+    try:
+        parse_instance(text)
+    except MannaError:
+        pass
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(documents(ALLOCATION_DOCS), st.none() | st.integers(-1, 6))
+def test_parse_allocation_raises_only_manna_errors(text, num_items):
+    try:
+        parse_allocation(text, num_items)
+    except MannaError:
+        pass

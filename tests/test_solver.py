@@ -4,6 +4,7 @@ from hypothesis import given, settings
 import manna.solver as solver_mod
 from manna.core import Instance
 from manna.errors import CleannessViolation, InvalidInstance, UnsupportedValuation
+from manna.instgen import gen_random_additive
 from manna.exchange import EXCHANGE, clean_state_violations
 from manna.oracle import brute_leximin
 from manna.solver import phase1, phase2, phase3, solve
@@ -136,20 +137,35 @@ def test_report_consistency(named_fixtures):
 
 
 def test_potential_strictly_decreases_across_exchanges(named_fixtures, monkeypatch):
-    calls = []
-    original = solver_mod._scaled_potential
+    """The potential phase 2 keeps up to date from each exchange's source and
+    target strictly decreases, and before and after every exchange it equals
+    the potential recomputed from the counted sizes."""
+    exchanged, augment_state = solver_mod._exchanged_potential, solver_mod.augment
+    states, potentials = [], []  # potentials: (before, after) per exchange
 
-    def recorder(sizes):
-        value = original(sizes)
-        calls.append(value)
-        return value
+    def recording_augment(inst_, xc, x0, path, check=True):
+        new_xc, new_x0 = augment_state(inst_, xc, x0, path, check)
+        states.append(new_xc)
+        return new_xc, new_x0
 
-    monkeypatch.setattr(solver_mod, "_scaled_potential", recorder)
-    report = solve(named_fixtures["ex_ef1"])
-    # the potential of the exchange stage's first state, then one per exchange
-    assert len(calls) == report.exchange_augmentations + 1 > 1
-    for before, after in zip(calls, calls[1:]):
-        assert after < before
+    def recording_potential(potential, sizes, path):
+        after = exchanged(potential, sizes, path)
+        potentials.append((potential, after))
+        # states[-2] is the state before this exchange: both instances make
+        # Pareto augmentations first
+        assert potential == solver_mod._scaled_potential(states[-2].sizes())
+        assert after == solver_mod._scaled_potential(states[-1].sizes())
+        return after
+
+    monkeypatch.setattr(solver_mod, "augment", recording_augment)
+    monkeypatch.setattr(solver_mod, "_exchanged_potential", recording_potential)
+    for inst in (named_fixtures["ex_ef1"], gen_random_additive(8, 40, 2, (1, 1, 2), 0)):
+        states.clear()
+        potentials.clear()
+        report = solve(inst)
+        assert len(potentials) == report.exchange_augmentations > 1
+        for before, after in potentials:
+            assert after < before
 
 
 def test_solver_rejects_general_additive():
