@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: the canonical randomized suite, a
 constructive source of two-valued submodular tables, a Hypothesis strategy
 for small solver instances, a reference path search, reference
-exchange-graph builders, reference phase-1 and phase-2 loops, the
+exchange-graph builders, the per-item bundle split, reference phase-1 and
+phase-2 loops, the
 per-subset rank-table loop and the per-subset validator loops the
 packed-lane validators replaced."""
 
@@ -211,6 +212,16 @@ def full_scan_f_set(allocation, oracle, agent, tau):
         for o in range(allocation.num_items)
         if o not in bundle and oracle.marginal(bundle, o) >= tau
     )
+
+
+def per_item_split(spec, bundle, tau):
+    """Reference for one bundle of ``threshold.decompose_threshold``: an item
+    is clean when its marginal on the bundle's items below it reaches
+    ``tau``; the rest are supplementary."""
+    clean = frozenset(
+        o for o in bundle if spec.marginal(frozenset(p for p in bundle if p < o), o) >= tau
+    )
+    return clean, frozenset(bundle) - clean
 
 
 def _filtered_path(graph, sources, kind, agent, target_agent=None):

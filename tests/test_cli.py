@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -219,6 +220,45 @@ def test_validate_failing_tables_report_is_byte_identical(tmp_path, capsys):
     code, out, _ = run(capsys, ["validate", "--instance", str(path)])
     assert code == 4
     assert out == FAILING_REPORT
+
+
+# Agent 1 is additive in {-1, 0, c}, agent 2 general additive, agent 3 capped:
+# only the general additive agent is left unchecked.
+MIXED_REPORT = """{
+  "agents": [
+    {
+      "agent": 1,
+      "checked": true,
+      "kind": "Additive",
+      "order_neutral": true,
+      "range": true,
+      "submodular": true
+    },
+    {
+      "agent": 2,
+      "checked": false,
+      "kind": "GeneralAdditive",
+      "note": "general additive values; oracle-only"
+    },
+    {
+      "agent": 3,
+      "checked": true,
+      "kind": "CappedGroups",
+      "order_neutral": true,
+      "range": true,
+      "submodular": true
+    }
+  ],
+  "ok": true
+}
+"""
+
+
+def test_validate_mixed_kinds_report_is_byte_identical(capsys):
+    path = str(Path(__file__).parent / "golden" / "mixed_kinds.json")
+    code, out, _ = run(capsys, ["validate", "--instance", path])
+    assert code == 0
+    assert out == MIXED_REPORT
 
 
 @pytest.mark.parametrize("num_items", [-1, 21, 10**12])

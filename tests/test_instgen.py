@@ -65,6 +65,17 @@ def test_gen_capped_golden_file():
     assert parse_instance((GOLDEN / "capped_seed7.json").read_text()) == inst
 
 
+def test_mixed_kinds_golden_file_round_trips():
+    """One agent of each additive kind and one capped agent: each parses to
+    its own class, and serializing gives the same bytes back."""
+    text = (GOLDEN / "mixed_kinds.json").read_text()
+    inst = parse_instance(text)
+    assert [type(spec) for spec in inst.valuations] == [
+        Additive, GeneralAdditive, CappedGroups
+    ]
+    assert serialize_instance(inst) == text
+
+
 def test_gen_additive_extreme_ratios():
     all_c = gen_random_additive(2, 5, 3, (1, 0, 0), 1)
     assert all(set(s.values) == {3} for s in all_c.valuations)

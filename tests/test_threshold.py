@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from manna.core import Allocation
 from manna.errors import ContractViolation
@@ -20,6 +22,7 @@ from manna.valuations import (
     items_of,
     validate_submodular,
 )
+from support import per_item_split, solver_instances
 
 
 def test_beta_examples(named_fixtures):
@@ -142,6 +145,29 @@ def test_decompose3_verifies_on_random_capped(seed):
     )
     dec = decompose3(inst, X)
     assert verify_tridecomposition(inst, X, dec) == (True, None)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(solver_instances(max_agents=3), st.data())
+def test_decompositions_equal_the_per_item_definition(inst, data):
+    """Both splits equal the per-item definition on a random allocation;
+    ``decompose3`` splits at 0 and then the non-negative part at c."""
+    m = inst.num_items
+    owners = data.draw(st.lists(st.integers(0, inst.num_agents), min_size=m, max_size=m))
+    X = Allocation.from_bundles(
+        [{o for o, k in enumerate(owners) if k == i} for i in inst.agents], m
+    )
+    for tau in (0, inst.c):
+        clean, supp = decompose_threshold(inst, X, tau)
+        for i in inst.agents:
+            want = per_item_split(inst.valuation(i), X.bundle(i), tau)
+            assert (clean.bundle(i), supp.bundle(i)) == want
+    dec = decompose3(inst, X)
+    for i in inst.agents:
+        spec = inst.valuation(i)
+        nonneg, xm1 = per_item_split(spec, X.bundle(i), 0)
+        xc, x0 = per_item_split(spec, nonneg, inst.c)
+        assert (dec.xc.bundle(i), dec.x0.bundle(i), dec.xm1.bundle(i)) == (xc, x0, xm1)
 
 
 @pytest.mark.parametrize("tau_kind", ["zero", "c"])
