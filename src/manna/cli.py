@@ -3,8 +3,9 @@
 Subcommands: ``solve``, ``brute``, ``verify``, ``gen``, ``validate``,
 ``bench``.  Machine-readable JSON goes to stdout (byte-identical across
 runs); traces and debug dumps go to stderr.  Exit codes: 0 ok, 1 a verified
-property is violated, 2 usage error, 3 enumeration budget exceeded,
-4 invalid instance.
+property is violated, 2 usage error (also a file that cannot be read or
+written, and an internal error), 3 enumeration budget exceeded, 4 invalid
+instance (also a file that is not UTF-8 JSON).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .fairness import check_ef1, check_mms, check_prop1
 from .solver import augmentation_bounds, phase1, phase2, phase3, solve
 from .valuations import (
     Explicit,
-    GeneralAdditive,
+    is_solver_supported,
     materialize,
     validate_order_neutral,
     validate_range,
@@ -46,9 +47,16 @@ EXIT_INVALID = 4
 VERIFY_PROPS = ("leximin", "prop1", "ef1", "mms", "lorenz", "usw")
 
 
-def _read_instance(path: str) -> Instance:
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return instgen.parse_instance(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise ParseError(path, "not UTF-8 text") from None
+
+
+def _read_instance(path: str) -> Instance:
+    return instgen.parse_instance(_read_text(path))
 
 
 def _budget(args) -> int | None:
@@ -110,8 +118,7 @@ def _cmd_brute(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = _read_instance(args.instance)
-    with open(args.allocation, "r", encoding="utf-8") as fh:
-        allocation = instgen.parse_allocation(fh.read(), inst.num_items)
+    allocation = instgen.parse_allocation(_read_text(args.allocation), inst.num_items)
     props = [p.strip() for p in args.props.split(",") if p.strip()]
     for p in props:
         if p not in VERIFY_PROPS:
@@ -203,7 +210,7 @@ def _cmd_validate(args) -> int:
     for i in inst.agents:
         spec = inst.valuation(i)
         entry: dict = {"agent": i, "kind": type(spec).__name__}
-        if isinstance(spec, GeneralAdditive):
+        if not is_solver_supported(spec):
             entry["checked"] = False
             entry["note"] = "general additive values; oracle-only"
         else:
@@ -360,7 +367,7 @@ def main(argv=None) -> int:
     except ContractViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MannaError as exc:

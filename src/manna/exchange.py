@@ -691,14 +691,13 @@ def augment(
     xc: Allocation,
     x0: Allocation,
     path: AugmentingPath,
-    check: bool = True,
 ) -> tuple[Allocation, Allocation]:
     """Augment the state along ``path`` and return the new ``(xc, x0)``.
 
     Pool-terminated paths also retire the terminal item from whichever x0
     bundle held it.  Every bundle the path leaves alone is passed through as
-    the same object.  With ``check`` on, the postconditions (cleanness,
-    disjointness, bundle-size deltas) are asserted and any failure raises
+    the same object.  The postconditions (cleanness, disjointness,
+    bundle-size deltas) are asserted, and any failure raises
     ``CleannessViolation`` -- which must never happen for valid inputs.  The
     state passed in must be sound.  The changed agents are the ones whose
     counted bundles the shift replaced, plus the x0 holder of a Pareto
@@ -718,22 +717,21 @@ def augment(
         if holder:
             new_x0 = x0.replace_bundle(holder, x0.bundle(holder) - {terminal})
             changed.add(holder)
-    if check:
-        changed = sorted(changed)
-        # A bundle passed through as the same object kept its size, so only
-        # the changed agents, the source and the target are compared.
-        delta = dict.fromkeys(changed, 0)
-        delta[path.source_agent] = 1
-        if path.kind == EXCHANGE:
-            delta[path.target] = delta.get(path.target, 0) - 1
-        for k, d in delta.items():
-            size, old_size = len(new_xc.bundles[k - 1]), len(xc.bundles[k - 1])
-            if size != old_size + d:
-                raise CleannessViolation(
-                    f"agent {k}: counted bundle size {size} after augmentation, "
-                    f"expected {old_size + d}"
-                )
-        problems = clean_state_violations(inst, new_xc, new_x0, changed)
-        if problems:
-            raise CleannessViolation("; ".join(problems))
+    changed = sorted(changed)
+    # A bundle passed through as the same object kept its size, so only
+    # the changed agents, the source and the target are compared.
+    delta = dict.fromkeys(changed, 0)
+    delta[path.source_agent] = 1
+    if path.kind == EXCHANGE:
+        delta[path.target] = delta.get(path.target, 0) - 1
+    for k, d in delta.items():
+        size, old_size = len(new_xc.bundles[k - 1]), len(xc.bundles[k - 1])
+        if size != old_size + d:
+            raise CleannessViolation(
+                f"agent {k}: counted bundle size {size} after augmentation, "
+                f"expected {old_size + d}"
+            )
+    problems = clean_state_violations(inst, new_xc, new_x0, changed)
+    if problems:
+        raise CleannessViolation("; ".join(problems))
     return new_xc, new_x0

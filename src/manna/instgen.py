@@ -497,6 +497,8 @@ def loads(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}", exc.msg) from exc
+    except RecursionError:
+        raise ParseError("document", "nested too deeply") from None
 
 
 def serialize_instance(inst: Instance) -> str:

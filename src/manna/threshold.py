@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .core import Allocation, Instance
 from .errors import DecompositionFailure
-from .valuations import ValuationSpec
+from .valuations import ValuationSpec, telescoping_gains
 
 
 def beta(spec: ValuationSpec, tau: int, items: Iterable[int]) -> int:
@@ -23,30 +23,17 @@ def beta(spec: ValuationSpec, tau: int, items: Iterable[int]) -> int:
     computed along the canonical ascending insertion order.
 
     For a set of items, the form every solver caller passes, a spec with
-    ``count_at_least(tau, items)`` gives the count in one pass, with no
-    prefix set: only ``Additive`` has it, whose entries are its item values
-    whatever the prefix.  Any other spec, or items in another form, take the
-    prefix walk, which raises ``ContractViolation`` for a repeated item; a
-    set cannot hold one.
+    ``count_at_least(tau, items)`` counts it in closed form: the additive
+    families and ``CappedGroups``, whose count is the same along every
+    order.  An ``Explicit`` table, or items in another form, take
+    ``telescoping_gains`` along the sorted items, which raises
+    ``ContractViolation`` for a repeated item; a set cannot hold one.
     """
     if isinstance(items, (set, frozenset)):
         count_at_least = getattr(spec, "count_at_least", None)
         if count_at_least is not None:
             return count_at_least(tau, items)
-    count = 0
-    prefix: set[int] = set()
-    for o in sorted(items):
-        if spec.marginal(prefix, o) >= tau:
-            count += 1
-        prefix.add(o)
-    return count
-
-
-def beta_marginal(spec: ValuationSpec, tau: int, items: Iterable[int], item: int) -> int:
-    """Marginal of ``beta`` in {0, 1}: append ``item`` after the bundle and
-    test its gain against the threshold.  The valuation's ``marginal``
-    raises ``ContractViolation`` for an item already in the bundle."""
-    return 1 if spec.marginal(items, item) >= tau else 0
+    return sum(1 for gain in telescoping_gains(spec, sorted(items)) if gain >= tau)
 
 
 @dataclass(frozen=True)
@@ -59,12 +46,9 @@ class ThresholdBeta:
     def value(self, items: Iterable[int]) -> int:
         return beta(self.spec, self.tau, items)
 
-    def marginal(self, items: Iterable[int], item: int) -> int:
-        return beta_marginal(self.spec, self.tau, items, item)
-
     def marginals(self, items: Iterable[int], candidates: Sequence[int]) -> list[int]:
-        """``[self.marginal(items, o) for o in candidates]``, asking the
-        valuation once."""
+        """For each candidate, 1 when its valuation marginal on ``items`` is
+        at least ``tau`` and 0 otherwise, asking the valuation once."""
         tau = self.tau
         return [1 if d >= tau else 0 for d in self.spec.marginals(items, candidates)]
 
@@ -83,7 +67,8 @@ def decompose_threshold(
     inst: Instance, allocation: Allocation, tau: int
 ) -> tuple[Allocation, Allocation]:
     """Split every bundle into a clean part (running marginal >= tau) and a
-    supplementary part, walking items in canonical ascending order.
+    supplementary part, by the telescoping gains along the canonical
+    ascending order.
 
     Postcondition per agent i: the parts partition X_i and
     ``beta_i(X_i) = beta_i(clean_i) = |clean_i|``.
@@ -91,18 +76,10 @@ def decompose_threshold(
     clean_bundles = []
     supp_bundles = []
     for i in inst.agents:
-        spec = inst.valuation(i)
-        clean: set[int] = set()
-        supp: set[int] = set()
-        prefix: set[int] = set()
-        for o in sorted(allocation.bundle(i)):
-            if spec.marginal(prefix, o) >= tau:
-                clean.add(o)
-            else:
-                supp.add(o)
-            prefix.add(o)
-        clean_bundles.append(clean)
-        supp_bundles.append(supp)
+        order = sorted(allocation.bundle(i))
+        gains = telescoping_gains(inst.valuation(i), order)
+        clean_bundles.append({o for o, gain in zip(order, gains) if gain >= tau})
+        supp_bundles.append({o for o, gain in zip(order, gains) if gain < tau})
     m = inst.num_items
     return (
         Allocation.from_bundles(clean_bundles, m),
@@ -123,27 +100,8 @@ def decompose3(inst: Instance, allocation: Allocation) -> TriDecomposition:
     """Three-way decomposition: first split off the negative-marginal items at
     threshold 0, then split the remainder at threshold c."""
     nonneg, xm1 = decompose_threshold(inst, allocation, 0)
-    xc_bundles = []
-    x0_bundles = []
-    for i in inst.agents:
-        spec = inst.valuation(i)
-        hi: set[int] = set()
-        lo: set[int] = set()
-        prefix: set[int] = set()
-        for o in sorted(nonneg.bundle(i)):
-            if spec.marginal(prefix, o) >= inst.c:
-                hi.add(o)
-            else:
-                lo.add(o)
-            prefix.add(o)
-        xc_bundles.append(hi)
-        x0_bundles.append(lo)
-    m = inst.num_items
-    dec = TriDecomposition(
-        Allocation.from_bundles(xc_bundles, m),
-        Allocation.from_bundles(x0_bundles, m),
-        xm1,
-    )
+    xc, x0 = decompose_threshold(inst, nonneg, inst.c)
+    dec = TriDecomposition(xc, x0, xm1)
     ok, clause = verify_tridecomposition(inst, allocation, dec)
     if not ok:
         raise DecompositionFailure(clause)

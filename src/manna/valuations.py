@@ -1,13 +1,15 @@
 """Valuation families, their value/marginal oracles, and structural validators.
 
-The solver's families answer ``marginal(bundle, item)`` and its batched form
-``marginals(bundle, items)``, which checks the bundle once for a whole list
-of items.  Both raise ``ContractViolation`` for an item already in the
-bundle.
+Every family answers ``value(bundle)``, ``marginal(bundle, item)`` and its
+batched form ``marginals(bundle, items)``, which checks the bundle once for
+a whole list of items.  Both marginal forms raise ``ContractViolation`` for
+an item already in the bundle.
 
 Three families are first-class citizens of the solver:
 
-* ``Additive`` -- one integer per item, each in ``{-1, 0, c}``;
+* ``Additive`` -- one integer per item, each in ``{-1, 0, c}``.  It is a
+  ``GeneralAdditive`` and shares its body; ``validate_structure`` checks
+  the restriction on its values;
 * ``CappedGroups`` -- a sum of per-group concave terms
   ``hi * min(|S ∩ C|, cap) + lo * max(|S ∩ C| - cap, 0)`` plus a default
   per-item marginal for ungrouped items.  Order-neutral submodular by
@@ -19,7 +21,13 @@ Three families are first-class citizens of the solver:
 by the brute-force oracles and the hardness generator, but the solver
 rejects it: the unrestricted problem is intractable.
 
-Each of the three also declares its *bundle-independent* items:
+``telescoping_gains`` walks a bundle's prefixes: the marginal of each item
+on the items before it.  ``telescoping_vector`` sorts those gains, and
+``threshold`` counts and splits bundles by them.  The additive families and
+``CappedGroups`` also count a set's gains at least ``tau`` in closed form,
+``count_at_least(tau, items)``, without the walk.
+
+Each solver family also declares its *bundle-independent* items:
 ``bundle_independent(items)`` returns those items ``o`` of ``items`` whose
 marginal is the same on every bundle without ``o``, Δ(B, o) = Δ(∅, o).  The
 exchange-graph builders never ask the oracle about such an item again (see
@@ -74,8 +82,8 @@ def _outside(items: Iterable[int], candidates: Sequence[int]) -> Union[set, froz
 
 
 @dataclass(frozen=True)
-class Additive:
-    """Additive valuation with per-item values restricted to ``{-1, 0, c}``."""
+class GeneralAdditive:
+    """Additive valuation with unrestricted integer item values."""
 
     values: tuple[int, ...]
 
@@ -108,22 +116,8 @@ class Additive:
         return len([o for o in items if values[o] >= tau])
 
 
-@dataclass(frozen=True)
-class GeneralAdditive:
-    """Additive valuation with unrestricted integer item values (oracles only)."""
-
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
-
-    def value(self, items: Iterable[int]) -> int:
-        return sum(self.values[o] for o in items)
-
-    def marginal(self, items: Iterable[int], item: int) -> int:
-        if item in items:
-            raise ContractViolation(f"item {item} already in bundle")
-        return self.values[item]
+class Additive(GeneralAdditive):
+    """Additive valuation with per-item values restricted to ``{-1, 0, c}``."""
 
 
 @dataclass(frozen=True)
@@ -200,6 +194,19 @@ class CappedGroups:
     def bundle_independent(self, items: Iterable[int]) -> frozenset[int]:
         """The ungrouped items of ``items``, whose marginal is ``default``."""
         return frozenset(items).difference(self._group_of)
+
+    def count_at_least(self, tau: int, items: Iterable[int]) -> int:
+        """Number of telescoping gains of the distinct ``items`` that are at
+        least ``tau``, whatever the order: a group's first ``cap`` items
+        gain ``hi`` and the rest ``lo``, and an ungrouped item ``default``."""
+        if not isinstance(items, (set, frozenset)):
+            items = frozenset(items)
+        count = grouped = 0
+        for g in self.groups:
+            k = len(items & g.items)
+            grouped += k
+            count += (g.hi >= tau) * min(k, g.cap) + (g.lo >= tau) * max(k - g.cap, 0)
+        return count + (self.default >= tau) * (len(items) - grouped)
 
 
 @dataclass(frozen=True)
@@ -298,6 +305,22 @@ def validate_structure(spec: ValuationSpec, num_items: int, c: int) -> None:
         raise MalformedValuation(f"unknown valuation kind {type(spec).__name__}")
 
 
+def telescoping_gains(spec: ValuationSpec, order: Iterable[int]) -> list[int]:
+    """The marginal of each item of ``order`` on the items before it.  The
+    valuation's ``marginal`` raises ``ContractViolation`` for a repeated
+    item.
+
+    >>> telescoping_gains(CappedGroups((Group({0, 1}, 1, 2, 0),), -1), [1, 0, 2])
+    [2, 0, -1]
+    """
+    gains = []
+    prefix: set[int] = set()
+    for o in order:
+        gains.append(spec.marginal(prefix, o))
+        prefix.add(o)
+    return gains
+
+
 def telescoping_vector(
     spec: ValuationSpec,
     items: Iterable[int],
@@ -318,12 +341,7 @@ def telescoping_vector(
         order = list(order)
         if len(order) != len(items) or frozenset(order) != items:
             raise ContractViolation("order is not a permutation of the bundle")
-    gains = []
-    prefix: set[int] = set()
-    for o in order:
-        gains.append(spec.marginal(prefix, o))
-        prefix.add(o)
-    return tuple(sorted(gains))
+    return tuple(sorted(telescoping_gains(spec, order)))
 
 
 @dataclass(frozen=True)

@@ -77,14 +77,6 @@ class _CheckedOracle:
     def value(self, items):
         return self._oracle.value(items)
 
-    def marginal(self, items, item):
-        d = self._oracle.marginal(items, item)
-        if d not in (0, 1):
-            raise OracleViolation(
-                f"agent {self._agent}: binary oracle returned marginal {d}"
-            )
-        return d
-
     def marginals(self, items, candidates):
         ds = self._oracle.marginals(items, candidates)
         if len(ds) != len(candidates):
@@ -112,10 +104,11 @@ class _CheckedOracle:
 def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
     """Compute a clean MAX-USW leximin allocation for ``betas``.
 
-    ``betas[i-1]`` is agent i's binary submodular oracle exposing
-    ``value(bundle)``, ``marginal(bundle, item)`` and
-    ``marginals(bundle, items)``; its marginals must not grow as the bundle
-    grows.  The items a ``ThresholdBeta`` oracle declares bundle-independent
+    ``betas[i-1]`` is agent i's binary submodular oracle.  It answers
+    ``value(bundle)`` and ``marginals(bundle, items)``, the 0/1 marginals
+    of a list of items on one bundle, which must not grow as the bundle
+    grows; no single-item form is asked for.  A ``ThresholdBeta`` oracle
+    also answers ``bundle_independent(items)``, and the items it declares
     (see ``valuations``) are never asked about again.
     """
     n = len(betas)

@@ -163,19 +163,20 @@ def exhaustive_least_key(starts, neighbors, targets):
     return min(reached) if reached else None
 
 
-def full_scan_unweighted_adjacency(allocation, oracles):
-    """Reference for ``exchange.unweighted_adjacency``: every held item's
-    oracle is asked about every item outside its holder's bundle."""
+def full_scan_unweighted_adjacency(allocation, specs, tau):
+    """Reference for ``exchange.unweighted_adjacency`` over the oracles
+    ``ThresholdBeta(spec, tau)``: every held item's valuation is asked about
+    every item outside its holder's bundle."""
     adj = {}
     for j in range(1, allocation.num_agents + 1):
         bundle = allocation.bundle(j)
-        oracle = oracles[j - 1]
+        spec = specs[j - 1]
         for o in sorted(bundle):
             rest = bundle - {o}
             out = tuple(
                 op
                 for op in range(allocation.num_items)
-                if op not in bundle and oracle.marginal(rest, op) == 1
+                if op not in bundle and spec.marginal(rest, op) >= tau
             )
             if out:
                 adj[o] = out
@@ -203,14 +204,15 @@ def full_scan_weighted_adjacency(inst, xc, x0):
     return adj
 
 
-def full_scan_f_set(allocation, oracle, agent, tau):
+def full_scan_f_set(allocation, spec, agent, tau):
     """Reference for ``exchange.f_set`` and for the desired items of
-    ``exchange.unweighted_adjacency`` (``tau`` = 1), scanning every item."""
+    ``exchange.unweighted_adjacency`` over ``ThresholdBeta(spec, tau)``,
+    scanning every item."""
     bundle = allocation.bundle(agent)
     return frozenset(
         o
         for o in range(allocation.num_items)
-        if o not in bundle and oracle.marginal(bundle, o) >= tau
+        if o not in bundle and spec.marginal(bundle, o) >= tau
     )
 
 

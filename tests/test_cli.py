@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from manna import cli, errors
 from manna.cli import main
 from manna.instgen import fixtures, serialize_allocation, serialize_instance
 from manna.solver import solve
@@ -290,3 +291,66 @@ def test_bench_csv(capsys):
 def test_missing_file_is_usage_error(capsys):
     code, _, err = run(capsys, ["solve", "--instance", "/nonexistent.json"])
     assert code == 2
+
+
+def _directory(tmp_path):
+    return ["solve", "--instance", str(tmp_path)]
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"c": 1, "note": "caf\xe9"}')
+    return ["solve", "--instance", str(path)]
+
+
+def _deeply_nested(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    return ["solve", "--instance", str(path)]
+
+
+def _output_directory(tmp_path):
+    path = tmp_path / "ex2.json"
+    path.write_text(serialize_instance(fixtures()["ex2"]))
+    return ["solve", "--instance", str(path), "--output", str(tmp_path)]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(_directory, 2), (_not_utf8, 4), (_deeply_nested, 4), (_output_directory, 2)],
+    ids=["instance-is-a-directory", "instance-not-utf8", "deeply-nested", "output-is-a-directory"],
+)
+def test_unreadable_input_and_output_exit_with_their_code(tmp_path, capsys, argv, code):
+    got, _, err = run(capsys, argv(tmp_path))
+    assert got == code
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+# exit code and message prefix of every MannaError subclass
+EXIT_CODES = {
+    errors.ContractViolation: (2, "error"),
+    errors.MalformedValuation: (4, "error"),
+    errors.UnsupportedValuation: (4, "error"),
+    errors.InvalidInstance: (4, "error"),
+    errors.DecompositionFailure: (2, "internal error"),
+    errors.CleannessViolation: (2, "internal error"),
+    errors.OracleViolation: (2, "internal error"),
+    errors.TerminationGuard: (2, "internal error"),
+    errors.BudgetExceeded: (3, "error"),
+    errors.ParseError: (4, "error"),
+}
+
+
+def test_every_manna_error_has_its_exit_code(fixture_file, capsys, monkeypatch):
+    assert set(EXIT_CODES) == set(errors.MannaError.__subclasses__())
+    path = fixture_file("ex2")
+    for cls, want in EXIT_CODES.items():
+        exc = cls("where", "what") if cls is errors.ParseError else cls("what")
+
+        def raising(inst, trace=None, exc=exc):
+            raise exc
+
+        monkeypatch.setattr(cli, "solve", raising)
+        code, _, err = run(capsys, ["solve", "--instance", path])
+        assert (code, err.split(":")[0]) == want, cls.__name__

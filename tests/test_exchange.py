@@ -118,10 +118,11 @@ def test_augment_forced_bad_path_is_caught(named_fixtures):
     forced = AugmentingPath((1,), PARETO, 1, 0, 2)
     with pytest.raises(CleannessViolation):
         augment(inst, xc, x0, forced)
-    nxc, nx0 = augment(inst, xc, x0, forced, check=False)
+    # the state the path leaves: o1 is a pool item, so x0 keeps o0
+    nxc = shift_along_path(xc, forced.items, 1)
     assert nxc.bundle(1) == frozenset({1})
-    assert nx0.bundle(1) == frozenset({0})
-    assert clean_state_violations(inst, nxc, nx0) != []
+    assert x0.bundle(1) == frozenset({0})
+    assert clean_state_violations(inst, nxc, x0) != []
 
 
 def test_augment_catches_a_path_holder_left_unclean():
@@ -133,9 +134,9 @@ def test_augment_catches_a_path_holder_left_unclean():
     forced = AugmentingPath((0, 1), PARETO, 1, 0, 4)
     with pytest.raises(CleannessViolation, match="agent 2: xc bundle not clean"):
         augment(inst, xc, x0, forced)
-    nxc, nx0 = augment(inst, xc, x0, forced, check=False)
+    nxc = shift_along_path(xc, forced.items, 1)
     assert nxc.bundles == (frozenset({0}), frozenset({1}))
-    assert clean_state_violations(inst, nxc, nx0, [1]) == []
+    assert clean_state_violations(inst, nxc, x0, [1]) == []
 
 
 def test_augment_catches_an_exchange_path_holder_left_unclean():
@@ -404,10 +405,10 @@ def test_builders_equal_full_scan(monkeypatch, name):
 
     def recording(allocation, oracles, candidates, dependent, previous=None):
         adjacency, desired = build(allocation, oracles, candidates, dependent, previous)
-        assert adjacency == full_scan_unweighted_adjacency(allocation, oracles)
+        # phase 1's oracles are the valuations at threshold 0
+        assert adjacency == full_scan_unweighted_adjacency(allocation, inst.valuations, 0)
         assert desired == [
-            full_scan_f_set(allocation, oracles[i - 1], i, 1)
-            for i in range(1, allocation.num_agents + 1)
+            full_scan_f_set(allocation, inst.valuation(i), i, 0) for i in inst.agents
         ]
         phase1_varied.append(_per_item_lists(allocation, adjacency))
         return adjacency, desired
@@ -471,8 +472,8 @@ def test_graphs_advanced_in_place_equal_fresh_builds(inst):
         _rebuilt_iff_changed(allocation, after)
         return after
 
-    def checked_augment(inst_, xc, x0, path, check=True):
-        new_xc, new_x0 = augment_state(inst_, xc, x0, path, check)
+    def checked_augment(inst_, xc, x0, path):
+        new_xc, new_x0 = augment_state(inst_, xc, x0, path)
         _rebuilt_iff_changed(xc, new_xc)
         _rebuilt_iff_changed(x0, new_x0)
         return new_xc, new_x0

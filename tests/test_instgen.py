@@ -326,6 +326,11 @@ def documents(bases):
     )
 
 
+def test_parse_instance_rejects_deep_nesting():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_instance("[" * 200_000)
+
+
 @settings(derandomize=True, deadline=None, max_examples=250)
 @given(documents(INSTANCE_DOCS))
 def test_parse_instance_raises_only_manna_errors(text):

@@ -143,8 +143,8 @@ def test_potential_strictly_decreases_across_exchanges(named_fixtures, monkeypat
     exchanged, augment_state = solver_mod._exchanged_potential, solver_mod.augment
     states, potentials = [], []  # potentials: (before, after) per exchange
 
-    def recording_augment(inst_, xc, x0, path, check=True):
-        new_xc, new_x0 = augment_state(inst_, xc, x0, path, check)
+    def recording_augment(inst_, xc, x0, path):
+        new_xc, new_x0 = augment_state(inst_, xc, x0, path)
         states.append(new_xc)
         return new_xc, new_x0
 

@@ -9,7 +9,6 @@ from manna.threshold import (
     ThresholdBeta,
     TriDecomposition,
     beta,
-    beta_marginal,
     decompose3,
     decompose_threshold,
     verify_tridecomposition,
@@ -43,9 +42,10 @@ def test_beta_examples(named_fixtures):
     ],
 )
 def test_beta_of_a_set_equals_the_prefix_walk(spec):
-    """A set of items may be counted without the prefix walk only for a spec
-    whose marginals never depend on the bundle; every count equals the walk
-    along a sorted list."""
+    """A set of items is counted in closed form by a spec with
+    ``count_at_least`` (additive and capped here) and by the prefix walk
+    otherwise (the table); every count equals the walk along a sorted
+    list."""
     m = spec.num_items if isinstance(spec, Explicit) else 5
     for mask in range(1 << m):
         items = sorted(items_of(mask))
@@ -61,13 +61,37 @@ def test_beta_rejects_a_repeated_item():
 
 def test_beta_marginal_examples(named_fixtures):
     ex2 = named_fixtures["ex2"]
-    v1 = ex2.valuation(1)
-    assert beta_marginal(v1, ex2.c, frozenset(), 0) == 1
-    assert beta_marginal(v1, ex2.c, {0}, 1) == 0
-    classic = named_fixtures["ex_classic"].valuation(1)
-    assert beta_marginal(classic, 2, {0}, 1) == 0
+    v1 = ThresholdBeta(ex2.valuation(1), ex2.c)
+    assert v1.marginals(frozenset(), [0]) == [1]
+    assert v1.marginals({0}, [1]) == [0]
+    classic = ThresholdBeta(named_fixtures["ex_classic"].valuation(1), 2)
+    assert classic.marginals({0}, [1]) == [0]
     with pytest.raises(ContractViolation):
-        beta_marginal(v1, 0, {0}, 0)
+        ThresholdBeta(ex2.valuation(1), 0).marginals({0}, [0])
+
+
+_HI_LO = ((None, 0), (None, -1), (0, 0), (0, -1), (-1, -1))  # None stands for c
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_capped_count_at_least_equals_the_prefix_walk(data):
+    """Every (hi, lo) pair, caps 0 to 3, every default and both thresholds:
+    the closed-form count equals ``beta``'s walk along a sorted list."""
+    c = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(1, 9))
+    items = data.draw(st.permutations(range(m)))
+    cuts = sorted(data.draw(st.lists(st.integers(0, m), max_size=3)))
+    groups = []
+    for lo_k, hi_k in zip([0] + cuts, cuts):
+        if lo_k < hi_k:
+            hi, lo = data.draw(st.sampled_from(_HI_LO))
+            cap = data.draw(st.integers(0, 3))
+            groups.append(Group(frozenset(items[lo_k:hi_k]), cap, c if hi is None else hi, lo))
+    spec = CappedGroups(tuple(groups), data.draw(st.sampled_from((-1, 0, c))))
+    bundle = data.draw(st.frozensets(st.sampled_from(range(m))))
+    for tau in (0, c):
+        assert spec.count_at_least(tau, bundle) == beta(spec, tau, sorted(bundle))
 
 
 def test_decompose_threshold_examples(named_fixtures):
@@ -201,5 +225,5 @@ def test_threshold_beta_oracle_wrapper(named_fixtures):
     ex2 = named_fixtures["ex2"]
     oracle = ThresholdBeta(ex2.valuation(1), ex2.c)
     assert oracle.value({0, 1}) == 1
-    assert oracle.marginal(frozenset(), 1) == 1
-    assert oracle.marginal({1}, 0) == 0
+    assert oracle.marginals(frozenset(), [1]) == [1]
+    assert oracle.marginals({1}, [0]) == [0]

@@ -207,8 +207,10 @@ def test_capped_groups_rejects_overlapping_groups():
 
 @st.composite
 def batched_queries(draw):
-    """An in-scope valuation with its threshold wrappers, a bundle of some
-    container type, and items outside it in any order."""
+    """An in-scope valuation and its threshold wrappers, each with the
+    single-item marginal it must batch (the wrappers': the valuation's
+    marginal at the threshold), a bundle of some container type, and items
+    outside it in any order."""
     family = draw(st.sampled_from(("additive", "capped", "graphic")))
     seed = draw(st.integers(0, 2**16))
     if family == "graphic":
@@ -225,9 +227,16 @@ def batched_queries(draw):
     items = draw(st.permutations(outside))
     items = items[: draw(st.integers(0, len(items)))]
     container = draw(st.sampled_from((frozenset, set, sorted)))
-    oracles = [spec]
+    oracles = [(spec, spec.marginal)]
     for tau in (0, inst.c):
-        oracles += [ThresholdBeta(spec, tau), _CheckedOracle(ThresholdBeta(spec, tau), 1)]
+
+        def marginal(bundle, o, tau=tau):
+            return 1 if spec.marginal(bundle, o) >= tau else 0
+
+        oracles += [
+            (ThresholdBeta(spec, tau), marginal),
+            (_CheckedOracle(ThresholdBeta(spec, tau), 1), marginal),
+        ]
     return oracles, container(bundle), items
 
 
@@ -235,8 +244,8 @@ def batched_queries(draw):
 @given(batched_queries(), st.data())
 def test_batched_marginals_equal_single_marginals(query, data):
     oracles, bundle, items = query
-    for oracle in oracles:
-        assert oracle.marginals(bundle, items) == [oracle.marginal(bundle, o) for o in items]
+    for oracle, marginal in oracles:
+        assert oracle.marginals(bundle, items) == [marginal(bundle, o) for o in items]
         if bundle:
             held = data.draw(st.sampled_from(sorted(bundle)))
             at = data.draw(st.integers(0, len(items)))
@@ -246,9 +255,6 @@ def test_batched_marginals_equal_single_marginals(query, data):
 
 def test_checked_oracle_rejects_non_binary_batched_marginals():
     class Doubler:
-        def marginal(self, items, item):
-            return 2
-
         def marginals(self, items, candidates):
             return [2] * len(candidates)
 
@@ -317,7 +323,7 @@ def test_declared_items_keep_their_empty_bundle_marginal(drawn, data):
     for _ in range(3):
         bundle = data.draw(st.frozensets(st.sampled_from(range(m))))
         for o in sorted(declared - bundle):
-            assert oracle.marginal(bundle, o) == oracle.marginal(frozenset(), o)
+            assert oracle.marginals(bundle, [o]) == oracle.marginals(frozenset(), [o])
 
 
 def test_checked_oracle_trusts_only_threshold_beta_declarations():
@@ -326,8 +332,8 @@ def test_checked_oracle_trusts_only_threshold_beta_declarations():
     ``ThresholdBeta``; an outside oracle's, or a bare spec's, are dropped."""
 
     class Binary:
-        def marginal(self, items, item):
-            return 1
+        def marginals(self, items, candidates):
+            return [1] * len(candidates)
 
     class Declaring(Binary):
         def bundle_independent(self, items):

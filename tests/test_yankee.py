@@ -82,9 +82,6 @@ def test_rejects_non_binary_oracle():
         def value(self, items):
             return 2 * len(items)
 
-        def marginal(self, items, item):
-            return 2
-
         def marginals(self, items, candidates):
             return [2] * len(candidates)
 
