@@ -1,10 +1,9 @@
 """Shared helpers for the test suite: the canonical randomized suite, a
-constructive source of two-valued submodular tables, a Hypothesis strategy
-for small solver instances, a reference path search, reference
-exchange-graph builders, the per-item bundle split, reference phase-1 and
-phase-2 loops, the
-per-subset rank-table loop and the per-subset validator loops the
-packed-lane validators replaced."""
+constructive source of two-valued submodular tables, Hypothesis strategies
+for small solver instances and for capped valuations, a reference path
+search, reference exchange-graph builders, the per-item bundle split,
+reference phase-1 and phase-2 loops, the per-subset rank-table loop and the
+per-subset validator loops the packed-lane validators replaced."""
 
 from __future__ import annotations
 
@@ -31,7 +30,14 @@ from manna.instgen import (
     graphic_matroid_rank_table,
 )
 from manna.threshold import is_clean
-from manna.valuations import Additive, CheckResult, Explicit, items_of
+from manna.valuations import (
+    Additive,
+    CappedGroups,
+    CheckResult,
+    Explicit,
+    Group,
+    items_of,
+)
 from manna.yankee import _CheckedOracle
 
 ADDITIVE_SEED_BASE = 1000
@@ -119,6 +125,25 @@ def solver_instances(draw, max_agents=5):
     if family == "additive":
         return gen_random_additive(n, m, c, (1, 1, 2), seed)
     return gen_capped_groups(n, m, c, (1, 3), (1, 3), seed)
+
+
+HI_LO = ((None, 0), (None, -1), (0, 0), (0, -1), (-1, -1))  # None stands for c
+
+
+@st.composite
+def capped_specs(draw, m, c):
+    """A ``CappedGroups`` valuation on ``m`` items: up to four groups of
+    consecutive items of a random permutation, caps 0 to 3, every valid
+    ``(hi, lo)`` pair and a default in ``{-1, 0, c}``."""
+    items = draw(st.permutations(range(m)))
+    cuts = sorted(draw(st.lists(st.integers(0, m), max_size=4)))
+    groups = []
+    for lo_k, hi_k in zip([0] + cuts, cuts):
+        if lo_k < hi_k:
+            hi, lo = draw(st.sampled_from(HI_LO))
+            cap = draw(st.integers(0, 3))
+            groups.append(Group(frozenset(items[lo_k:hi_k]), cap, c if hi is None else hi, lo))
+    return CappedGroups(tuple(groups), draw(st.sampled_from((-1, 0, c))))
 
 
 def permute_additive(inst: Instance, item_perm: list[int]) -> Instance:

@@ -21,7 +21,7 @@ from manna.valuations import (
     items_of,
     validate_submodular,
 )
-from support import per_item_split, solver_instances
+from support import capped_specs, per_item_split, solver_instances
 
 
 def test_beta_examples(named_fixtures):
@@ -70,9 +70,6 @@ def test_beta_marginal_examples(named_fixtures):
         ThresholdBeta(ex2.valuation(1), 0).marginals({0}, [0])
 
 
-_HI_LO = ((None, 0), (None, -1), (0, 0), (0, -1), (-1, -1))  # None stands for c
-
-
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.data())
 def test_capped_count_at_least_equals_the_prefix_walk(data):
@@ -80,15 +77,7 @@ def test_capped_count_at_least_equals_the_prefix_walk(data):
     the closed-form count equals ``beta``'s walk along a sorted list."""
     c = data.draw(st.integers(1, 3))
     m = data.draw(st.integers(1, 9))
-    items = data.draw(st.permutations(range(m)))
-    cuts = sorted(data.draw(st.lists(st.integers(0, m), max_size=3)))
-    groups = []
-    for lo_k, hi_k in zip([0] + cuts, cuts):
-        if lo_k < hi_k:
-            hi, lo = data.draw(st.sampled_from(_HI_LO))
-            cap = data.draw(st.integers(0, 3))
-            groups.append(Group(frozenset(items[lo_k:hi_k]), cap, c if hi is None else hi, lo))
-    spec = CappedGroups(tuple(groups), data.draw(st.sampled_from((-1, 0, c))))
+    spec = data.draw(capped_specs(m, c))
     bundle = data.draw(st.frozensets(st.sampled_from(range(m))))
     for tau in (0, c):
         assert spec.count_at_least(tau, bundle) == beta(spec, tau, sorted(bundle))

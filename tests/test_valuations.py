@@ -19,6 +19,7 @@ from manna.valuations import (
 )
 from manna.yankee import _CheckedOracle
 from support import (
+    capped_specs,
     graphic_matroid_instance,
     random_two_valued_table,
     reference_validate_order_neutral,
@@ -268,9 +269,6 @@ def test_checked_oracle_rejects_non_binary_batched_marginals():
         _CheckedOracle(Short(), 1).marginals(frozenset(), [0, 1])
 
 
-_HI_LO = ((None, 0), (None, -1), (0, -1), (0, 0))  # None stands for c
-
-
 @st.composite
 def declaring_oracles(draw):
     """A valuation of a declaring family -- additive, capped groups with caps
@@ -285,22 +283,13 @@ def declaring_oracles(draw):
         spec, m, c, want = inst.valuation(1), inst.num_items, 1, frozenset()
     else:
         m = draw(st.integers(1, 12))
-        values = st.sampled_from((-1, 0, c))
         if family == "additive":
+            values = st.sampled_from((-1, 0, c))
             spec = Additive(tuple(draw(st.lists(values, min_size=m, max_size=m))))
             want = frozenset(range(m))
         else:
-            items = draw(st.permutations(range(m)))
-            cuts = sorted(draw(st.lists(st.integers(0, m), max_size=4)))
-            groups = []
-            for lo_k, hi_k in zip([0] + cuts, cuts):
-                if lo_k < hi_k:
-                    hi, lo = draw(st.sampled_from(_HI_LO))
-                    cap = draw(st.integers(0, 3))
-                    hi = c if hi is None else hi
-                    groups.append(Group(frozenset(items[lo_k:hi_k]), cap, hi, lo))
-            spec = CappedGroups(tuple(groups), draw(values))
-            want = frozenset(range(m)).difference(*(g.items for g in groups))
+            spec = draw(capped_specs(m, c))
+            want = frozenset(range(m)).difference(*(g.items for g in spec.groups))
     tau = draw(st.sampled_from((0, c)))
     oracle = draw(
         st.sampled_from(
