@@ -44,8 +44,9 @@ right inequality no other item can be an out-neighbour.  By the left one a
 candidate that reaches it on B itself (a *sure* one) is an out-neighbour of
 every item of B, so only the other candidates (*maybe* ones) are tested
 against each ``B - o``.  A candidate that the agent's valuation declares
-*bundle-independent* (see ``valuations``) is sure without an oracle call:
-its marginal on B is still its marginal on ∅, which reached the threshold.
+*bundle-independent* at the threshold (see ``valuations``) is sure without
+an oracle call: its marginal on B is on the same side of the threshold as
+its marginal on ∅, which reached it.
 So the sure test asks only about the undeclared candidates.  The oracles
 are asked in batches: ``marginals(B, items)`` gives the marginals of a list
 of items on one bundle.  The candidates cost one call on the empty bundle,
@@ -94,11 +95,12 @@ these things are shared instead of recomputed:
   j's bundle objects changed.  The desired items at threshold c, the sources
   of j's searches, are the sure candidates of its out-lists.
 * **Splices, for fully declared agents.**  An agent is *fully declared*
-  when its valuation declares every candidate bundle-independent: every
-  additive agent, and every capped agent without groups.  All its
-  candidates are sure, so all its held items share one out-list, which
-  holds exactly its candidates outside ``xc_j``, each weighted by whether
-  ``x0_j`` holds it, and its desired items are the same candidates.  When
+  when its valuation declares every candidate bundle-independent at c:
+  every additive agent, and every capped agent none of whose groups can
+  cross c.  All its candidates are sure, so all its held items share one
+  out-list, which holds exactly its candidates outside ``xc_j``, each
+  weighted by whether ``x0_j`` holds it, and its desired items are the
+  same candidates.  When
   ``x0_j`` is the same object and only ``xc_j`` changed, both bundles
   clean, the new list is the old one less the items that entered ``xc_j``
   and plus the items that left it.  Every item of a clean bundle is a
@@ -128,13 +130,17 @@ these things are shared instead of recomputed:
   returns None, before it builds start costs or runs Dijkstra, when no
   source is among them.  Those are exactly the runs in which Dijkstra
   would reach no target and return None, so the searches that do run are
-  unchanged.  The one reverse search serves the Pareto scan of all n
-  agents, most of whose searches find nothing, so it pays.  An exchange
-  search has a target set of its own, an agent's counted bundle, and the
-  exchange scan searches only pairs whose sizes qualify, where a path
-  nearly always exists.  A reverse search there would cost about as much
-  as the Dijkstra run it could spare, so exchange searches run Dijkstra
-  directly.
+  unchanged.  Two kinds of pool search have a known answer to the filter
+  and do not consult it: one with no sources returns None at once, and one
+  whose sources meet the pool runs Dijkstra, since a source in the pool is
+  itself a target and the filter would pass.  So the reverse search runs
+  only for a graph where some other pool search is asked, and there it
+  serves the Pareto scan of all n agents, most of whose searches find
+  nothing, so it pays.  An exchange search has a target set of its own,
+  an agent's counted bundle, and the exchange scan searches only pairs
+  whose sizes qualify, where a path nearly always exists.  A reverse
+  search there would cost about as much as the Dijkstra run it could
+  spare, so exchange searches run Dijkstra directly.
 * **One-item steals without a search.**  When some source of an exchange
   search lies in the target's counted bundle, the search returns the least
   such item as a one-item path of cost 0.  Every start has cost 0 and
@@ -291,7 +297,7 @@ class WeightedExchangeGraph:
     """Exchange graph of ``xc`` under the c-threshold oracles, with doubled
     integer edge weights derived from ``x0`` membership.  ``candidates[i-1]``
     is agent i's ``candidate_items`` at threshold c, ``dependent[i-1]``
-    those of them its valuation does not declare bundle-independent, and
+    those of them its valuation does not declare bundle-independent at c, and
     ``desired[i-1]`` its ``f_set`` at threshold c.
 
     The graph is also kept as its agent quotient.  Each item with out-edges
@@ -392,8 +398,8 @@ def build_weighted_graph(
             candidate_items(spec.marginals, inst.c, inst.num_items) for spec in specs
         )
         dependent = tuple(
-            frozenset(c).difference(spec.bundle_independent(c))
-            for spec, c in zip(specs, candidates)
+            frozenset(cs).difference(spec.bundle_independent(cs, inst.c))
+            for spec, cs in zip(specs, candidates)
         )
         n = inst.num_agents
         graph = WeightedExchangeGraph(
@@ -606,8 +612,10 @@ def min_weight_path(
     edge costs twice its weight."""
     xc, x0 = graph.xc, graph.x0
     if kind == PARETO:
+        if not sources:
+            return None
         targets = xc.unallocated
-        if graph.reaching(targets).isdisjoint(sources):
+        if targets.isdisjoint(sources) and graph.reaching(targets).isdisjoint(sources):
             return None
         held = x0.bundle(agent)
         starts = {

@@ -53,9 +53,10 @@ class ThresholdBeta:
         return [1 if d >= tau else 0 for d in self.spec.marginals(items, candidates)]
 
     def bundle_independent(self, items: Iterable[int]) -> frozenset[int]:
-        """The valuation's bundle-independent items: a constant marginal
-        gives a constant threshold marginal."""
-        return self.spec.bundle_independent(items)
+        """The items whose 0/1 marginal is the same on every bundle without
+        them: those the valuation declares at ``tau``, whose marginal stays
+        on one side of it."""
+        return self.spec.bundle_independent(items, self.tau)
 
 
 def is_clean(oracle, bundle: Iterable[int]) -> bool:

@@ -27,16 +27,21 @@ on the items before it.  ``telescoping_vector`` sorts those gains, and
 ``CappedGroups`` also count a set's gains at least ``tau`` in closed form,
 ``count_at_least(tau, items)``, without the walk.
 
-Each solver family also declares its *bundle-independent* items:
-``bundle_independent(items)`` returns those items ``o`` of ``items`` whose
-marginal is the same on every bundle without ``o``, Δ(B, o) = Δ(∅, o).  The
-exchange-graph builders never ask the oracle about such an item again (see
-``exchange``).  A declaration may leave such items out, never put others
-in:
+Each solver family also declares its *bundle-independent* items at a
+threshold: ``bundle_independent(items, tau)`` returns those items ``o`` of
+``items`` whose marginal stays on one side of ``tau`` on every bundle
+without ``o``, so that Δ(B, o) >= tau exactly when Δ(∅, o) >= tau.  Each
+builder passes the threshold its oracle uses (0 in phase 1, c in phase 2)
+and never asks the oracle about such an item again (see ``exchange``).  A
+declaration may leave such items out, never put others in:
 
-* ``Additive`` declares every item: its marginals are its item values;
+* ``Additive`` declares every item at every threshold: its marginals are
+  its item values;
 * ``CappedGroups`` declares its ungrouped items, whose marginal is always
-  ``default``; a grouped item's marginal falls once its group is at its cap;
+  ``default``, and the items of every group whose marginal cannot cross
+  ``tau``: a group with cap 0 (always ``lo``), one with cap at least its
+  size (always ``hi``), and one with ``hi`` and ``lo`` on the same side of
+  ``tau``;
 * ``Explicit`` declares none, since finding them would take a pass over
   the whole table.
 """
@@ -104,7 +109,7 @@ class GeneralAdditive:
         values = self.values
         return [values[o] for o in candidates]
 
-    def bundle_independent(self, items: Iterable[int]) -> frozenset[int]:
+    def bundle_independent(self, items: Iterable[int], tau: int) -> frozenset[int]:
         """Every item of ``items``: each marginal is the item's value."""
         return frozenset(items)
 
@@ -191,9 +196,17 @@ class CappedGroups:
                 out.append(g.hi if len(items & g.items) < g.cap else g.lo)
         return out
 
-    def bundle_independent(self, items: Iterable[int]) -> frozenset[int]:
-        """The ungrouped items of ``items``, whose marginal is ``default``."""
-        return frozenset(items).difference(self._group_of)
+    def bundle_independent(self, items: Iterable[int], tau: int) -> frozenset[int]:
+        """The items of ``items`` outside every group whose marginal can
+        cross ``tau``: an ungrouped item's is always ``default``, and a
+        grouped item's is always ``lo`` when its cap is 0, always ``hi``
+        when its cap is at least the group's size (a bundle without the
+        item holds fewer of the group), and otherwise ``hi`` or ``lo``,
+        which cross ``tau`` only when ``lo < tau <= hi``."""
+        crossing = [
+            g.items for g in self.groups if 0 < g.cap < len(g.items) and g.lo < tau <= g.hi
+        ]
+        return frozenset(items).difference(*crossing)
 
     def count_at_least(self, tau: int, items: Iterable[int]) -> int:
         """Number of telescoping gains of the distinct ``items`` that are at
@@ -248,7 +261,7 @@ class Explicit:
         base = table[m]
         return [table[m | 1 << o] - base for o in candidates]
 
-    def bundle_independent(self, items: Iterable[int]) -> frozenset[int]:
+    def bundle_independent(self, items: Iterable[int], tau: int) -> frozenset[int]:
         """None of ``items``: the table is not searched for them."""
         return frozenset()
 

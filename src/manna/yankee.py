@@ -34,6 +34,12 @@ list a parent, or found the pool, so a second walk would skip every item on
 it.  The skip keys on the list's identity, as the builders key on bundle
 identity, and needs no node map.
 
+Two kinds of search have a forced answer and walk no list.  Every path
+ends in the pool, so a search on an empty pool finds none.  A desired item
+in the pool is a path of no edges, below every longer one, so the least
+such item is the path (a *direct pickup*), and the sources are sorted only
+when the breadth-first search runs.
+
 The oracles are asked in batches, through ``marginals(bundle, items)``, so
 one call through the wrapper that checks each marginal is 0 or 1 covers a
 whole list of items on one bundle (see ``exchange``).
@@ -93,7 +99,8 @@ class _CheckedOracle:
 
     def bundle_independent(self, items):
         """The bundle-independent items among ``items`` that a wrapped
-        ``ThresholdBeta`` declares for its valuation; none for any other
+        ``ThresholdBeta`` declares for its valuation at its own threshold;
+        none for any other
         oracle.  No later call checks a declared item, so only manna's own
         valuation families are trusted to declare."""
         if type(self._oracle) is ThresholdBeta:
@@ -108,8 +115,10 @@ def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
     ``value(bundle)`` and ``marginals(bundle, items)``, the 0/1 marginals
     of a list of items on one bundle, which must not grow as the bundle
     grows; no single-item form is asked for.  A ``ThresholdBeta`` oracle
-    also answers ``bundle_independent(items)``, and the items it declares
-    (see ``valuations``) are never asked about again.
+    also answers ``bundle_independent(items)``: the items whose 0/1
+    marginal is the same on every bundle without them, which its valuation
+    declares at the oracle's own threshold (see ``valuations``).  They are
+    never asked about again.
     """
     n = len(betas)
     oracles = [_CheckedOracle(b, i + 1) for i, b in enumerate(betas)]
@@ -159,17 +168,21 @@ def shortest_path_to_pool(
     ``adjacency``, the ``unweighted_adjacency`` of ``allocation``; ties go
     to the lexicographically smallest item sequence.
 
-    A breadth-first search: each layer is walked in discovery order and each
-    edge list in its ascending order, an item's parent is the first item to
-    reach it, and the search stops at the first pool item it discovers.  An
-    edge list shared by several items, the same object, is walked once:
-    walking it again would only meet items already reached.
+    An empty pool gives None and a source in the pool the least such item,
+    without a walk.  Otherwise a breadth-first search: each layer is walked
+    in discovery order and each edge list in its ascending order, an item's
+    parent is the first item to reach it, and the search stops at the first
+    pool item it discovers.  An edge list shared by several items, the same
+    object, is walked once: walking it again would only meet items already
+    reached.
     """
     pool = allocation.unallocated
+    if not pool:
+        return None
+    direct = pool.intersection(sources)
+    if direct:
+        return (min(direct),)
     frontier = sorted(sources)
-    for o in frontier:
-        if o in pool:
-            return (o,)
     parent: dict[int, Optional[int]] = dict.fromkeys(frontier)
     walked = set()  # ids of the edge lists walked, alive in ``adjacency``
     while frontier:

@@ -27,6 +27,7 @@ from manna.solver import phase1
 from manna.valuations import Additive, CappedGroups
 from manna.yankee import shortest_path_to_pool
 from support import (
+    _filtered_path,
     exhaustive_least_key,
     full_scan_f_set,
     full_scan_unweighted_adjacency,
@@ -570,6 +571,45 @@ def test_reachability_filter_changes_no_search(monkeypatch, named_fixtures):
         except InvalidInstance:
             continue  # rejected before phase 2 (non_on is not order-neutral)
     assert found > 100 and missing > 1000
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_INSTANCES))
+def test_pareto_searches_consult_reaching_only_when_unforced(monkeypatch, name):
+    """Every Pareto search of a solve calls ``reaching`` exactly when its
+    sources are not empty and miss the pool, and finds what the search
+    behind the filter finds; searches with no sources, or with a source in
+    the pool, have a known answer to the filter."""
+    inst = EQUIVALENCE_INSTANCES[name]()
+    search, reaching = solver.min_weight_path, WeightedExchangeGraph.reaching
+    consulted = 0
+    seen = {"no sources": 0, "source in pool": 0, "filtered": 0}
+
+    def counting_reaching(self, targets):
+        nonlocal consulted
+        consulted += 1
+        return reaching(self, targets)
+
+    def checked(graph, sources, kind, agent, target_agent=None):
+        nonlocal consulted
+        consulted = 0
+        path = search(graph, sources, kind, agent, target_agent)
+        if kind == PARETO:
+            pool = graph.xc.unallocated
+            case = (
+                "no sources"
+                if not sources
+                else "filtered" if pool.isdisjoint(sources) else "source in pool"
+            )
+            seen[case] += 1
+            assert consulted == (case == "filtered")
+            # on a copy, whose reverse lists a rebuild leaves the graph's alone
+            assert path == _filtered_path(dataclasses.replace(graph), sources, kind, agent)
+        return path
+
+    monkeypatch.setattr(WeightedExchangeGraph, "reaching", counting_reaching)
+    monkeypatch.setattr(solver, "min_weight_path", checked)
+    solver.solve(inst)
+    assert min(seen.values()) > 0, seen
 
 
 def test_reaching_is_reverse_reachability(monkeypatch):

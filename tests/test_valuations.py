@@ -272,15 +272,17 @@ def test_checked_oracle_rejects_non_binary_batched_marginals():
 @st.composite
 def declaring_oracles(draw):
     """A valuation of a declaring family -- additive, capped groups with caps
-    0 to 3, or a graphic-matroid table -- bare, behind ``ThresholdBeta`` at
-    0 or c, or behind ``_CheckedOracle`` over ``ThresholdBeta``, with its
-    item count and the items it must declare bundle-independent."""
+    0 to 3, or a graphic-matroid table -- with a threshold ``tau`` of 0 or
+    c, asked bare (None) or through ``ThresholdBeta`` at ``tau``, bare or
+    behind ``_CheckedOracle``, with its item count and the items it must
+    declare at ``tau``."""
     family = draw(st.sampled_from(("additive", "capped", "graphic")))
-    c = draw(st.integers(1, 3))
+    c = 1 if family == "graphic" else draw(st.integers(1, 3))
+    tau = draw(st.sampled_from((0, c)))
     if family == "graphic":
         seed = draw(st.integers(0, 2**16))
         inst = graphic_matroid_instance(1, draw(st.integers(1, 9)), seed)
-        spec, m, c, want = inst.valuation(1), inst.num_items, 1, frozenset()
+        spec, m, want = inst.valuation(1), inst.num_items, frozenset()
     else:
         m = draw(st.integers(1, 12))
         if family == "additive":
@@ -289,30 +291,51 @@ def declaring_oracles(draw):
             want = frozenset(range(m))
         else:
             spec = draw(capped_specs(m, c))
-            want = frozenset(range(m)).difference(*(g.items for g in spec.groups))
-    tau = draw(st.sampled_from((0, c)))
-    oracle = draw(
-        st.sampled_from(
-            (spec, ThresholdBeta(spec, tau), _CheckedOracle(ThresholdBeta(spec, tau), 1))
-        )
-    )
-    return oracle, m, want
+            # a grouped item is declared when its marginal cannot cross tau
+            crossing = (
+                g.items
+                for g in spec.groups
+                if not (g.cap == 0 or g.cap >= len(g.items) or (g.hi >= tau) == (g.lo >= tau))
+            )
+            want = frozenset(range(m)).difference(*crossing)
+    beta = ThresholdBeta(spec, tau)
+    oracle = draw(st.sampled_from((None, beta, _CheckedOracle(beta, 1))))
+    return spec, tau, oracle, m, want
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
 @given(declaring_oracles(), st.data())
 def test_declared_items_keep_their_empty_bundle_marginal(drawn, data):
-    """Each family declares exactly its documented items, the wrappers pass
-    the declaration through, and every declared item has the same marginal
-    on drawn bundles as on the empty one."""
-    oracle, m, want = drawn
+    """Each family declares exactly its documented items at each threshold,
+    the wrappers pass the declaration at their own threshold through, and
+    every declared item's marginal is on the same side of the threshold on
+    drawn bundles as on the empty one: the same 0/1 marginal."""
+    spec, tau, oracle, m, want = drawn
     items = data.draw(st.permutations(range(m)))
-    declared = oracle.bundle_independent(items)
+    if oracle is None:
+        declared = spec.bundle_independent(items, tau)
+    else:
+        declared = oracle.bundle_independent(items)
     assert declared == want
+    beta = ThresholdBeta(spec, tau)
     for _ in range(3):
         bundle = data.draw(st.frozensets(st.sampled_from(range(m))))
         for o in sorted(declared - bundle):
-            assert oracle.marginals(bundle, [o]) == oracle.marginals(frozenset(), [o])
+            assert beta.marginals(bundle, [o]) == beta.marginals(frozenset(), [o])
+
+
+def test_capped_declarations_depend_on_the_threshold():
+    """A group whose marginal falls from c to 0 at its cap is declared at 0
+    but not at c, one that falls from c to -1 at neither, and one whose cap
+    is 0 or at least its size, whose marginal never changes, at both."""
+    falls_to_zero = Group(frozenset({0, 1, 2}), 1, C, 0)
+    falls_below_zero = Group(frozenset({3, 4}), 1, C, -1)
+    never_falls = Group(frozenset({5, 6, 7}), 3, C, -1)
+    always_low = Group(frozenset({8, 9}), 0, C, -1)
+    spec = CappedGroups((falls_to_zero, falls_below_zero, never_falls, always_low), 0)
+    items = range(11)  # item 10 is ungrouped
+    assert spec.bundle_independent(items, 0) == {0, 1, 2, 5, 6, 7, 8, 9, 10}
+    assert spec.bundle_independent(items, C) == {5, 6, 7, 8, 9, 10}
 
 
 def test_checked_oracle_trusts_only_threshold_beta_declarations():

@@ -204,18 +204,30 @@ class _Walked(tuple):
 def test_search_walks_each_shared_edge_list_once(monkeypatch, name):
     """Every search of a solve walks each edge list object at most once and
     finds the reference's path, which walks the list of every item it
-    reaches; lists shared by several items make that fewer walks in all."""
+    reaches; lists shared by several items make that fewer walks in all.
+    A search on an empty pool, and one with a source in the pool (a direct
+    pickup, whose path is its least such source), walks no list."""
     inst = PHASE1_INSTANCES[name]()
     betas = [ThresholdBeta(inst.valuation(i), 0) for i in inst.agents]
     search = yankee.shortest_path_to_pool
     walks = {"search": 0, "reference": 0}
+    forced = {"empty pool": 0, "direct pickup": 0}
 
     def counting_search(allocation, adjacency, sources):
         copies = {}
         lists = {u: copies.setdefault(id(out), _Walked(out)) for u, out in adjacency.items()}
         path = search(allocation, lists, sources)
         assert all(out.walks <= 1 for out in copies.values())
-        walks["search"] += sum(out.walks for out in copies.values())
+        walked = sum(out.walks for out in copies.values())
+        pool = allocation.unallocated
+        if not pool:
+            forced["empty pool"] += bool(sources)
+            assert walked == 0
+        elif not pool.isdisjoint(sources):
+            # a pickup with a choice of items
+            forced["direct pickup"] += len(pool.intersection(sources)) > 1
+            assert path == (min(pool.intersection(sources)),) and walked == 0
+        walks["search"] += walked
         for out in copies.values():
             out.walks = 0
         assert path == reference_shortest_path_to_pool(allocation, lists, sources)
@@ -225,3 +237,4 @@ def test_search_walks_each_shared_edge_list_once(monkeypatch, name):
     monkeypatch.setattr(yankee, "shortest_path_to_pool", counting_search)
     yankee_swap(inst.num_items, betas)
     assert 0 < walks["search"] < walks["reference"]
+    assert forced["empty pool"] > 0 and forced["direct pickup"] > 0
