@@ -108,25 +108,20 @@ these things are shared instead of recomputed:
   empty bundle it is no smaller), so an item that entered had an edge and
   one that left gets one, weighted as a fresh build would weigh it.  So
   the builder edits the shared list in place, which every held item's
-  entry points to, and touches the adjacency, node, members, weight class,
-  desired and reverse entries of the moved items only.  An exchange moves
+  entry points to, and touches the adjacency, node, members, weight class
+  and desired entries of the moved items only.  An exchange moves
   one or two items of an agent, while a rebuild walks all its candidates.
   A list that empties leaves no entry, as in a fresh build; the agent is
   rebuilt when it next changes.
 * **Agent quotient.**  The held items of an agent whose items all share one
   out-list -- every additive agent -- form one node; every other item with
   out-edges is a node of its own.  A search expands each node once.
-* **Reverse lists only where they are read.**  The graph keeps, per item,
-  the set of nodes with an edge into it, for the reverse search below.
-  Only pool searches read them.  In the Pareto stage they are kept in
-  place: only the entries that a rebuilt agent's old or new nodes point
-  into, and those of the items a splice moves, change.  The exchange stage
-  makes no pool search until its final check, so it stops keeping them,
-  and ``reaching`` rebuilds them once, from the nodes and their out-lists,
-  before that check.
-* **Reachability pre-filter, for pool searches only.**  Each graph caches
-  the items that can reach the pool, found by a reverse search that
-  expands each node into its members once.  A ``pareto_improving`` search
+* **Reachability pre-filter, for pool searches only.**  Each graph state
+  caches the items that can reach the pool, found by a reverse search that
+  expands each node into its members once.  The search reads, per item,
+  the nodes with an edge into it: an index that ``reaching`` builds from
+  each node's out-list, once per state, and that advancing the graph drops
+  with the rest of the cache.  A ``pareto_improving`` search
   returns None, before it builds start costs or runs Dijkstra, when no
   source is among them.  Those are exactly the runs in which Dijkstra
   would reach no target and return None, so the searches that do run are
@@ -140,7 +135,8 @@ these things are shared instead of recomputed:
   an agent's counted bundle, and the exchange scan searches only pairs
   whose sizes qualify, where a path nearly always exists.  A reverse
   search there would cost about as much as the Dijkstra run it could
-  spare, so exchange searches run Dijkstra directly.
+  spare, so exchange searches run Dijkstra directly, and the exchange
+  stage builds no index before its final Pareto check.
 * **One-item steals without a search.**  When some source of an exchange
   search lies in the target's counted bundle, the search returns the least
   such item as a one-item path of cost 0.  Every start has cost 0 and
@@ -151,6 +147,7 @@ these things are shared instead of recomputed:
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import defaultdict
 from itertools import compress
 from operator import is_not, itemgetter
 from dataclasses import dataclass, field
@@ -243,6 +240,13 @@ def _out_lists(bundle, outside, entries, dependent, marginals, threshold, share=
     return out, desired
 
 
+def _changed(bundles, before):
+    """The agents, ascending, whose bundle is not the same object as in
+    ``before``.  Compared at C speed: after an augmentation nearly every
+    agent keeps its bundle."""
+    return list(compress(range(1, len(bundles) + 1), map(is_not, bundles, before)))
+
+
 def unweighted_adjacency(
     allocation: Allocation,
     oracles: Sequence,
@@ -270,11 +274,7 @@ def unweighted_adjacency(
         desired: list[frozenset[int]] = [frozenset()] * allocation.num_agents
     else:
         before, adj, desired = previous[0].bundles, previous[1], previous[2]
-    changed = [
-        j
-        for j, (bundle, old) in enumerate(zip(allocation.bundles, before), start=1)
-        if bundle is not old
-    ]
+    changed = _changed(allocation.bundles, before)
     for j in changed:
         for o in before[j - 1] or ():
             adj.pop(o, None)
@@ -307,12 +307,9 @@ class WeightedExchangeGraph:
     edits in place; every other out-list and member sequence is a tuple.
     ``node_of``
     maps such an item to its node, ``members`` a node to its items in
-    ascending order, ``weights`` a node to the weights of its holder's
+    ascending order, and ``weights`` a node to the weights of its holder's
     candidate edges (``(1,)``, ``(2,)`` or ``(1, 2)``; every weight its
-    out-list has, and exactly those for a shared list), and ``reverse`` an
-    item to the nodes with an edge into it.  ``reverse`` is valid wherever
-    it is read: while ``reverse_kept`` is False it is not kept up to date,
-    and ``reaching`` rebuilds it before reading it.
+    out-list has, and exactly those for a shared list).
 
     A graph passed as ``previous`` to ``build_weighted_graph`` is advanced
     in place to the new state and returned.
@@ -328,39 +325,37 @@ class WeightedExchangeGraph:
     node_of: dict[int, int]
     members: dict[int, Sequence[int]]
     weights: dict[int, tuple[int, ...]]
-    reverse: dict[int, set[int]]
-    reverse_kept: bool = True
-    _reaching: dict[frozenset[int], frozenset[int]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # per state: each target set's ``reaching`` items, and under None the
+    # reverse index they are searched in
+    _reaching: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def reaching(self, targets: frozenset[int]) -> frozenset[int]:
         """Items with a path to some item of ``targets`` (targets included),
         computed once per target set by a reverse search that expands each
-        node into its members once.  Rebuilds ``reverse`` first when it is
-        not kept."""
-        if not self.reverse_kept:
-            # The stale lists are freed only now, so that the new ones can
-            # take their memory: freed any earlier, it went to other objects
-            # and the rebuild raised the peak RSS.
-            self.reverse = {}
-            for node, items in self.members.items():
-                _point_into(self.reverse, node, self.adjacency[items[0]])
-            self.reverse_kept = True
-        if targets not in self._reaching:
+        node into its members once.  The search reads, per item, the nodes
+        with an edge into it, indexed from each node's out-list at the
+        state's first call."""
+        cache = self._reaching
+        if targets not in cache:
+            into = cache.get(None)
+            if into is None:
+                into = cache[None] = defaultdict(list)
+                for node, items in self.members.items():
+                    for v, _w in self.adjacency[items[0]]:
+                        into[v].append(node)
             seen = set(targets)
             stack = list(targets)
             expanded = set()
             while stack:
-                for node in self.reverse.get(stack.pop(), ()):
+                for node in into.get(stack.pop(), ()):
                     if node not in expanded:
                         expanded.add(node)
                         for u in self.members[node]:
                             if u not in seen:
                                 seen.add(u)
                                 stack.append(u)
-            self._reaching[targets] = frozenset(seen)
-        return self._reaching[targets]
+            cache[targets] = frozenset(seen)
+        return cache[targets]
 
     def edges(self):
         for u in sorted(self.adjacency):
@@ -403,7 +398,7 @@ def build_weighted_graph(
         )
         n = inst.num_agents
         graph = WeightedExchangeGraph(
-            inst, xc, x0, {}, candidates, dependent, [frozenset()] * n, {}, {}, {}, {}
+            inst, xc, x0, {}, candidates, dependent, [frozenset()] * n, {}, {}, {}
         )
         old_xc = old_x0 = (None,) * n  # every agent is computed
     elif previous.inst is not inst:
@@ -412,14 +407,7 @@ def build_weighted_graph(
         graph = previous
         old_xc, old_x0 = graph.xc.bundles, graph.x0.bundles
         graph.xc, graph.x0, graph._reaching = xc, x0, {}
-    # the agents with a new bundle object, compared at C speed: after an
-    # augmentation nearly all of them keep both
-    changed = sorted(
-        {
-            *compress(inst.agents, map(is_not, xc.bundles, old_xc)),
-            *compress(inst.agents, map(is_not, x0.bundles, old_x0)),
-        }
-    )
+    changed = sorted({*_changed(xc.bundles, old_xc), *_changed(x0.bundles, old_x0)})
     _advance(graph, changed, old_xc, old_x0)
     return graph
 
@@ -428,17 +416,6 @@ def build_weighted_graph(
 # constants, so that a node's entry allocates nothing.
 _WEIGHT_CLASSES = ((), (1,), (2,), (1, 2))
 _weight = itemgetter(1)  # of an (item, weight) edge
-
-
-def _point_into(reverse, node, out):
-    """Record in ``reverse`` that ``node`` has an edge into each item of its
-    out-list ``out``."""
-    for v, _w in out:
-        into = reverse.get(v)
-        if into is None:
-            reverse[v] = {node}
-        else:
-            into.add(node)
 
 
 def _advance(graph, changed, old_xc, old_x0):
@@ -450,13 +427,11 @@ def _advance(graph, changed, old_xc, old_x0):
     a shared out-list and its counted bundle is not empty.  Every other
     changed agent is rebuilt from its candidates.  Every old entry goes
     before any new one is added, since an item can move between two
-    changed agents.  A rebuilt node's reverse entries, while ``reverse`` is
-    kept, leave with it and come back with its new out-list.
+    changed agents.
     """
     inst, xc, x0 = graph.inst, graph.xc, graph.x0
     adjacency, desired = graph.adjacency, graph.desired
     node_of, members, weights = graph.node_of, graph.members, graph.weights
-    reverse = graph.reverse if graph.reverse_kept else None
     dependent = graph.dependent
     spliced, rebuilt = [], []
     for j in changed:
@@ -475,17 +450,12 @@ def _advance(graph, changed, old_xc, old_x0):
             continue
         rebuilt.append(j)
         for o in old or ():
-            out = adjacency.pop(o, None)
-            if out is None:
-                continue
-            node = node_of.pop(o)
-            if members.pop(node, None) is not None:  # the node's first member
-                del weights[node]
-                if reverse is not None:
-                    for v, _w in out:
-                        _unpoint(reverse, node, v)
+            if adjacency.pop(o, None) is not None:
+                node = node_of.pop(o)
+                if members.pop(node, None) is not None:  # the node's first member
+                    del weights[node]
     for j, out, left, entered in spliced:
-        _splice(graph, reverse, j, out, left, entered)
+        _splice(graph, j, out, left, entered)
     for j in rebuilt:
         bundle = xc.bundles[j - 1]
         candidates = graph.candidates[j - 1]
@@ -519,19 +489,9 @@ def _advance(graph, changed, old_xc, old_x0):
             members[node] = items
             node_of.update(dict.fromkeys(items, node))
             weights[node] = _WEIGHT_CLASSES[light + 2 * heavy]
-            if reverse is not None:
-                _point_into(reverse, node, out[items[0]])
 
 
-def _unpoint(reverse, node, v):
-    """Record in ``reverse`` that ``node`` no longer has an edge into ``v``."""
-    into = reverse[v]
-    into.discard(node)
-    if not into:
-        del reverse[v]
-
-
-def _splice(graph, reverse, j, out, left, entered):
+def _splice(graph, j, out, left, entered):
     """Advance the entries of fully declared agent j by the items that
     ``left`` and ``entered`` its counted bundle, editing its shared
     out-list ``out`` and its members in place.  The items that left are
@@ -553,15 +513,11 @@ def _splice(graph, reverse, j, out, left, entered):
     dropped, added = [], []
     for o in entered:
         dropped.append(out.pop(bisect_left(out, (o,)))[1])
-        if reverse is not None:
-            _unpoint(reverse, node, o)
     for o in left:
         del items[bisect_left(items, o)]
         edge = (o, 1 if o in x0_j else 2)
         insort(out, edge)
         added.append(edge[1])
-        if reverse is not None:
-            _point_into(reverse, node, (edge,))
     graph.desired[j - 1] = graph.desired[j - 1].difference(entered).union(left)
     if not out:
         for o in items:

@@ -278,41 +278,37 @@ EQUIVALENCE_INSTANCES = {
 
 def _assert_equals_fresh_build(g):
     """Every part of ``g`` -- edge lists with their weights and order, the
-    quotient with its weights, and desired items -- equals a fresh build's.
-    Reverse lists are compared where they are read: those of a graph that
-    does not keep them (the exchange stage's) are compared as ``reaching``
-    rebuilds them, on a copy that leaves ``g`` as it was."""
+    quotient with its weights, desired items, and the items that reach the
+    pool or an agent's counted bundle -- equals a fresh build's."""
     fresh = build_weighted_graph(g.inst, g.xc, g.x0)
     assert g.dump() == fresh.dump()
-    if not g.reverse_kept:
-        g = dataclasses.replace(g)
-        g.reaching(g.xc.unallocated)
-        assert g.reverse_kept
-    for name in (
-        "adjacency", "node_of", "members", "weights", "reverse", "desired"
-    ):
+    for name in ("adjacency", "node_of", "members", "weights", "desired"):
         assert getattr(g, name) == getattr(fresh, name), name
+    for targets in (g.xc.unallocated, *map(g.xc.bundle, g.inst.agents)):
+        assert g.reaching(targets) == fresh.reaching(targets)
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_INSTANCES))
 def test_incremental_graph_equals_fresh_build(monkeypatch, name):
     inst = EQUIVALENCE_INSTANCES[name]()
     kinds = set()
-    kept = []  # per graph, whether it keeps reverse lists
+    pools = []  # per graph, the pool's size
     listed = []  # per graph, the agents with a shared out-list
-    # per splice: the graph it builds, whether that graph keeps reverse
-    # lists (the Pareto stage), and the agent whose out-list it emptied
+    # per splice: the graph it builds, whether the augmentation before it
+    # took an item from the pool (the Pareto stage), and the agent whose
+    # out-list it emptied
     spliced = []
     splice = exchange._splice
 
-    def recording_splice(graph, reverse, j, out, left, entered):
-        splice(graph, reverse, j, out, left, entered)
-        spliced.append((len(kept), reverse is not None, None if out else j))
+    def recording_splice(graph, j, out, left, entered):
+        splice(graph, j, out, left, entered)
+        pareto = len(graph.xc.unallocated) < pools[-1]
+        spliced.append((len(listed), pareto, None if out else j))
 
     monkeypatch.setattr(exchange, "_splice", recording_splice)
 
     def check(g):
-        kept.append(g.reverse_kept)
+        pools.append(len(g.xc.unallocated))
         listed.append({-node for node in g.members if node < 0})
         _assert_equals_fresh_build(g)
         assert set(g.node_of) == set(g.adjacency)
@@ -324,8 +320,6 @@ def test_incremental_graph_equals_fresh_build(monkeypatch, name):
 
     assert _phase2_graphs(monkeypatch, inst, check) > 10
     assert kinds == ({True} if name.startswith("additive") else {True, False})
-    # the Pareto stage keeps them in place; the exchange stage does not
-    assert kept[0] and not kept[-1]
     if name.startswith("additive"):
         # every agent is fully declared, so both stages splice, and some
         # agent comes to hold all its candidates and later has a list again
@@ -602,7 +596,8 @@ def test_pareto_searches_consult_reaching_only_when_unforced(monkeypatch, name):
             )
             seen[case] += 1
             assert consulted == (case == "filtered")
-            # on a copy, whose reverse lists a rebuild leaves the graph's alone
+            # on a copy, so that only the solve's own searches fill the
+            # graph's reaching cache
             assert path == _filtered_path(dataclasses.replace(graph), sources, kind, agent)
         return path
 
