@@ -13,10 +13,11 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 from .core import Allocation, Instance
-from .errors import ContractViolation, InvalidInstance, ParseError
+from .errors import ContractViolation, InvalidInstance, MalformedValuation, ParseError
 from .jsontext import dumps
 from .solver import SolveReport
 from .threshold import TriDecomposition
@@ -296,15 +297,26 @@ def fixtures() -> dict[str, Instance]:
 
 
 @lru_cache(maxsize=4)
-def _canonical_keys(num_items: int) -> tuple[tuple[str, ...], dict[str, int]]:
+def _canonical_keys(num_items: int) -> tuple:
     """The explicit-table key of every subset of ``num_items`` items, in mask
-    order (ascending items joined by commas, ``""`` for the empty set), and
-    the map from each key back to its mask."""
+    order (ascending items joined by commas, ``""`` for the empty set); the
+    map from each key back to its mask; the keys sorted, as ``dumps`` writes
+    them; and the getter that takes a list of values in that sorted order
+    to the tuple of them in mask order."""
     keys = [""]
     for o in range(num_items):
         head = str(o)
         keys += [f"{key},{head}" if key else head for key in keys]
-    return tuple(keys), {key: mask for mask, key in enumerate(keys)}
+    written = sorted(range(len(keys)), key=keys.__getitem__)
+    position = [0] * len(keys)
+    for at, mask in enumerate(written):
+        position[mask] = at
+    return (
+        tuple(keys),
+        {key: mask for mask, key in enumerate(keys)},
+        [keys[mask] for mask in written],
+        itemgetter(*position) if num_items else tuple,  # a 1-index getter gives no tuple
+    )
 
 
 def _spec_to_obj(spec: ValuationSpec) -> dict:
@@ -322,7 +334,7 @@ def _spec_to_obj(spec: ValuationSpec) -> dict:
             "default": spec.default,
         }
     if isinstance(spec, Explicit):
-        keys, _ = _canonical_keys(spec.num_items)
+        keys = _canonical_keys(spec.num_items)[0]
         return {"kind": "explicit", "table": dict(zip(keys, spec.table))}
     raise ContractViolation(f"unknown valuation kind {type(spec).__name__}")
 
@@ -377,24 +389,29 @@ def _spec_from_obj(obj: dict, num_items: int, loc: str) -> ValuationSpec:
                 f"{loc}.table",
                 f"expected {1 << num_items} entries, found {len(raw)}",
             )
-        return Explicit(num_items, _explicit_table(raw, num_items, loc))
+        return _explicit_table(raw, num_items, loc)
     raise ParseError(f"{loc}.kind", f"unknown valuation kind {kind!r}")
 
 
-def _explicit_table(raw: dict, num_items: int, loc: str) -> tuple[int, ...]:
-    """The values of a table with ``2^num_items`` entries, in mask order.
+def _explicit_table(raw: dict, num_items: int, loc: str) -> Explicit:
+    """The table with ``2^num_items`` entries, its values in mask order.
 
-    When the keys are exactly the canonical ones and every value is a plain
-    integer, the table is read in one pass over the canonical keys.
-    Otherwise each key is looked up among the canonical keys, and only a
-    key that is not one of them is split and checked; the first bad entry in
-    the document's order raises.
+    A table whose keys arrive in the order manna writes them, the canonical
+    keys sorted, is read in one pass: one list comparison of the keys, then
+    the values taken from ``raw.values()`` into mask order by one
+    precomputed permutation, with no lookup per key, and ``Explicit``
+    checks their types in its one pass over them.  Any other table, or one
+    with a value that is not a plain integer, is read entry by entry: each
+    key is looked up among the canonical keys, and only a key that is not
+    one of them is split and checked; the first bad entry in the document's
+    order raises.
     """
-    keys, index = _canonical_keys(num_items)
-    if raw.keys() == index.keys():
-        table = tuple(map(raw.__getitem__, keys))
-        if set(map(type, table)) <= {int}:
-            return table
+    _, index, written, read = _canonical_keys(num_items)
+    if list(raw) == written:
+        try:
+            return Explicit(num_items, read(list(raw.values())))
+        except MalformedValuation:
+            pass  # a value that is not a plain integer, named below
     table = [None] * (1 << num_items)
     for key, v in raw.items():
         if not isinstance(v, int) or isinstance(v, bool):
@@ -405,7 +422,7 @@ def _explicit_table(raw: dict, num_items: int, loc: str) -> tuple[int, ...]:
         if table[mask] is not None:
             raise ParseError(f"{loc}.table[{key!r}]", "duplicate subset key")
         table[mask] = v
-    return tuple(table)
+    return Explicit(num_items, tuple(table))
 
 
 def _subset_mask(key: str, num_items: int, loc: str) -> int:

@@ -71,7 +71,8 @@ class SolveReport:
 
 def check_supported(inst: Instance) -> None:
     """Gate the solver: reject out-of-scope valuation classes and explicit
-    tables that fail deep validation."""
+    tables that fail deep validation.  A table's validators run in order,
+    and the first that fails raises without running the rest."""
     for i in inst.agents:
         spec = inst.valuation(i)
         if not is_solver_supported(spec):
@@ -80,11 +81,12 @@ def check_supported(inst: Instance) -> None:
                 "solvable class (the unrestricted problem is NP-hard)"
             )
         if isinstance(spec, Explicit):
-            for name, res in (
-                ("submodularity", validate_submodular(spec)),
-                ("order neutrality", validate_order_neutral(spec)),
-                ("marginal range", validate_range(spec, inst.c)),
+            for name, check, args in (
+                ("submodularity", validate_submodular, ()),
+                ("order neutrality", validate_order_neutral, ()),
+                ("marginal range", validate_range, (inst.c,)),
             ):
+                res = check(spec, *args)
                 if not res:
                     raise InvalidInstance(f"agent {i}: {name} check failed: {res.message}")
 

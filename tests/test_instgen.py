@@ -179,8 +179,15 @@ def test_parse_explicit_accepts_non_canonical_keys():
     canonical = {"": 0, "0": 1, "1": 1, "0,1": 2, "2": 1, "0,2": 2, "1,2": 2, "0,1,2": 3}
     shuffled = {"1,0": 2, "": 0, "2,1,0": 3, "1": 1, "2,0": 2, "0": 1, "2": 1, "1,2": 2}
     expected = (0, 1, 1, 2, 1, 2, 2, 3)
-    assert parse_instance(_explicit_doc(canonical, 3)).valuation(1).table == expected
-    assert parse_instance(_explicit_doc(shuffled, 3)).valuation(1).table == expected
+    # the canonical keys in mask order, sorted (as manna writes them) and
+    # shuffled, then keys that are not canonical
+    for table in (
+        canonical,
+        dict(sorted(canonical.items())),
+        {key: canonical[key] for key in ("1,2", "0", "", "0,1,2", "2", "0,2", "1", "0,1")},
+        shuffled,
+    ):
+        assert parse_instance(_explicit_doc(table, 3)).valuation(1).table == expected
 
 
 @pytest.mark.parametrize(
@@ -202,6 +209,14 @@ def test_parse_explicit_accepts_non_canonical_keys():
          "instance.agents[0].table['x']: malformed subset key"),
         ({"": 0, "0": 1, "1": 1},
          "instance.agents[0].table: expected 4 entries, found 3"),
+        # values that are not plain integers, the keys sorted as manna
+        # writes them
+        ({"": 0, "0": 1, "0,1": 1.5, "1": 1},
+         "instance.agents[0].table['0,1']: expected an integer value"),
+        ({"": 0, "0": "1", "0,1": 2, "1": 1},
+         "instance.agents[0].table['0']: expected an integer value"),
+        ({"": 0, "0": 1, "0,1": 2, "1": False},
+         "instance.agents[0].table['1']: expected an integer value"),
     ],
 )
 def test_parse_explicit_errors(table, message):

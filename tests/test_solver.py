@@ -9,7 +9,7 @@ from manna.exchange import EXCHANGE, clean_state_violations
 from manna.oracle import brute_leximin
 from manna.solver import phase1, phase2, phase3, solve
 from manna.threshold import verify_tridecomposition
-from manna.valuations import Additive, GeneralAdditive
+from manna.valuations import Additive, Explicit, GeneralAdditive
 from support import reference_phase2, solver_instances
 
 
@@ -177,6 +177,23 @@ def test_solver_rejects_general_additive():
 def test_solver_rejects_non_order_neutral_table(named_fixtures):
     with pytest.raises(InvalidInstance):
         solve(named_fixtures["non_on"])
+
+
+def test_gate_stops_at_the_first_failing_validator(monkeypatch):
+    calls = []
+    for name in ("validate_order_neutral", "validate_range"):
+        check = getattr(solver_mod, name)
+        counted = lambda *args, name=name, check=check: calls.append(name) or check(*args)
+        monkeypatch.setattr(solver_mod, name, counted)
+    supermodular = Instance(1, 2, 1, (Explicit(2, (0, 0, 0, 1)),))
+    with pytest.raises(InvalidInstance) as err:
+        solver_mod.check_supported(supermodular)
+    assert str(err.value) == (
+        "agent 1: submodularity check failed: marginal of item 0 grows from 0 to 1"
+    )
+    assert calls == []
+    solver_mod.check_supported(Instance(1, 2, 1, (Explicit(2, (0, 1, 1, 1)),)))
+    assert calls == ["validate_order_neutral", "validate_range"]
 
 
 def test_trace_lines(named_fixtures):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -92,6 +94,9 @@ def test_telescoping_conserves_value():
 def test_explicit_structural_checks():
     with pytest.raises(MalformedValuation):
         Explicit(2, (0, 1, 2))  # wrong table size
+    for bad in (1.9, "1", True):
+        with pytest.raises(MalformedValuation, match="is not an integer"):
+            Explicit(1, (0, bad))
     with pytest.raises(ContractViolation):
         Explicit(2, (0, 1, 1, 2)).marginal({0}, 0)
 
@@ -109,6 +114,7 @@ def test_validate_submodular():
 
 
 def test_validate_order_neutral_witness():
+    # marginals {-1, 0, 1}, a progression: the pair pass runs and fails
     res = validate_order_neutral(NON_ON)
     assert not res.ok
     bundle, vec1, vec2 = res.witness
@@ -197,6 +203,102 @@ def test_packed_validators_equal_reference_loops(drawn):
         (validate_range(spec, c), reference_validate_range(spec, c)),
     ):
         assert (fast.ok, fast.witness, fast.message) == (slow.ok, slow.witness, slow.message)
+
+
+# Marginal value sets D of each kind that ``validate_order_neutral`` tells
+# apart before its pair pass.
+VALUE_SETS = {
+    "at most two": ((0, 1), (-1, 0), (-1, 2)),
+    "three apart": ((-1, 0, 2), (-2, 0, 1)),
+    "progression": ((-1, 0, 1), (0, 1, 2)),
+    "four or more": ((-1, 0, 1, 2), (-2, -1, 0, 2, 3)),
+}
+
+
+def _marginal_values(spec):
+    m, table = spec.num_items, spec.table
+    return {
+        table[mask | 1 << o] - table[mask]
+        for mask in range(1 << m)
+        for o in range(m)
+        if not mask >> o & 1
+    }
+
+
+def _kind(values):
+    if len(values) <= 2:
+        return "at most two"
+    if len(values) > 3:
+        return "four or more"
+    a, b, c = sorted(values)
+    return "progression" if b - a == c - b else "three apart"
+
+
+@st.composite
+def marginal_valued_tables(draw):
+    """A table over m = 2..6 items whose marginals are drawn from a value
+    set D of one kind, scaled and shifted.  Either a sum of blocks of one or
+    two items, where a two-item block is "crossed" (a failing square) when
+    its two orders gain distinct pairs of values from D with one sum, or a
+    table filled in mask order, each value one of those that keep every
+    marginal into it in D if there are any."""
+    m = draw(st.sampled_from(range(2, 7)))
+    values = draw(st.sampled_from(VALUE_SETS[draw(st.sampled_from(sorted(VALUE_SETS)))]))
+    pick = st.sampled_from(values)
+    table = [0] * (1 << m)
+    if draw(st.booleans()):
+        crossings = [
+            (x, d, y, e)
+            for x in values for d in values for y in values for e in values
+            if x + d == y + e and sorted((x, d)) != sorted((y, e))
+        ]
+        crossed = crossings and draw(st.booleans())
+        o = 0
+        while o < m:
+            if o + 1 < m and draw(st.booleans()):
+                if crossed and draw(st.booleans()):
+                    x, d, y, _ = draw(st.sampled_from(crossings))
+                else:
+                    x, y = draw(pick), draw(pick)
+                    d = y
+                block = {0: 0, 1 << o: x, 2 << o: y, 3 << o: x + d}
+                o += 2
+            else:
+                block = {0: 0, 1 << o: draw(pick)}
+                o += 1
+            items = max(block)
+            for mask in range(1 << m):
+                table[mask] += block[mask & items]
+    else:
+        for mask in range(1, 1 << m):
+            parents = [mask ^ 1 << o for o in range(m) if mask >> o & 1]
+            fits = [
+                table[parents[0]] + d
+                for d in values
+                if all(table[parents[0]] + d - table[p] in values for p in parents)
+            ]
+            table[mask] = draw(st.sampled_from(fits or [table[parents[0]] + d for d in values]))
+    scale = draw(st.sampled_from((1, 1, 3, 2**35)))
+    shift = draw(st.sampled_from((0, 0, 61, -(2**70))))
+    return Explicit(m, tuple(v * scale + shift for v in table))
+
+
+def test_marginal_values_decide_order_neutrality_as_the_pair_pass_does():
+    seen = Counter()
+
+    @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+    @given(marginal_valued_tables())
+    def check(spec):
+        fast, slow = validate_order_neutral(spec), reference_validate_order_neutral(spec)
+        assert (fast.ok, fast.witness, fast.message) == (slow.ok, slow.witness, slow.message)
+        kind = _kind(_marginal_values(spec))
+        # where no two distinct pairs of D share a sum, no square can fail
+        assert slow.ok or kind in ("progression", "four or more")
+        seen[kind, slow.ok] += 1
+
+    check()
+    assert seen["at most two", True] and seen["three apart", True]
+    assert all(seen[kind, ok] for kind in ("progression", "four or more") for ok in (True, False))
 
 
 def test_capped_groups_rejects_overlapping_groups():
