@@ -59,7 +59,7 @@ def _read_instance(path: str) -> Instance:
     return instgen.parse_instance(_read_text(path))
 
 
-def _budget(args) -> int | None:
+def _budget() -> int | None:
     env = os.environ.get("MANNA_ORACLE_BUDGET")
     if env is not None:
         try:
@@ -105,7 +105,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_brute(args) -> int:
     inst = _read_instance(args.instance)
-    budget = _budget(args)
+    budget = _budget()
     sorted_vec, witness = oracle.brute_leximin(inst, budget)
     obj = {
         "sorted_utilities": list(sorted_vec),
@@ -125,7 +125,7 @@ def _cmd_verify(args) -> int:
             raise ContractViolation(
                 f"unknown property {p!r}; choose from {', '.join(VERIFY_PROPS)}"
             )
-    budget = _budget(args)
+    budget = _budget()
     results = {}
     all_ok = True
     for prop in props:
@@ -181,6 +181,18 @@ def _parse_ratio(text: str, parts: int, flag: str) -> tuple[int, ...]:
     return values
 
 
+def _parse_edges(text: str) -> tuple[tuple[int, ...], ...]:
+    """``--edges``: semicolon-separated edges of comma-separated integers."""
+    try:
+        return tuple(
+            tuple(int(x) for x in tok.split(",")) for tok in text.split(";") if tok.strip()
+        )
+    except ValueError:
+        raise ContractViolation(
+            "--edges must be semicolon-separated lists of comma-separated integers"
+        ) from None
+
+
 def _cmd_gen(args) -> int:
     if args.family == "additive":
         weights = _parse_ratio(args.weights, 3, "--weights")
@@ -190,13 +202,8 @@ def _cmd_gen(args) -> int:
         caps = _parse_ratio(args.caps, 2, "--caps")
         inst = instgen.gen_capped_groups(args.agents, args.items, args.c, groups, caps, args.seed)
     else:  # hardness
-        edges = []
-        for tok in args.edges.split(";"):
-            tok = tok.strip()
-            if tok:
-                edges.append(tuple(int(x) for x in tok.split(",")))
         expdm = instgen.ExPDMInstance(
-            args.p, args.a, instgen.canonical_parts(args.p, args.a), tuple(edges)
+            args.p, args.a, instgen.canonical_parts(args.p, args.a), _parse_edges(args.edges)
         )
         inst = instgen.gen_hardness(expdm, args.q)
     _emit(instgen.serialize_instance(inst), args.output)

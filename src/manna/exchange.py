@@ -14,28 +14,29 @@ bundle, else 2.  The pickup rule extends the half-weight preference to
 zero-edge singleton paths, where edge weights alone cannot discriminate; see
 the regression test on the two-item cap fixture for why that matters.
 
+One store, ``ExchangeGraph``, holds both phases' graphs, and one builder
+advances it.  Each item's out-list is a pair ``(light, heavy)`` of ascending
+items: its weight-1 and its weight-2 edges.  Phase 2 builds it at threshold
+c over the state ``(xc, x0)`` (``build_weighted_graph``).  Phase 1 builds it
+at threshold 1 over the zero-threshold oracles, with an empty zero-valued
+part, so every edge is heavy (``unweighted_adjacency``).
+
 Searches are deterministic: minimum doubled cost, then fewest edges, then
 lexicographically smallest item sequence.  A search stops at the first
 target it reaches, which holds the least key of all targets: exactly the one
 a search run to exhaustion would pick.
 
 Phase 2 runs one search for both path kinds, the lazy Dijkstra of
-``dijkstra``, over the graph's out-lists, sorted by item, and its agent
-quotient (below).  An exchange edge's class there is its weight, 1 or 2.
-A pool search's class adds whether the edge enters the pool: an item picked
-up from the pool along ``u -> v`` costs 1 exactly when ``v`` lies in the
-zero-valued bundle of ``u``'s holder, the very test that made the edge's
-weight 1, so a pool edge costs twice its weight.  The builder records, per
-node, the weights of its holder's candidate edges: exactly its out-list's
-weights when the list is shared, as every additive agent's is, so that no
-cursor walks such a list for a class it lacks.  An item with a list of its
-own gets its holder's weights too, which is cheaper than scanning each
-list.  Phase 1's search is breadth-first (``yankee.shortest_path_to_pool``).
+``dijkstra``, over the pairs.  A pool search's edge class adds whether the
+edge enters the pool: an item picked up from the pool along ``u -> v`` costs
+1 exactly when ``v`` lies in the zero-valued bundle of ``u``'s holder, the
+very test that made the edge light, so a pool edge costs twice its weight.
+Phase 1's search is breadth-first over ``heavy``
+(``yankee.shortest_path_to_pool``).
 
-Both builders scan only each agent's *candidate items*, listed once per
-solve: the items whose marginal on the empty bundle reaches the threshold
-(c in phase 2; in phase 1, a threshold-0 marginal of 1).  Marginals only
-fall as a bundle grows, so for a bundle B holding o::
+The builder scans only each agent's *candidate items*, listed once per
+graph: the items whose marginal on the empty bundle reaches the threshold.
+Marginals only fall as a bundle grows, so for a bundle B holding o::
 
     Δ(B, o') <= Δ(B - o, o') <= Δ(∅, o')
 
@@ -51,27 +52,26 @@ So the sure test asks only about the undeclared candidates.  The oracles
 are asked in batches: ``marginals(B, items)`` gives the marginals of a list
 of items on one bundle.  The candidates cost one call on the empty bundle,
 the sure test at most one call per agent and the maybe test one per held
-item, so the wrapper layers between a builder and the valuation, and their
-checks, are paid once per call instead of once per item.
+item, so the wrapper layers between the builder and the valuation, and
+their checks, are paid once per call instead of once per item.
 When there are no maybe candidates -- always when every candidate is
 declared, as for additive agents, and for capped agents with no group at
-its cap -- all items of B share one out-list.  Every test left out has a
-known answer and the candidates are walked in ascending order, so each edge
-list, its weights and its order are what a scan of all items gives.  The
-same lists bound ``f_set``.  An agent's desired items, its ``f_set``, are
-its sure candidates, so both builders keep them with the edges.  An agent
-whose candidates are all declared makes no oracle call after its candidates
-are listed.
+its cap -- all items of B share one pair.  Every test left out has a
+known answer and the candidates are walked in ascending order, so each
+pair is what a scan of all items gives.  The same lists bound ``f_set``.
+An agent's desired items, its ``f_set``, are its sure candidates, so the
+builder keeps them with the edges.  An agent whose candidates are all
+declared makes no oracle call after its candidates are listed.
 
 Both phases advance one graph in place along each augmentation instead of
 building a new one per state, and this changes no tie-break.  The
 out-edges of an item held by agent j depend only on j's bundles and j's
 oracle.  After an augmentation only the gainer and the holders of path
 items have new bundles: ``shift_along_path`` and ``augment`` pass every
-other agent's bundle through as the same object.  So a builder given the
-previous graph keys each agent on the identity of its bundles.  An agent
+other agent's bundle through as the same object.  So the builder, given the
+previous graph, keys each agent on the identity of its bundles.  An agent
 whose bundle objects are the previous graph's keeps its entries; every
-other agent's entries are dropped, or edited where phase 2 splices them
+other agent's entries are dropped, or edited where the builder splices them
 (below), every removal before any addition, since an item may move between
 two such agents.  A bundle rebuilt equal to the old one is merely
 recomputed, so identity is a safe stand-in for equality, and the builder
@@ -81,47 +81,42 @@ from an empty graph, in which every agent counts as changed.  The entries
 kept are the ones a fresh build would compute, so the graph -- edges,
 weights and their order -- is the same as a from-scratch build.  The
 graph passed to a builder as ``previous`` is consumed: the builder updates
-it in place, so it no longer describes the state it was built for.
+it in place, so it no longer describes the state it was built for.  So
+phase 1 advances its graph only after an augmentation, and a turn whose
+agent retires builds nothing.
 
-Phase 1 keeps the last ``unweighted_adjacency`` and advances it only after
-an augmentation, so a turn whose agent retires builds nothing.
-
-Phase 2 advances one graph per state and asks it for up to n² paths, so
-these things are shared instead of recomputed:
-
-* **In-place updates.**  Agent j's weighted edges and desired items depend
-  on ``xc_j``, ``x0_j`` and j's valuation, and ``build_weighted_graph``
-  recomputes them, with j's nodes and their weights, only when one of
-  j's bundle objects changed.  The desired items at threshold c, the sources
-  of j's searches, are the sure candidates of its out-lists.
 * **Splices, for fully declared agents.**  An agent is *fully declared*
-  when its valuation declares every candidate bundle-independent at c:
-  every additive agent, and every capped agent none of whose groups can
-  cross c.  All its candidates are sure, so all its held items share one
-  out-list, which holds exactly its candidates outside ``xc_j``, each
-  weighted by whether ``x0_j`` holds it, and its desired items are the
-  same candidates.  When
-  ``x0_j`` is the same object and only ``xc_j`` changed, both bundles
-  clean, the new list is the old one less the items that entered ``xc_j``
-  and plus the items that left it.  Every item of a clean bundle is a
-  candidate (its marginal on the items before it reaches c, and on the
-  empty bundle it is no smaller), so an item that entered had an edge and
-  one that left gets one, weighted as a fresh build would weigh it.  So
-  the builder edits the shared list in place, which every held item's
-  entry points to, and touches the adjacency, node, members, weight class
-  and desired entries of the moved items only.  An exchange moves
-  one or two items of an agent, while a rebuild walks all its candidates.
-  A list that empties leaves no entry, as in a fresh build; the agent is
-  rebuilt when it next changes.
-* **Agent quotient.**  The held items of an agent whose items all share one
-  out-list -- every additive agent -- form one node; every other item with
-  out-edges is a node of its own.  A search expands each node once.
+  when its valuation declares every candidate bundle-independent at the
+  threshold: every additive agent, and every capped agent none of whose
+  groups can cross it.  All its candidates are sure, so all its held items
+  share one pair, which holds exactly its candidates outside ``xc_j``,
+  light when ``x0_j`` holds them, and its desired items are the same
+  candidates.  When ``x0_j`` is the same object and only ``xc_j`` changed,
+  both bundles clean, the items that entered ``xc_j`` leave ``heavy`` and
+  those that left it join ``heavy``: ``x0_j`` is disjoint from both counted
+  bundles, so no moved item is light.  Every item of a clean bundle is a
+  candidate (its marginal on the items before it reaches the threshold,
+  and on the empty bundle it is no smaller), so an item that entered had an
+  edge and one that left gets one.  So the builder edits the shared
+  ``heavy`` list in place, and touches the adjacency and desired entries of
+  the moved items only.  An exchange moves one or two items of an agent,
+  while a rebuild walks all its candidates.  A pair that empties leaves no
+  entry, as in a fresh build; the agent is rebuilt when it next changes.
+* **Agent quotient.**  Items whose pairs are the same object form one
+  node: the held items of an agent whose candidates are all sure -- every
+  additive agent -- share one pair, and every other item with out-edges
+  has a pair of its own.  A search expands each node once, as it walks a
+  shared pair once, and needs no node map: the pair's identity is the node.
+
+Phase 2 asks each graph state for up to n² paths, so it also shares these:
+
 * **Reachability pre-filter, for pool searches only.**  Each graph state
   caches the items that can reach the pool, found by a reverse search that
-  expands each node into its members once.  The search reads, per item,
+  expands each node into its items once.  The search reads, per item,
   the nodes with an edge into it: an index that ``reaching`` builds from
-  each node's out-list, once per state, and that advancing the graph drops
-  with the rest of the cache.  A ``pareto_improving`` search
+  the items grouped by their pair's identity, once per state, and that
+  advancing the graph drops with the rest of the cache.  A
+  ``pareto_improving`` search
   returns None, before it builds start costs or runs Dijkstra, when no
   source is among them.  Those are exactly the runs in which Dijkstra
   would reach no target and return None, so the searches that do run are
@@ -149,7 +144,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import defaultdict
 from itertools import compress
-from operator import is_not, itemgetter
+from operator import is_not
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -198,32 +193,35 @@ def f_set(
     return frozenset(o for o, d in zip(outside, gains) if d >= tau)
 
 
-def _out_lists(bundle, outside, entries, dependent, marginals, threshold, share=tuple):
-    """Out-lists of the items of one agent's ``bundle``, and which of the
-    agent's candidates are *sure* ones.
+def _out_lists(bundle, outside, x0_j, dependent, marginals, threshold):
+    """Out-list pairs of the items of one agent's ``bundle``, and which of
+    the agent's candidates are *sure* ones.
 
     ``o -> o'`` whenever ``marginals(bundle - {o}, [o'])`` reaches
     ``threshold``; ``marginals`` is the agent's batched oracle.  ``outside``
     lists the agent's candidate items that lie outside the bundle, in
-    ascending order, and ``entries`` what an out-list holds for each (the
-    item, or its ``(item, weight)`` edge).  Only the candidates in
+    ascending order; the edges into ``x0_j``, the agent's zero-valued
+    bundle, are light and the rest heavy.  Only the candidates in
     ``dependent``, those the agent's valuation does not declare
     bundle-independent, are asked about: any other is sure without a call.
     One that clears the threshold on the whole bundle clears it on every
     ``bundle - {o}`` and is sure too.  A sure candidate is an out-neighbour
     of every held item; only the others, the *maybe* ones, are tested per
     held item, in one call each.  When every candidate is sure, all held
-    items share one out-list, made by ``share`` from ``entries``.  Items
-    without out-edges are left out.
-    Returned with the out-lists are the sure candidates: the items the agent
+    items share one pair, whose ``heavy`` is a list when ``dependent`` is
+    empty, for splices to edit.  Items without out-edges are left out.
+    Returned with the pairs are the sure candidates: the items the agent
     desires.
     """
     asked = [o for o in outside if o in dependent] if dependent else ()
     low = asked and {o for o, d in zip(asked, marginals(bundle, asked)) if d < threshold}
+    light = x0_j and x0_j.intersection(outside)  # decided once for every list
     if not low:
-        shared = share(entries)
-        out = dict.fromkeys(sorted(bundle), shared) if shared else {}
-        return out, frozenset(outside)
+        if not outside:
+            return {}, frozenset()
+        share = tuple if dependent else list
+        pair = _split(outside, light, share) if light else ((), share(outside))
+        return dict.fromkeys(bundle, pair), frozenset(outside)
     sure = [o not in low for o in outside]
     desired = frozenset(compress(outside, sure))
     maybe = [k for k, is_sure in enumerate(sure) if not is_sure]
@@ -234,10 +232,16 @@ def _out_lists(bundle, outside, entries, dependent, marginals, threshold, share=
         for k, d in zip(maybe, marginals(bundle - {o}, maybe_items)):
             if d >= threshold:
                 keep[k] = True
-        edges = tuple(compress(entries, keep))
+        edges = tuple(compress(outside, keep))
         if edges:
-            out[o] = edges
+            out[o] = _split(edges, light) if light else ((), edges)
     return out, desired
+
+
+def _split(edges, light, share=tuple):
+    """The pair ``(light, heavy)`` of ``edges``: those in ``light``, and the
+    rest made by ``share``."""
+    return tuple(o for o in edges if o in light), share(o for o in edges if o not in light)
 
 
 def _changed(bundles, before):
@@ -247,84 +251,33 @@ def _changed(bundles, before):
     return list(compress(range(1, len(bundles) + 1), map(is_not, bundles, before)))
 
 
-def unweighted_adjacency(
-    allocation: Allocation,
-    oracles: Sequence,
-    candidates: Sequence[Sequence[int]],
-    dependent: Sequence[frozenset[int]],
-    previous: Optional[tuple[Allocation, dict, list[frozenset[int]]]] = None,
-) -> tuple[dict[int, tuple[int, ...]], list[frozenset[int]]]:
-    """Edge lists of the exchange graph of a clean allocation, and each
-    agent's desired items: its candidates outside its bundle whose marginal
-    on the bundle is 1 (``desired[i-1]`` for agent i).
-
-    ``oracles[i-1]`` must expose ``marginals(bundle, items)`` with values in
-    {0, 1} that never grow as the bundle grows, and ``candidates[i-1]`` is its
-    ``candidate_items`` at threshold 1, of which ``dependent[i-1]`` are those
-    the oracle does not declare bundle-independent, the only ones it is
-    asked about.  Items in the pool have no outgoing edges.  ``previous``,
-    an ``(allocation, adjacency, desired)`` triple built with the same
-    oracles, is consumed: its adjacency and desired items are advanced in
-    place and returned, recomputed only for the agents whose bundle is not
-    the same object as in its allocation.
-    """
-    if previous is None:
-        before = (None,) * allocation.num_agents  # every agent is computed
-        adj: dict[int, tuple[int, ...]] = {}
-        desired: list[frozenset[int]] = [frozenset()] * allocation.num_agents
-    else:
-        before, adj, desired = previous[0].bundles, previous[1], previous[2]
-    changed = _changed(allocation.bundles, before)
-    for j in changed:
-        for o in before[j - 1] or ():
-            adj.pop(o, None)
-    for j in changed:
-        bundle = allocation.bundles[j - 1]
-        if not bundle:
-            # on the empty bundle, exactly the candidates
-            desired[j - 1] = frozenset(candidates[j - 1])
-            continue
-        outside = [op for op in candidates[j - 1] if op not in bundle]
-        out, desired[j - 1] = _out_lists(
-            bundle, outside, outside, dependent[j - 1], oracles[j - 1].marginals, 1
-        )
-        adj.update(out)
-    return adj, desired
-
-
 @dataclass
-class WeightedExchangeGraph:
-    """Exchange graph of ``xc`` under the c-threshold oracles, with doubled
-    integer edge weights derived from ``x0`` membership.  ``candidates[i-1]``
-    is agent i's ``candidate_items`` at threshold c, ``dependent[i-1]``
-    those of them its valuation does not declare bundle-independent at c, and
-    ``desired[i-1]`` its ``f_set`` at threshold c.
+class ExchangeGraph:
+    """Exchange graph of the state ``(xc, x0)`` under the per-agent
+    ``oracles`` at ``threshold``.  ``candidates[i-1]`` is agent i's
+    ``candidate_items`` at the threshold, ``dependent[i-1]`` those of them
+    its oracle does not declare bundle-independent, and ``desired[i-1]`` its
+    ``f_set``.
 
-    The graph is also kept as its agent quotient.  Each item with out-edges
-    lies in one node: agent i's node ``-i`` when all of i's held items share
-    one out-list, else a node of its own, named by the item.  A fully
-    declared agent's shared out-list and members are lists, which a splice
-    edits in place; every other out-list and member sequence is a tuple.
-    ``node_of``
-    maps such an item to its node, ``members`` a node to its items in
-    ascending order, and ``weights`` a node to the weights of its holder's
-    candidate edges (``(1,)``, ``(2,)`` or ``(1, 2)``; every weight its
-    out-list has, and exactly those for a shared list).
+    ``adjacency`` maps each item with out-edges to its pair ``(light,
+    heavy)`` of ascending items: its edges into its holder's ``x0`` bundle,
+    weighing 1, and the rest, weighing 2.  Items whose pairs are the same
+    object form one node.  A fully declared agent's held items share one
+    pair, whose ``heavy`` is a list that a splice edits in place; every
+    other class list is a tuple.
 
-    A graph passed as ``previous`` to ``build_weighted_graph`` is advanced
-    in place to the new state and returned.
+    A graph passed as ``previous`` to a builder is advanced in place to the
+    new state and returned.
     """
 
-    inst: Instance
-    xc: Allocation
-    x0: Allocation
-    adjacency: dict[int, Sequence[tuple[int, int]]]
-    candidates: tuple[tuple[int, ...], ...]
-    dependent: tuple[frozenset[int], ...]
-    desired: list[frozenset[int]]
-    node_of: dict[int, int]
-    members: dict[int, Sequence[int]]
-    weights: dict[int, tuple[int, ...]]
+    oracles: Sequence
+    threshold: int
+    candidates: Sequence[Sequence[int]]
+    dependent: Sequence[frozenset[int]]
+    xc: Optional[Allocation] = None  # None until the first advance
+    x0: Optional[Allocation] = None
+    adjacency: dict[int, tuple[Sequence[int], Sequence[int]]] = field(default_factory=dict)
+    desired: list[frozenset[int]] = field(default_factory=list)
     # per state: each target set's ``reaching`` items, and under None the
     # reverse index they are searched in
     _reaching: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -332,25 +285,29 @@ class WeightedExchangeGraph:
     def reaching(self, targets: frozenset[int]) -> frozenset[int]:
         """Items with a path to some item of ``targets`` (targets included),
         computed once per target set by a reverse search that expands each
-        node into its members once.  The search reads, per item, the nodes
-        with an edge into it, indexed from each node's out-list at the
-        state's first call."""
+        node into its items once.  The search reads, per item, the nodes
+        with an edge into it, indexed at the state's first call from the
+        items grouped by their pair's identity."""
         cache = self._reaching
         if targets not in cache:
             into = cache.get(None)
             if into is None:
+                nodes = defaultdict(list)
+                for u, pair in self.adjacency.items():
+                    nodes[id(pair)].append(u)
                 into = cache[None] = defaultdict(list)
-                for node, items in self.members.items():
-                    for v, _w in self.adjacency[items[0]]:
-                        into[v].append(node)
+                for items in nodes.values():
+                    for part in self.adjacency[items[0]]:
+                        for v in part:
+                            into[v].append(items)
             seen = set(targets)
             stack = list(targets)
             expanded = set()
             while stack:
-                for node in into.get(stack.pop(), ()):
-                    if node not in expanded:
-                        expanded.add(node)
-                        for u in self.members[node]:
+                for items in into.get(stack.pop(), ()):
+                    if id(items) not in expanded:
+                        expanded.add(id(items))
+                        for u in items:
                             if u not in seen:
                                 seen.add(u)
                                 stack.append(u)
@@ -358,12 +315,43 @@ class WeightedExchangeGraph:
         return cache[targets]
 
     def edges(self):
+        """Every edge ``(u, v, weight)``, in ascending order."""
         for u in sorted(self.adjacency):
-            for v, w in self.adjacency[u]:
-                yield u, v, w
+            light, heavy = self.adjacency[u]
+            yield from sorted([(u, v, 1) for v in light] + [(u, v, 2) for v in heavy])
 
     def dump(self) -> str:
         return "\n".join(f"o{u} -> o{v} w={w}" for u, v, w in self.edges())
+
+
+def unweighted_adjacency(
+    allocation: Allocation,
+    oracles: Sequence,
+    candidates: Sequence[Sequence[int]],
+    dependent: Sequence[frozenset[int]],
+    previous: Optional[ExchangeGraph] = None,
+) -> ExchangeGraph:
+    """Exchange graph of a clean allocation under binary oracles: the store
+    at threshold 1 with an empty zero-valued part, so every edge is heavy.
+    ``desired[i-1]`` holds agent i's candidates outside its bundle whose
+    marginal on the bundle is 1.
+
+    ``oracles[i-1]`` must expose ``marginals(bundle, items)`` with values in
+    {0, 1} that never grow as the bundle grows, and ``candidates[i-1]`` is its
+    ``candidate_items`` at threshold 1, of which ``dependent[i-1]`` are those
+    the oracle does not declare bundle-independent, the only ones it is
+    asked about.  Items in the pool have no outgoing edges.  ``previous``, a
+    graph built with the same oracles, is consumed: it is advanced in place
+    and returned.
+    """
+    if previous is not None:
+        return _advance(previous, allocation, previous.x0)
+    # phase 1 counts every item, so any allocation whose bundles are all
+    # empty is its zero-valued part: the one given, when it is one
+    x0 = allocation
+    if any(allocation.bundles):
+        x0 = Allocation.empty(allocation.num_agents, allocation.num_items)
+    return _advance(ExchangeGraph(oracles, 1, candidates, dependent), allocation, x0)
 
 
 def build_weighted_graph(
@@ -371,13 +359,13 @@ def build_weighted_graph(
     xc: Allocation,
     x0: Allocation,
     check: bool = True,
-    previous: Optional[WeightedExchangeGraph] = None,
-) -> WeightedExchangeGraph:
-    """Materialize the weighted exchange graph for the state ``(xc, x0)``.
+    previous: Optional[ExchangeGraph] = None,
+) -> ExchangeGraph:
+    """Materialize the weighted exchange graph for the state ``(xc, x0)``:
+    the store under ``inst``'s valuations at threshold c.
 
     ``previous``, a graph of the same instance, is consumed: it is advanced
-    in place and returned, recomputed only for the agents whose ``xc`` or
-    ``x0`` bundle is not the same object as in its state.
+    in place and returned.
 
     Preconditions (asserted unless ``check`` is False):
     ``xc`` clean at threshold c, ``xc ∪ x0`` clean at threshold 0, and the
@@ -388,151 +376,106 @@ def build_weighted_graph(
         if violations:
             raise ContractViolation("; ".join(violations))
     if previous is None:
-        specs = inst.valuations
-        candidates = tuple(
-            candidate_items(spec.marginals, inst.c, inst.num_items) for spec in specs
-        )
+        specs, c = inst.valuations, inst.c
+        candidates = tuple(candidate_items(s.marginals, c, inst.num_items) for s in specs)
         dependent = tuple(
-            frozenset(cs).difference(spec.bundle_independent(cs, inst.c))
+            frozenset(cs).difference(spec.bundle_independent(cs, c))
             for spec, cs in zip(specs, candidates)
         )
-        n = inst.num_agents
-        graph = WeightedExchangeGraph(
-            inst, xc, x0, {}, candidates, dependent, [frozenset()] * n, {}, {}, {}
-        )
-        old_xc = old_x0 = (None,) * n  # every agent is computed
-    elif previous.inst is not inst:
+        previous = ExchangeGraph(specs, c, candidates, dependent)
+    elif previous.oracles is not inst.valuations:
         raise ContractViolation("previous graph belongs to another instance")
-    else:
-        graph = previous
-        old_xc, old_x0 = graph.xc.bundles, graph.x0.bundles
-        graph.xc, graph.x0, graph._reaching = xc, x0, {}
-    changed = sorted({*_changed(xc.bundles, old_xc), *_changed(x0.bundles, old_x0)})
-    _advance(graph, changed, old_xc, old_x0)
-    return graph
+    return _advance(previous, xc, x0)
 
 
-# Edge weights, indexed by (has weight 1) + 2 * (has weight 2): shared
-# constants, so that a node's entry allocates nothing.
-_WEIGHT_CLASSES = ((), (1,), (2,), (1, 2))
-_weight = itemgetter(1)  # of an (item, weight) edge
-
-
-def _advance(graph, changed, old_xc, old_x0):
-    """Recompute in place the entries of the agents in ``changed``, whose
-    bundles were ``old_xc[j-1]`` and ``old_x0[j-1]`` (None: no entries yet).
+def _advance(graph, xc, x0):
+    """Advance ``graph`` in place to the state ``(xc, x0)`` and return it,
+    recomputing only the agents whose ``xc`` or ``x0`` bundle is not the
+    same object as in its state (every agent, when it has none yet).
 
     An agent is spliced (``_splice``) when it is fully declared (no
-    ``dependent`` candidate), its ``x0`` bundle is the same object, it has
-    a shared out-list and its counted bundle is not empty.  Every other
-    changed agent is rebuilt from its candidates.  Every old entry goes
-    before any new one is added, since an item can move between two
-    changed agents.
+    ``dependent`` candidate), its ``x0`` bundle is the same object, an item
+    of its old counted bundle has a pair and its new counted bundle is not
+    empty.  Every other changed agent is rebuilt from its candidates.  Every
+    old entry goes before any new one is added, since an item can move
+    between two changed agents.
     """
-    inst, xc, x0 = graph.inst, graph.xc, graph.x0
-    adjacency, desired = graph.adjacency, graph.desired
-    node_of, members, weights = graph.node_of, graph.members, graph.weights
-    dependent = graph.dependent
+    if graph.xc is None:  # every agent is computed
+        old_xc = old_x0 = (None,) * len(xc.bundles)
+        graph.desired = [frozenset()] * len(xc.bundles)
+    else:
+        old_xc, old_x0 = graph.xc.bundles, graph.x0.bundles
+    changed = _changed(xc.bundles, old_xc)
+    if x0 is not graph.x0:
+        changed = sorted({*changed, *_changed(x0.bundles, old_x0)})
+    graph.xc, graph.x0, graph._reaching = xc, x0, {}
+    adjacency, desired, dependent = graph.adjacency, graph.desired, graph.dependent
     spliced, rebuilt = [], []
     for j in changed:
         old, bundle = old_xc[j - 1], xc.bundles[j - 1]
         if (
             bundle
-            and -j in members
+            and old
             and not dependent[j - 1]
             and x0.bundles[j - 1] is old_x0[j - 1]
+            and (pair := adjacency.get(next(iter(old)))) is not None
         ):
-            out = adjacency[members[-j][0]]
             left = old - bundle
             for o in left:
-                del adjacency[o], node_of[o]
-            spliced.append((j, out, left, bundle - old))
+                del adjacency[o]
+            spliced.append((j, pair, left, bundle - old))
             continue
         rebuilt.append(j)
         for o in old or ():
-            if adjacency.pop(o, None) is not None:
-                node = node_of.pop(o)
-                if members.pop(node, None) is not None:  # the node's first member
-                    del weights[node]
-    for j, out, left, entered in spliced:
-        _splice(graph, j, out, left, entered)
+            adjacency.pop(o, None)
+    for j, pair, left, entered in spliced:
+        _splice(graph, j, pair, left, entered)
     for j in rebuilt:
-        bundle = xc.bundles[j - 1]
-        candidates = graph.candidates[j - 1]
+        bundle, candidates = xc.bundles[j - 1], graph.candidates[j - 1]
         if not bundle:
             # on the empty bundle, exactly the candidates
             desired[j - 1] = frozenset(candidates)
             continue
-        x0_j = x0.bundles[j - 1]
         outside = [op for op in candidates if op not in bundle]
-        # One (item, weight) edge per candidate, shared by every out-list.
-        # Parallel lists, not (item, edge) pairs: short-lived tuples mixed in
-        # with the long-lived edges fragmented memory and raised peak RSS.
-        edges = [(op, 1 if op in x0_j else 2) for op in outside]
-        light, heavy = not x0_j.isdisjoint(outside), not x0_j.issuperset(outside)
-        # Only a fully declared agent is spliced, so only its shared list and
-        # members are lists, edited in place; any other agent's are tuples.
-        share = tuple if dependent[j - 1] else list
         out, desired[j - 1] = _out_lists(
             bundle,
             outside,
-            edges,
+            x0.bundles[j - 1],
             dependent[j - 1],
-            inst.valuation(j).marginals,
-            inst.c,
-            share,
+            graph.oracles[j - 1].marginals,
+            graph.threshold,
         )
         adjacency.update(out)
-        shared = len(desired[j - 1]) == len(outside)  # every candidate sure
-        nodes = {-j: share(out)} if out and shared else {o: (o,) for o in out}
-        for node, items in nodes.items():
-            members[node] = items
-            node_of.update(dict.fromkeys(items, node))
-            weights[node] = _WEIGHT_CLASSES[light + 2 * heavy]
+    return graph
 
 
-def _splice(graph, j, out, left, entered):
+def _splice(graph, j, pair, left, entered):
     """Advance the entries of fully declared agent j by the items that
-    ``left`` and ``entered`` its counted bundle, editing its shared
-    out-list ``out`` and its members in place.  The items that left are
-    already out of ``adjacency`` and ``node_of``.
+    ``left`` and ``entered`` its counted bundle, editing the ``heavy`` list
+    of its shared ``pair`` in place.  The items that left are already out
+    of ``adjacency``.
 
-    Every candidate of j is sure, so ``out`` holds one edge per candidate
-    outside the bundle, weighted by the unchanged ``x0`` bundle.  Both
-    counted bundles are clean, and every item of a clean bundle is a
-    candidate: its marginal on the items before it reaches c, and on the
-    empty bundle it is no smaller.  So an item that entered loses its edge,
-    and one that left gains one at its place in item order.  Only weight
-    classes whose last edge went are looked for in the list.  When the
-    list empties, every candidate is held and j keeps no entry, as a fresh
-    build would.
+    Every candidate of j is sure, so the pair holds every candidate outside
+    the bundle.  The ``x0`` bundle is the same object and disjoint from both
+    counted bundles, so every item that moved is heavy and ``light`` stays
+    as it is.  Both counted bundles are clean, and every item of a clean
+    bundle is a candidate: its marginal on the items before it reaches the
+    threshold, and on the empty bundle it is no smaller.  So an item that
+    entered leaves ``heavy``, and one that left joins it at its place in
+    item order.  When the pair empties, every candidate is held and j keeps
+    no entry, as a fresh build would.
     """
-    adjacency, node_of = graph.adjacency, graph.node_of
-    node, items = -j, graph.members[-j]
-    x0_j = graph.x0.bundles[j - 1]
-    dropped, added = [], []
+    light, heavy = pair
     for o in entered:
-        dropped.append(out.pop(bisect_left(out, (o,)))[1])
+        del heavy[bisect_left(heavy, o)]
     for o in left:
-        del items[bisect_left(items, o)]
-        edge = (o, 1 if o in x0_j else 2)
-        insort(out, edge)
-        added.append(edge[1])
+        insort(heavy, o)
     graph.desired[j - 1] = graph.desired[j - 1].difference(entered).union(left)
-    if not out:
-        for o in items:
-            del adjacency[o], node_of[o]
-        del graph.members[node], graph.weights[node]
-        return
-    for o in entered:
-        adjacency[o] = out
-        node_of[o] = node
-        insort(items, o)
-    present = {*graph.weights[node], *added}
-    for w in set(dropped).difference(added):
-        if w not in map(_weight, out):
-            present.discard(w)
-    graph.weights[node] = _WEIGHT_CLASSES[(1 in present) + 2 * (2 in present)]
+    if light or heavy:
+        graph.adjacency.update(dict.fromkeys(entered, pair))
+    else:
+        for o in graph.xc.bundles[j - 1] - entered:
+            del graph.adjacency[o]
 
 
 @dataclass(frozen=True)
@@ -552,7 +495,7 @@ class AugmentingPath:
 
 
 def min_weight_path(
-    graph: WeightedExchangeGraph,
+    graph: ExchangeGraph,
     sources: Collection[int],
     kind: str,
     agent: int,
@@ -564,8 +507,8 @@ def min_weight_path(
 
     A pool item ``v`` reached along ``u -> v`` is picked up by ``u``'s
     holder, at 1 when it holds ``v`` in its zero-valued bundle, else 2:
-    the edge's own weight, which tests the same membership.  So such an
-    edge costs twice its weight."""
+    the edge's own weight, since the same membership makes it light.  So
+    such an edge costs twice its weight."""
     xc, x0 = graph.xc, graph.x0
     if kind == PARETO:
         if not sources:
@@ -588,9 +531,7 @@ def min_weight_path(
         starts = dict.fromkeys(sources, 0)
     else:
         raise ContractViolation(f"unknown path kind {kind!r}")
-    key = dijkstra.least_key(
-        starts, graph.adjacency, graph.node_of, graph.weights, targets, kind == PARETO
-    )
+    key = dijkstra.least_key(starts, graph.adjacency, targets, kind == PARETO)
     if key is None:
         return None
     target = 0 if kind == PARETO else target_agent

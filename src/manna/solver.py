@@ -26,7 +26,7 @@ from .exchange import (
     EXCHANGE,
     PARETO,
     AugmentingPath,
-    WeightedExchangeGraph,
+    ExchangeGraph,
     augment,
     build_weighted_graph,
     clean_state_violations,
@@ -177,7 +177,7 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
     # desired items.
     graph = build_weighted_graph(inst, state.xc, state.x0, check=False)
 
-    while (path := _pareto_scan(graph)) is not None:
+    while (path := _pareto_scan(graph, inst.agents)) is not None:
         state.xc, state.x0 = augment(inst, state.xc, state.x0, path)
         state.pareto_augmentations += 1
         guard()
@@ -193,7 +193,7 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
     sizes = list(state.xc.sizes())
     potential = _scaled_potential(sizes)
     exchanged = False
-    while (path := _exchange_scan(graph, sizes)) is not None:
+    while (path := _exchange_scan(graph, inst.agents, sizes)) is not None:
         state.xc, state.x0 = augment(inst, state.xc, state.x0, path)
         before, potential = potential, _exchanged_potential(potential, sizes, path)
         if potential >= before:
@@ -215,7 +215,7 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
 
     # Without an exchange the graph is the one the Pareto stage's last scan
     # found nothing in.
-    if exchanged and (path := _pareto_scan(graph)) is not None:
+    if exchanged and (path := _pareto_scan(graph, inst.agents)) is not None:
         raise CleannessViolation(
             f"agent {path.source_agent} has a Pareto-improving path "
             f"{list(path.items)} after the exchange stage"
@@ -223,9 +223,9 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
     return state
 
 
-def _pareto_scan(graph: WeightedExchangeGraph) -> Optional[AugmentingPath]:
+def _pareto_scan(graph: ExchangeGraph, agents: range) -> Optional[AugmentingPath]:
     """The Pareto-improving path of the lowest agent that has one."""
-    for i in graph.inst.agents:
+    for i in agents:
         path = min_weight_path(graph, graph.desired[i - 1], PARETO, i)
         if path is not None:
             return path
@@ -233,13 +233,12 @@ def _pareto_scan(graph: WeightedExchangeGraph) -> Optional[AugmentingPath]:
 
 
 def _exchange_scan(
-    graph: WeightedExchangeGraph, sizes: list[int]
+    graph: ExchangeGraph, agents: range, sizes: list[int]
 ) -> Optional[AugmentingPath]:
     """The exchange path of the lexicographically first pair (i, j) whose
     counted sizes it balances or swaps toward the lower index.  Every pair
     needs |xc_i| + 1 <= |xc_j|, so an agent already within one of the
     largest size has no partner and is skipped."""
-    agents = graph.inst.agents
     top = max(sizes)
     for i in agents:
         sources = graph.desired[i - 1]

@@ -27,12 +27,8 @@ layer sorted by path key, expanded in discovery order through ascending
 edge lists, yields the next layer sorted by ``(parent's path key, item)``,
 which is that layer's path key.  So the first parent to reach an item gives
 it its least key, and the first pool item discovered is the one Dijkstra
-would settle first.  An edge list that several items share -- one tuple
-object, as the builder makes it when all of an agent's candidates are sure
--- is walked only at the first of them.  That walk gave every item on the
-list a parent, or found the pool, so a second walk would skip every item on
-it.  The skip keys on the list's identity, as the builders key on bundle
-identity, and needs no node map.
+would settle first.  Items that share one out-list pair form one node of
+the graph's agent quotient, walked once (see ``exchange``).
 
 Two kinds of search have a forced answer and walk no list.  Every path
 ends in the pool, so a search on an empty pool finds none.  A desired item
@@ -45,17 +41,13 @@ one call through the wrapper that checks each marginal is 0 or 1 covers a
 whole list of items on one bundle (see ``exchange``).
 
 The exchange graph is built once and then advanced in place only after an
-augmentation.  The shift passes every bundle the path leaves alone through
-as the same object, so the build, keyed on bundle identity, recomputes only
-the agents whose bundles changed and keeps the rest, which gives the same
-graph as a fresh build (see ``exchange``).  The graph it is handed is
-consumed: its edge lists and desired items are updated, not copied.  The
-build also lists each agent's desired items: it tests every candidate
-against the agent's whole bundle to find the out-neighbours all held items
-share, and those candidates are exactly the desired ones.  An agent's
-bundle changes on every turn that does not retire it, so a desired set kept
-from its own last turn would never be reused; the one kept with its edges
-is.
+augmentation, recomputing only the agents whose bundles changed (see
+``exchange``).  The build also lists each agent's desired items: it tests
+every candidate against the agent's whole bundle to find the out-neighbours
+all held items share, and those candidates are exactly the desired ones.
+An agent's bundle changes on every turn that does not retire it, so a
+desired set kept from its own last turn would never be reused; the one
+kept with its edges is.
 """
 
 from __future__ import annotations
@@ -128,18 +120,15 @@ def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
         for o, c in zip(oracles, candidates)
     ]
     allocation = Allocation.empty(n, num_items)
-    adjacency, desired = exchange.unweighted_adjacency(
-        allocation, oracles, candidates, dependent
-    )
+    graph = exchange.unweighted_adjacency(allocation, oracles, candidates, dependent)
     # (bundle size, agent) of every active agent; sorted, so already a heap
     turns = [(0, i) for i in range(1, n + 1)]
     while turns:
         size, agent = turns[0]
-        path = shortest_path_to_pool(allocation, adjacency, desired[agent - 1])
+        path = shortest_path_to_pool(allocation, graph.adjacency, graph.desired[agent - 1])
         if path is None:
             heapq.heappop(turns)
             continue
-        previous = (allocation, adjacency, desired)
         allocation = shift_along_path(allocation, path, agent)
         if len(allocation.bundle(agent)) != size + 1:
             raise CleannessViolation(
@@ -152,8 +141,8 @@ def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
                 f"agent {agent}: bundle not clean after augmentation; "
                 "the supplied oracle is not binary submodular"
             )
-        adjacency, desired = exchange.unweighted_adjacency(
-            allocation, oracles, candidates, dependent, previous
+        graph = exchange.unweighted_adjacency(
+            allocation, oracles, candidates, dependent, graph
         )
     for i in range(1, n + 1):
         if not is_clean(oracles[i - 1], allocation.bundle(i)):
@@ -162,17 +151,18 @@ def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
 
 
 def shortest_path_to_pool(
-    allocation: Allocation, adjacency: dict[int, Sequence[int]], sources: Iterable[int]
+    allocation: Allocation, adjacency: dict[int, tuple], sources: Iterable[int]
 ) -> Optional[tuple[int, ...]]:
     """Shortest path from ``sources`` to the unallocated pool in
-    ``adjacency``, the ``unweighted_adjacency`` of ``allocation``; ties go
-    to the lexicographically smallest item sequence.
+    ``adjacency``, the out-list pairs of ``allocation``'s
+    ``unweighted_adjacency``, whose edges are all heavy; ties go to the
+    lexicographically smallest item sequence.
 
     An empty pool gives None and a source in the pool the least such item,
     without a walk.  Otherwise a breadth-first search: each layer is walked
-    in discovery order and each edge list in its ascending order, an item's
-    parent is the first item to reach it, and the search stops at the first
-    pool item it discovers.  An edge list shared by several items, the same
+    in discovery order and each ``heavy`` list in its ascending order, an
+    item's parent is the first item to reach it, and the search stops at the
+    first pool item it discovers.  A pair shared by several items, the same
     object, is walked once: walking it again would only meet items already
     reached.
     """
@@ -184,15 +174,15 @@ def shortest_path_to_pool(
         return (min(direct),)
     frontier = sorted(sources)
     parent: dict[int, Optional[int]] = dict.fromkeys(frontier)
-    walked = set()  # ids of the edge lists walked, alive in ``adjacency``
+    walked = set()  # ids of the pairs walked, alive in ``adjacency``
     while frontier:
         layer = []
         for u in frontier:
-            out = adjacency.get(u, ())
-            if id(out) in walked:
+            pair = adjacency.get(u)
+            if pair is None or id(pair) in walked:
                 continue
-            walked.add(id(out))
-            for v in out:
+            walked.add(id(pair))
+            for v in pair[1]:
                 if v in parent:
                     continue
                 parent[v] = u

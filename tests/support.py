@@ -189,9 +189,9 @@ def exhaustive_least_key(starts, neighbors, targets):
 
 
 def full_scan_unweighted_adjacency(allocation, specs, tau):
-    """Reference for ``exchange.unweighted_adjacency`` over the oracles
-    ``ThresholdBeta(spec, tau)``: every held item's valuation is asked about
-    every item outside its holder's bundle."""
+    """Reference for the out-neighbours in ``exchange.unweighted_adjacency``
+    over the oracles ``ThresholdBeta(spec, tau)``: every held item's
+    valuation is asked about every item outside its holder's bundle."""
     adj = {}
     for j in range(1, allocation.num_agents + 1):
         bundle = allocation.bundle(j)
@@ -209,8 +209,9 @@ def full_scan_unweighted_adjacency(allocation, specs, tau):
 
 
 def full_scan_weighted_adjacency(inst, xc, x0):
-    """Reference for the edge lists of ``exchange.build_weighted_graph``,
-    scanning every item for every held item."""
+    """Reference for the ``(item, weight)`` out-edges of
+    ``exchange.build_weighted_graph``, scanning every item for every held
+    item."""
     adj = {}
     for j in inst.agents:
         bundle = xc.bundle(j)
@@ -318,7 +319,8 @@ def reference_phase2(state, inst, trace, rescans):
 
 def reference_shortest_path_to_pool(allocation, adjacency, sources):
     """Reference for ``yankee.shortest_path_to_pool``: the same
-    breadth-first search, walking the edge list of every item it reaches."""
+    breadth-first search, walking both class lists of the out-list pair of
+    every item it reaches."""
     pool = allocation.unallocated
     frontier = sorted(sources)
     for o in frontier:
@@ -328,7 +330,7 @@ def reference_shortest_path_to_pool(allocation, adjacency, sources):
     while frontier:
         layer = []
         for u in frontier:
-            for v in adjacency.get(u, ()):
+            for v in (v for part in adjacency.get(u, ()) for v in part):
                 if v in parent:
                     continue
                 parent[v] = u
@@ -353,22 +355,20 @@ def reference_yankee_swap(num_items, betas, turns):
     candidates = [candidate_items(o.marginals, 1, num_items) for o in oracles]
     asked = [frozenset(c) for c in candidates]  # no declaration is used
     allocation = Allocation.empty(n, num_items)
-    adjacency, desired = unweighted_adjacency(allocation, oracles, candidates, asked)
+    graph = unweighted_adjacency(allocation, oracles, candidates, asked)
     active = set(range(1, n + 1))
     while active:
         agent = min(active, key=lambda i: (len(allocation.bundle(i)), i))
-        path = reference_shortest_path_to_pool(allocation, adjacency, desired[agent - 1])
+        sources = graph.desired[agent - 1]
+        path = reference_shortest_path_to_pool(allocation, graph.adjacency, sources)
         turns.append((agent, path))
         if path is None:
             active.discard(agent)
             continue
-        previous = (allocation, adjacency, desired)
         allocation = shift_along_path(allocation, path, agent)
         if not is_clean(oracles[agent - 1], allocation.bundle(agent)):
             raise OracleViolation(f"agent {agent}: bundle not clean after augmentation")
-        adjacency, desired = unweighted_adjacency(
-            allocation, oracles, candidates, asked, previous
-        )
+        graph = unweighted_adjacency(allocation, oracles, candidates, asked, graph)
     return allocation
 
 

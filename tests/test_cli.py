@@ -167,6 +167,17 @@ def test_gen_hardness_decides_matching(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("edges", ["0,x,2", "0,1,2,"])
+def test_gen_hardness_rejects_malformed_edges(capsys, edges):
+    code, _, err = run(
+        capsys,
+        ["gen", "hardness", "--p", "3", "--q", "1", "--a", "2", "--edges", edges],
+    )
+    assert code == 2
+    assert err.startswith("error: --edges ")
+    assert "Traceback" not in err
+
+
 def test_validate_command(fixture_file, capsys):
     code, out, _ = run(capsys, ["validate", "--instance", fixture_file("fig1")])
     assert code == 0

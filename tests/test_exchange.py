@@ -1,7 +1,7 @@
 import dataclasses
 import heapq
 import types
-from collections import deque
+from collections import defaultdict, deque
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,7 @@ from manna.exchange import (
     EXCHANGE,
     PARETO,
     AugmentingPath,
-    WeightedExchangeGraph,
+    ExchangeGraph,
     augment,
     build_weighted_graph,
     clean_state_violations,
@@ -199,12 +199,21 @@ def test_shift_along_path_rebuilds_only_the_gainer_and_path_holders(
         assert (new is not old) == (k in rebuilt), k
 
 
-def _bfs_length(adjacency, sources, targets):
+def _edge_lists(graph):
+    """Each item's out-edges ``(item, weight)``, ascending, read from
+    ``graph.edges()``."""
+    lists = defaultdict(list)
+    for u, v, w in graph.edges():
+        lists[u].append((v, w))
+    return {u: tuple(out) for u, out in lists.items()}
+
+
+def _bfs_length(lists, sources, targets):
     dist = {o: 0 for o in sources}
     queue = deque(sorted(sources))
     while queue:
         u = queue.popleft()
-        for v, _w in adjacency.get(u, ()):
+        for v, _w in lists.get(u, ()):
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
@@ -222,11 +231,12 @@ def test_pareto_paths_are_unweighted_shortest_and_existence_matches():
         allocated = None
         while True:
             g = build_weighted_graph(inst, state.xc, state.x0, check=False)
+            lists = _edge_lists(g)
             found = None
             for i in inst.agents:
                 sources = f_set(inst, state.xc, i, inst.c)
                 path = min_weight_path(g, sources, PARETO, i)
-                bfs = _bfs_length(g.adjacency, sources, state.xc.unallocated)
+                bfs = _bfs_length(lists, sources, state.xc.unallocated)
                 # weighted reachability agrees with unweighted reachability
                 assert (path is None) == (bfs is None)
                 if path is not None:
@@ -276,15 +286,37 @@ EQUIVALENCE_INSTANCES = {
 }
 
 
+def _nodes(g):
+    """The items with out-edges, partitioned by the identity of their pair."""
+    nodes = defaultdict(list)
+    for u, pair in g.adjacency.items():
+        nodes[id(pair)].append(u)
+    return sorted(sorted(items) for items in nodes.values())
+
+
+def _node_kinds(g):
+    """Per node, whether it is its holder's whole counted bundle."""
+    return {len(items) == len(g.xc.bundle(g.xc.owner_of(items[0]))) for items in _nodes(g)}
+
+
+def _class_types(g):
+    """Per item, which of its pair's class lists are lists and which tuples."""
+    return {u: tuple(map(type, pair)) for u, pair in g.adjacency.items()}
+
+
 def _assert_equals_fresh_build(g):
-    """Every part of ``g`` -- edge lists with their weights and order, the
-    quotient with its weights, desired items, and the items that reach the
-    pool or an agent's counted bundle -- equals a fresh build's."""
-    fresh = build_weighted_graph(g.inst, g.xc, g.x0)
+    """Every part of ``g`` -- its edges with their weights and order, its
+    pairs with the type of each class list, its nodes, desired items, and
+    the items that reach the pool or an agent's counted bundle -- equals a
+    fresh build's: the same builder from an empty graph."""
+    fresh = ExchangeGraph(g.oracles, g.threshold, g.candidates, g.dependent)
+    exchange._advance(fresh, g.xc, g.x0)
     assert g.dump() == fresh.dump()
-    for name in ("adjacency", "node_of", "members", "weights", "desired"):
-        assert getattr(g, name) == getattr(fresh, name), name
-    for targets in (g.xc.unallocated, *map(g.xc.bundle, g.inst.agents)):
+    assert g.adjacency == fresh.adjacency
+    assert _class_types(g) == _class_types(fresh)
+    assert _nodes(g) == _nodes(fresh)
+    assert g.desired == fresh.desired
+    for targets in (g.xc.unallocated, *g.xc.bundles):
         assert g.reaching(targets) == fresh.reaching(targets)
 
 
@@ -293,30 +325,29 @@ def test_incremental_graph_equals_fresh_build(monkeypatch, name):
     inst = EQUIVALENCE_INSTANCES[name]()
     kinds = set()
     pools = []  # per graph, the pool's size
-    listed = []  # per graph, the agents with a shared out-list
-    # per splice: the graph it builds, whether the augmentation before it
-    # took an item from the pool (the Pareto stage), and the agent whose
-    # out-list it emptied
+    listed = []  # per graph, the agents whose items have out-edges
+    # per phase-2 splice: the graph it builds, whether the augmentation
+    # before it took an item from the pool (the Pareto stage), and the agent
+    # whose pair it emptied
     spliced = []
     splice = exchange._splice
 
-    def recording_splice(graph, j, out, left, entered):
-        splice(graph, j, out, left, entered)
+    def recording_splice(graph, j, pair, left, entered):
+        splice(graph, j, pair, left, entered)
+        if graph.oracles is not inst.valuations:
+            return  # phase 1's
         pareto = len(graph.xc.unallocated) < pools[-1]
-        spliced.append((len(listed), pareto, None if out else j))
+        spliced.append((len(listed), pareto, None if any(pair) else j))
 
     monkeypatch.setattr(exchange, "_splice", recording_splice)
 
     def check(g):
         pools.append(len(g.xc.unallocated))
-        listed.append({-node for node in g.members if node < 0})
+        listed.append({g.xc.owner_of(o) for o in g.adjacency})
         _assert_equals_fresh_build(g)
-        assert set(g.node_of) == set(g.adjacency)
-        for node, items in g.members.items():
-            assert list(items) == sorted(items)
-            assert all(g.node_of[o] == node for o in items)
-            assert len({id(g.adjacency[o]) for o in items}) == 1
-        kinds.update(node < 0 for node in g.members)
+        for items in _nodes(g):
+            assert len({g.xc.owner_of(o) for o in items}) == 1
+        kinds.update(_node_kinds(g))
 
     assert _phase2_graphs(monkeypatch, inst, check) > 10
     assert kinds == ({True} if name.startswith("additive") else {True, False})
@@ -383,11 +414,11 @@ FULL_SCAN_INSTANCES = {
 }
 
 
-def _per_item_lists(allocation, adjacency):
-    """Whether some agent's held items have different out-lists."""
+def _per_item_lists(graph, lists):
+    """Whether some agent's held items have different out-edges in
+    ``lists``, the ``_edge_lists`` of ``graph``."""
     return any(
-        len({tuple(adjacency.get(o, ())) for o in allocation.bundle(j)}) > 1
-        for j in range(1, allocation.num_agents + 1)
+        len({lists.get(o, ()) for o in bundle}) > 1 for bundle in graph.xc.bundles
     )
 
 
@@ -399,25 +430,28 @@ def test_builders_equal_full_scan(monkeypatch, name):
     build = exchange.unweighted_adjacency
 
     def recording(allocation, oracles, candidates, dependent, previous=None):
-        adjacency, desired = build(allocation, oracles, candidates, dependent, previous)
-        # phase 1's oracles are the valuations at threshold 0
-        assert adjacency == full_scan_unweighted_adjacency(allocation, inst.valuations, 0)
-        assert desired == [
+        graph = build(allocation, oracles, candidates, dependent, previous)
+        # phase 1's oracles are the valuations at threshold 0, and every
+        # edge is heavy
+        lists = _edge_lists(graph)
+        assert {w for out in lists.values() for _v, w in out} <= {2}
+        unweighted = {u: tuple(v for v, _w in out) for u, out in lists.items()}
+        assert unweighted == full_scan_unweighted_adjacency(allocation, inst.valuations, 0)
+        assert graph.desired == [
             full_scan_f_set(allocation, inst.valuation(i), i, 0) for i in inst.agents
         ]
-        phase1_varied.append(_per_item_lists(allocation, adjacency))
-        return adjacency, desired
+        phase1_varied.append(_per_item_lists(graph, lists))
+        return graph
 
     def check(g):
-        # a shared out-list is a list, edited in place; compare the edges
-        edges = {u: tuple(out) for u, out in g.adjacency.items()}
-        assert edges == full_scan_weighted_adjacency(inst, g.xc, g.x0)
+        lists = _edge_lists(g)
+        assert lists == full_scan_weighted_adjacency(inst, g.xc, g.x0)
         for i in inst.agents:
             want = full_scan_f_set(g.xc, inst.valuation(i), i, inst.c)
             assert g.desired[i - 1] == want
             assert f_set(inst, g.xc, i, inst.c, g.candidates[i - 1]) == want
             assert f_set(inst, g.xc, i, inst.c) == want
-        phase2_varied.append(_per_item_lists(g.xc, g.adjacency))
+        phase2_varied.append(_per_item_lists(g, lists))
 
     monkeypatch.setattr(exchange, "unweighted_adjacency", recording)
     assert _phase2_graphs(monkeypatch, inst, check) > 5
@@ -444,17 +478,14 @@ def test_graphs_advanced_in_place_equal_fresh_builds(inst):
     shift, augment_state = yankee.shift_along_path, solver.augment
 
     def checked_adjacency(allocation, oracles, candidates, dependent, previous=None):
-        adjacency, desired = unweighted(
-            allocation, oracles, candidates, dependent, previous
-        )
-        if previous is not None:
-            assert adjacency is previous[1] and desired is previous[2]
-        fresh = unweighted(allocation, oracles, candidates, dependent)
-        assert (adjacency, desired) == fresh
-        # a fresh build that asks about every candidate agrees
+        graph = unweighted(allocation, oracles, candidates, dependent, previous)
+        assert previous is None or graph is previous
+        _assert_equals_fresh_build(graph)
+        # a fresh build that asks about every candidate has the same edges
         asked = [frozenset(c) for c in candidates]
-        assert fresh == unweighted(allocation, oracles, candidates, asked)
-        return adjacency, desired
+        fresh = unweighted(allocation, oracles, candidates, asked)
+        assert (fresh.dump(), fresh.desired) == (graph.dump(), graph.desired)
+        return graph
 
     def checked_graph(inst_, xc, x0, check=True, previous=None):
         g = weighted(inst_, xc, x0, check, previous)
@@ -496,9 +527,9 @@ def test_build_weighted_graph_recomputes_agents_whose_x0_changed(named_fixtures)
     _assert_equals_fresh_build(g)
 
 
-def test_spliced_node_loses_and_regains_a_weight_class():
+def test_spliced_pair_loses_and_regains_its_heavy_edge():
     # agent 1 counts o0, o1 and o2 at c and holds o1 in its zero-valued
-    # bundle, so from o0 the edge to o1 weighs 1 and the edge to o2 weighs 2
+    # bundle, so from o0 the edge to o1 is light and the edge to o2 heavy
     inst = Instance(2, 4, 2, (Additive((2, 2, 2, 0)), Additive((2, 2, 2, 2))))
     x0 = Allocation.from_bundles([{1}, set()], 4)
     def advanced(g, bundles):
@@ -506,17 +537,18 @@ def test_spliced_node_loses_and_regains_a_weight_class():
         return build_weighted_graph(inst, xc, x0, previous=g)
 
     g = build_weighted_graph(inst, Allocation.from_bundles([{0}, {2}], 4), x0)
-    out = g.adjacency[0]
-    assert (out, g.weights[-1]) == ([(1, 1), (2, 2)], (1, 2))
-    # o2 joins agent 1's counted bundle: its last weight-2 edge goes
+    pair = g.adjacency[0]
+    light, heavy = pair
+    assert pair == ((1,), [2])
+    # o2 joins agent 1's counted bundle: its heavy edge goes
     g = advanced(g, [{0, 2}, set()])
-    assert g.adjacency[0] is g.adjacency[2] is out  # spliced, not rebuilt
-    assert (out, g.weights[-1]) == ([(1, 1)], (1,))
+    assert g.adjacency[0] is g.adjacency[2] is pair  # spliced, not rebuilt
+    assert pair == ((1,), []) and pair[0] is light and pair[1] is heavy
     _assert_equals_fresh_build(g)
-    # o2 goes back to agent 2: the weight-2 edge returns
+    # o2 goes back to agent 2: the heavy edge returns
     g = advanced(g, [{0}, {2}])
-    assert g.adjacency[0] is out and 2 not in g.members[-1]
-    assert (out, g.weights[-1]) == ([(1, 1), (2, 2)], (1, 2))
+    assert g.adjacency[0] is pair is not g.adjacency[2]
+    assert pair == ((1,), [2]) and pair[0] is light
     _assert_equals_fresh_build(g)
 
 
@@ -530,8 +562,7 @@ def test_build_weighted_graph_rejects_previous_of_another_instance(named_fixture
         build_weighted_graph(ex2, state.xc, state.x0, previous=other)
 
 
-def _every_search(graph):
-    inst = graph.inst
+def _every_search(graph, inst):
     for i in inst.agents:
         sources = f_set(inst, graph.xc, i, inst.c)
         yield min_weight_path(graph, sources, PARETO, i)
@@ -548,14 +579,14 @@ def test_reachability_filter_changes_no_search(monkeypatch, named_fixtures):
 
         def check(g):
             nonlocal found, missing
-            filtered = list(_every_search(g))
+            filtered = list(_every_search(g, inst))
             with monkeypatch.context() as patch:
                 patch.setattr(
-                    WeightedExchangeGraph,
+                    ExchangeGraph,
                     "reaching",
-                    lambda self, targets: frozenset(self.inst.items),
+                    lambda self, targets: frozenset(range(self.xc.num_items)),
                 )
-                unfiltered = list(_every_search(g))
+                unfiltered = list(_every_search(g, inst))
             assert filtered == unfiltered, name
             found += sum(p is not None for p in filtered)
             missing += sum(p is None for p in filtered)
@@ -574,7 +605,7 @@ def test_pareto_searches_consult_reaching_only_when_unforced(monkeypatch, name):
     behind the filter finds; searches with no sources, or with a source in
     the pool, have a known answer to the filter."""
     inst = EQUIVALENCE_INSTANCES[name]()
-    search, reaching = solver.min_weight_path, WeightedExchangeGraph.reaching
+    search, reaching = solver.min_weight_path, ExchangeGraph.reaching
     consulted = 0
     seen = {"no sources": 0, "source in pool": 0, "filtered": 0}
 
@@ -601,7 +632,7 @@ def test_pareto_searches_consult_reaching_only_when_unforced(monkeypatch, name):
             assert path == _filtered_path(dataclasses.replace(graph), sources, kind, agent)
         return path
 
-    monkeypatch.setattr(WeightedExchangeGraph, "reaching", counting_reaching)
+    monkeypatch.setattr(ExchangeGraph, "reaching", counting_reaching)
     monkeypatch.setattr(solver, "min_weight_path", checked)
     solver.solve(inst)
     assert min(seen.values()) > 0, seen
@@ -610,8 +641,8 @@ def test_pareto_searches_consult_reaching_only_when_unforced(monkeypatch, name):
 def test_reaching_is_reverse_reachability(monkeypatch):
     additive = gen_random_additive(8, 40, 2, (1, 1, 2), 1)
     capped = gen_capped_groups(6, 30, 2, (1, 3), (1, 3), 0)
-    # additive agents' items always share a node; the capped graph mixes
-    # shared-list nodes with one-item nodes
+    # additive agents' items always share a pair; the capped graph mixes
+    # shared pairs with pairs of one item each
     for inst, kinds in ((additive, {True}), (capped, {True, False})):
         middle = _phase2_graphs(monkeypatch, inst, lambda g: None) // 2
         index = -1
@@ -622,13 +653,12 @@ def test_reaching_is_reverse_reachability(monkeypatch):
             if index != middle:
                 return
             assert g.adjacency
-            assert {node < 0 for node in g.members} == kinds
+            assert _node_kinds(g) == kinds
+            lists = _edge_lists(g)
             for target_agent in range(0, inst.num_agents + 1):
                 targets = g.xc.bundle(target_agent)
                 expected = {
-                    o
-                    for o in inst.items
-                    if _bfs_length(g.adjacency, {o}, targets) is not None
+                    o for o in inst.items if _bfs_length(lists, {o}, targets) is not None
                 }
                 assert g.reaching(targets) == expected
                 assert g.reaching(targets) is g.reaching(targets)  # cached per set
@@ -638,12 +668,14 @@ def test_reaching_is_reverse_reachability(monkeypatch):
 
 def _reference_pool_path(allocation, adjacency, sources):
     """What ``shortest_path_to_pool`` must return: the exhaustive search's
-    least key, every edge weighing 1 and the pool as targets."""
+    least key, every edge of both classes weighing 1 and the pool as
+    targets."""
     starts = {o: (0, 0, (o,)) for o in sources}
 
     def neighbors(u):
-        for v in adjacency.get(u, ()):
-            yield v, 1
+        for part in adjacency.get(u, ()):
+            for v in part:
+                yield v, 1
 
     key = exhaustive_least_key(starts, neighbors, allocation.unallocated)
     return None if key is None else key[2]
@@ -677,15 +709,15 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
     # searches that find nothing run too
     outcomes.clear()
     bounded = dijkstra.least_key
-    graph = None  # the graph being searched
+    graph = lists = None  # the graph being searched, and its edges
 
-    def checked(starts, adjacency, node_of, weights, targets, pool):
-        key = bounded(starts, adjacency, node_of, weights, targets, pool)
+    def checked(starts, adjacency, targets, pool):
+        key = bounded(starts, adjacency, targets, pool)
         x0 = graph.x0
 
         def neighbors(u):
             # the pickup as defined, not as the search derives it
-            for v, w in adjacency.get(u, ()):
+            for v, w in lists.get(u, ()):
                 pickup = 1 if v in x0.bundle(graph.xc.owner_of(u)) else 2
                 yield v, w + (pickup if pool and v in targets else 0)
 
@@ -696,13 +728,13 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
         return key
 
     def search_all(g):
-        nonlocal graph
-        graph = g
-        list(_every_search(g))
+        nonlocal graph, lists
+        graph, lists = g, _edge_lists(g)
+        list(_every_search(g, inst))
 
     monkeypatch.setattr(dijkstra, "least_key", checked)
     monkeypatch.setattr(
-        WeightedExchangeGraph, "reaching", lambda self, targets: frozenset(self.inst.items)
+        ExchangeGraph, "reaching", lambda self, targets: frozenset(range(self.xc.num_items))
     )
     for inst in instances.values():
         try:
@@ -750,9 +782,10 @@ def exchange_searches(draw):
 def test_exchange_search_equals_exhaustive_search(search):
     graph, sources, i, j = search
     path = min_weight_path(graph, sources, EXCHANGE, i, target_agent=j)
+    lists = _edge_lists(graph)
 
     def neighbors(u):
-        yield from graph.adjacency.get(u, ())
+        yield from lists.get(u, ())
 
     starts = {o: (0, 0, (o,)) for o in sources}
     key = exhaustive_least_key(starts, neighbors, graph.xc.bundle(j))
@@ -763,61 +796,52 @@ def test_exchange_search_equals_exhaustive_search(search):
         assert (path.doubled_weight, len(path.items) - 1, path.items) == key
 
 
-def _reference_key(starts, adjacency, _node_of, _weights, targets, pool):
+def _reference_key(starts, adjacency, targets, pool):
     """What ``dijkstra.least_key`` must return for these arguments: the
-    exhaustive search's least key, where an edge costs its weight, doubled
-    into a target of a pool search."""
+    exhaustive search's least key, where a light edge costs 1 and a heavy
+    one 2, doubled into a target of a pool search."""
 
     def neighbors(u):
-        for v, w in adjacency.get(u, ()):
-            yield v, 2 * w if pool and v in targets else w
+        for w, part in zip((1, 2), adjacency.get(u, ())):
+            for v in part:
+                yield v, 2 * w if pool and v in targets else w
 
     reference_starts = {o: (cost, 0, (o,)) for o, cost in starts.items()}
     return exhaustive_least_key(reference_starts, neighbors, targets)
 
 
-def _weights_of(out):
-    return tuple(sorted({w for _v, w in out}))
-
-
 @st.composite
 def quotient_searches(draw):
     """The arguments of a search over a small graph shaped like a phase-2
-    exchange graph: each agent's held items either share one out-list tuple
-    (node ``-agent``) or have lists of their own (node ``item``); out-lists
-    are ascending, avoid the holder's own items and mix weights 1 and 2,
-    and pool items have none.  A node's weights are its list's, or for
-    items with lists of their own, the weights of all their holder's
-    lists.  A pool search targets the pool, and an edge
-    into it costs twice its weight; any other search targets a few items.
-    Lists of up to six edges over at most ten items make cursors pass
-    over items settled after they were pushed, and make two cursors of one
-    cost meet, from two nodes or, in a pool search, from one."""
+    exchange graph: each agent's held items either share one out-list pair
+    or have pairs of their own; each pair's light and heavy lists are
+    ascending, disjoint and avoid the holder's own items, and pool items
+    have none.  A pool search targets the pool, and an edge into it costs
+    twice its weight; any other search targets a few items.  Lists of up to
+    six edges over at most ten items make cursors pass over items settled
+    after they were pushed, and make two cursors of one cost meet, from two
+    nodes or, in a pool search, from one."""
     m = draw(st.integers(5, 10))
     item = st.integers(0, m - 1)
     n = draw(st.integers(1, 3))
     owner = [draw(st.integers(0, n)) for _ in range(m)]  # 0: the pool
-    adjacency, node_of, weights = {}, {}, {}
+    adjacency = {}
 
-    def out_list(held):
+    def out_pair(held):
         edges = draw(st.dictionaries(item, st.integers(1, 2), min_size=1, max_size=6))
-        return tuple(sorted((v, w) for v, w in edges.items() if v not in held))
+        edges = {v: w for v, w in edges.items() if v not in held}
+        return tuple(tuple(sorted(v for v, w in edges.items() if w == k)) for k in (1, 2))
 
     for j in range(1, n + 1):
         held = [o for o in range(m) if owner[o] == j]
         if draw(st.booleans()):
-            shared = out_list(held)
-            if shared and held:
+            shared = out_pair(held)
+            if any(shared):
                 adjacency.update(dict.fromkeys(held, shared))
-                node_of.update(dict.fromkeys(held, -j))
-                weights[-j] = _weights_of(shared)
         else:
-            # as the builder records them: the weights of all the lists
             for o in held:
-                if out := out_list(held):
-                    adjacency[o], node_of[o] = out, o
-            every = tuple(sorted({w for o in held for _v, w in adjacency.get(o, ())}))
-            weights.update((o, every) for o in held if o in adjacency)
+                if any(pair := out_pair(held)):
+                    adjacency[o] = pair
     pool = draw(st.booleans())
     if pool:
         targets = frozenset(o for o in range(m) if owner[o] == 0)
@@ -828,7 +852,7 @@ def quotient_searches(draw):
     sources = (sources - targets or sources) if draw(st.integers(0, 3)) else sources
     costs = st.just(0) if draw(st.booleans()) else st.integers(0, 2)
     starts = {o: draw(costs) for o in sorted(sources)}
-    return starts, adjacency, node_of, weights, targets, pool
+    return starts, adjacency, targets, pool
 
 
 @settings(derandomize=True, deadline=None, max_examples=1000)
@@ -837,15 +861,29 @@ def test_one_expansion_search_equals_exhaustive_search(search):
     assert dijkstra.least_key(*search) == _reference_key(*search)
 
 
-def _recorded_search(monkeypatch, starts, adjacency, node_of, targets, pool=False):
-    """Run the search, recording the items whose node it expands and the
-    item of every heap entry it pops, in order."""
+def _recorded_search(monkeypatch, starts, adjacency, targets, pool=False):
+    """Run the search, recording the item of every node it expands and the
+    item of every heap entry it pops, in order.  A node is expanded when
+    the search reads its pair's class lists, just after looking the item
+    up."""
     expanded, popped = [], []
 
     class Recording(dict):
-        def __getitem__(self, u):
-            expanded.append(u)
-            return super().__getitem__(u)
+        last = None  # the item last looked up
+
+        def get(self, u, default=None):
+            self.last = u
+            return super().get(u, default)
+
+    recording = Recording()
+
+    class Expanded(tuple):
+        def __iter__(self):
+            expanded.append(recording.last)
+            return super().__iter__()
+
+    wrapped = {id(pair): Expanded(pair) for pair in adjacency.values()}
+    recording.update((u, wrapped[id(pair)]) for u, pair in adjacency.items())
 
     def recorded(pop):
         def wrapper(*args):
@@ -861,26 +899,23 @@ def _recorded_search(monkeypatch, starts, adjacency, node_of, targets, pool=Fals
         heappop=recorded(heapq.heappop),
         heapreplace=recorded(heapq.heapreplace),
     )
-    weights = {node_of[u]: _weights_of(out) for u, out in adjacency.items()}
-    search = (starts, Recording(adjacency), node_of, weights, targets, pool)
     with monkeypatch.context() as patch:
         patch.setattr(dijkstra, "heapq", heap)
-        key = dijkstra.least_key(*search)
-    assert key == _reference_key(*search)
+        key = dijkstra.least_key(starts, recording, targets, pool)
+    assert key == _reference_key(starts, adjacency, targets, pool)
     return key, expanded, popped
 
 
 def test_one_expansion_search_tie_break_between_members(monkeypatch):
-    # o2 and o3 share agent 1's out-list; both are reached at cost 2 in one
-    # edge and both reach the target o7 at cost 4 in two.  The path through
-    # o0 is lexicographically smaller, so o3 is popped and expanded first
-    # although o2 is the smaller item, and o2 is never expanded.
-    adjacency = {0: ((3, 2),), 1: ((2, 2),), 2: ((7, 2),), 3: ((7, 2),)}
+    # o2 and o3 share agent 1's out-list pair; both are reached at cost 2
+    # in one edge and both reach the target o7 at cost 4 in two.  The path
+    # through o0 is lexicographically smaller, so o3 is popped and expanded
+    # first although o2 is the smaller item, and o2 is never expanded.
+    adjacency = {0: ((), (3,)), 1: ((), (2,)), 3: ((), (7,))}
     adjacency[2] = adjacency[3]
-    node_of = {0: 0, 1: 1, 2: -1, 3: -1}
     starts = {0: 0, 1: 0}
     key, expanded, _popped = _recorded_search(
-        monkeypatch, starts, adjacency, node_of, frozenset({7})
+        monkeypatch, starts, adjacency, frozenset({7})
     )
     assert key == (4, 2, (0, 3, 7))
     assert expanded == [0, 1, 3]
@@ -890,24 +925,22 @@ def test_cursor_passes_over_items_settled_after_it_was_pushed(monkeypatch):
     # o0's cursor is pushed pointing at o1 at cost 2.  o5 then reaches o2
     # at cost 1 and settles it, so when the cursor is popped at o1 it moves
     # straight on to o3, the target: no item is popped twice.
-    adjacency = {0: ((1, 2), (2, 2), (3, 2)), 5: ((2, 1),)}
-    node_of = {0: 0, 5: 5}
+    adjacency = {0: ((), (1, 2, 3)), 5: ((2,), ())}
     key, _expanded, popped = _recorded_search(
-        monkeypatch, {0: 0, 5: 0}, adjacency, node_of, frozenset({3})
+        monkeypatch, {0: 0, 5: 0}, adjacency, frozenset({3})
     )
     assert key == (2, 1, (0, 3))
     assert popped == [0, 5, 2, 1]
 
 
 def test_pool_search_ties_two_classes_of_one_cursor_cost(monkeypatch):
-    # From o0, the weight-2 edge to o1 and the weight-1 edge into the pool
-    # item o2 both cost 2, so two of o0's cursors tie on cost, edge count
-    # and prefix; the smaller item, o1, goes first.  The pool item o4 is
+    # From o0, the heavy edge to o1 and the light edge into the pool item
+    # o2 both cost 2, so two of o0's cursors tie on cost, edge count and
+    # prefix; the smaller item, o1, goes first.  The pool item o4 is
     # reached through o1 at cost 4, but o2 costs 2 and ends the search.
-    adjacency = {0: ((1, 2), (2, 1)), 1: ((4, 1),)}
-    node_of = {0: 0, 1: 1}
+    adjacency = {0: ((2,), (1,)), 1: ((4,), ())}
     key, expanded, popped = _recorded_search(
-        monkeypatch, {0: 0}, adjacency, node_of, frozenset({2, 4}), pool=True
+        monkeypatch, {0: 0}, adjacency, frozenset({2, 4}), pool=True
     )
     assert key == (2, 1, (0, 2))
     assert expanded == [0, 1]
@@ -916,8 +949,8 @@ def test_pool_search_ties_two_classes_of_one_cursor_cost(monkeypatch):
 
 @st.composite
 def pool_searches(draw):
-    """A small digraph shaped like an unweighted exchange graph: ascending
-    edge lists, no self-loops, pool items without out-edges; cycles, sources
+    """A small digraph shaped like an unweighted exchange graph: pairs of an
+    empty light list and an ascending heavy one, no self-loops, pool items without out-edges; cycles, sources
     in the pool, sources reachable from other sources and pools that no
     source reaches all occur."""
     m = draw(st.integers(6, 12))
@@ -927,7 +960,7 @@ def pool_searches(draw):
     for u in sorted(set(range(m)) - pool):
         out = sorted(draw(st.sets(item, max_size=3)) - {u})
         if out:
-            adjacency[u] = out
+            adjacency[u] = ((), out)
     sources = draw(st.frozensets(item, min_size=2, max_size=3))
     allocation = Allocation.from_bundles([set(range(m)) - pool], m)
     return allocation, adjacency, sources
@@ -946,9 +979,14 @@ def test_shortest_path_to_pool_equals_exhaustive_search(search):
     "sources, adjacency, pool, expected",
     [
         # the frontier is walked in discovery order (5 before 3), not item order
-        ({0, 1}, {0: [5], 1: [3], 5: [9], 3: [8]}, {8, 9}, (0, 5, 9)),
+        (
+            {0, 1},
+            {0: ((), [5]), 1: ((), [3]), 5: ((), [9]), 3: ((), [8])},
+            {8, 9},
+            (0, 5, 9),
+        ),
         # an item keeps the first parent that reached it
-        ({0, 2}, {0: [4], 2: [4], 4: [7]}, {7}, (0, 4, 7)),
+        ({0, 2}, {0: ((), [4]), 2: ((), [4]), 4: ((), [7])}, {7}, (0, 4, 7)),
     ],
 )
 def test_shortest_path_to_pool_tie_breaks(sources, adjacency, pool, expected):

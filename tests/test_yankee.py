@@ -98,18 +98,29 @@ PHASE1_INSTANCES = {
 
 @pytest.mark.parametrize("name", sorted(PHASE1_INSTANCES))
 def test_reused_adjacency_equals_fresh_build(monkeypatch, name):
+    """Every graph phase 1 advances in place equals a fresh build, and has
+    only empty light lists; additive agents are fully declared at threshold
+    0, so phase 1 splices them."""
     inst = PHASE1_INSTANCES[name]()
     betas = [ThresholdBeta(inst.valuation(i), 0) for i in inst.agents]
-    built = 0
+    built = spliced = 0
+    splice = exchange._splice
+
+    def recording_splice(*args):
+        nonlocal spliced
+        spliced += 1
+        splice(*args)
 
     def recording(allocation, oracles, candidates, dependent, previous=None):
         nonlocal built
         graph = unweighted_adjacency(allocation, oracles, candidates, dependent, previous)
         # checked before the next build advances it in place
         assert graph == unweighted_adjacency(allocation, oracles, candidates, dependent)
+        assert not any(light for light, _heavy in graph.adjacency.values())
         built += 1
         return graph
 
+    monkeypatch.setattr(exchange, "_splice", recording_splice)
     monkeypatch.setattr(exchange, "unweighted_adjacency", recording)
     out = yankee_swap(inst.num_items, betas)
     # each augmentation allocates one more item; one build before the first
@@ -117,6 +128,8 @@ def test_reused_adjacency_equals_fresh_build(monkeypatch, name):
     augmentations = sum(out.sizes())
     assert augmentations > 20
     assert built == 1 + augmentations
+    if name.startswith("additive"):
+        assert spliced > 10
 
 
 def test_adjacency_recomputes_gainer_holding_no_path_item():
@@ -128,22 +141,24 @@ def test_adjacency_recomputes_gainer_holding_no_path_item():
     assert candidates == [(0, 1, 2), (2, 3)]
     asked = [frozenset(c) for c in candidates]
     before = Allocation.from_bundles([{0}, {3}], 4)
-    adj, desired = unweighted_adjacency(before, oracles, candidates, asked)
-    assert adj == {0: (1, 2), 3: (2,)}
-    assert desired == [{1, 2}, set()]
-    kept_edges, kept_desired = adj[3], desired[1]
+    graph = unweighted_adjacency(before, oracles, candidates, asked)
+    assert graph.adjacency == {0: ((), (1, 2)), 3: ((), (2,))}
+    assert graph.desired == [{1, 2}, set()]
+    kept_pair, kept_desired = graph.adjacency[3], graph.desired[1]
     # the path is a lone pool item: no agent holds a path item, yet the
     # gainer's bundle grows and its edges change
     after = shift_along_path(before, (1,), 1)
-    reused = unweighted_adjacency(after, oracles, candidates, asked, (before, adj, desired))
+    reused = unweighted_adjacency(after, oracles, candidates, asked, graph)
     fresh = unweighted_adjacency(after, oracles, candidates, asked)
     # o2 is an out-neighbour of both held items but not desired: agent 1
     # already counts two of items 0..2
-    assert reused == fresh == ({0: (2,), 1: (2,), 3: (2,)}, [set(), set()])
+    assert reused == fresh
+    assert reused.adjacency == {0: ((), (2,)), 1: ((), (2,)), 3: ((), (2,))}
+    assert reused.desired == [set(), set()]
     # the previous graph is advanced in place, keeping the unchanged agent's
-    # edge list and desired items
-    assert reused[0] is adj and reused[1] is desired
-    assert adj[3] is kept_edges and desired[1] is kept_desired
+    # pair and desired items
+    assert reused is graph
+    assert graph.adjacency[3] is kept_pair and graph.desired[1] is kept_desired
 
 
 class _Recording(list):
@@ -170,11 +185,11 @@ def test_heap_turn_order_equals_min_scan_reference(inst):
     turns, recorded = [], []
 
     def recording_build(allocation, oracles, candidates, dependent, previous=None):
-        adjacency, desired = build(allocation, oracles, candidates, dependent, previous)
+        graph = build(allocation, oracles, candidates, dependent, previous)
         if previous is None:
-            desired = _Recording(desired)  # advanced in place from here on
-            recorded.append(desired)
-        return adjacency, desired
+            graph.desired = _Recording(graph.desired)  # advanced in place from here on
+            recorded.append(graph.desired)
+        return graph
 
     def recording_search(allocation, adjacency, sources):
         path = search(allocation, adjacency, sources)
@@ -191,7 +206,7 @@ def test_heap_turn_order_equals_min_scan_reference(inst):
 
 
 class _Walked(tuple):
-    """An edge list that counts the times it is walked."""
+    """A class list that counts the times it is walked."""
 
     walks = 0
 
@@ -202,9 +217,9 @@ class _Walked(tuple):
 
 @pytest.mark.parametrize("name", sorted(PHASE1_INSTANCES))
 def test_search_walks_each_shared_edge_list_once(monkeypatch, name):
-    """Every search of a solve walks each edge list object at most once and
-    finds the reference's path, which walks the list of every item it
-    reaches; lists shared by several items make that fewer walks in all.
+    """Every search of a solve walks each heavy list at most once and finds
+    the reference's path, which walks the lists of every item it reaches;
+    pairs shared by several items make that fewer walks in all.
     A search on an empty pool, and one with a source in the pool (a direct
     pickup, whose path is its least such source), walks no list."""
     inst = PHASE1_INSTANCES[name]()
@@ -214,11 +229,12 @@ def test_search_walks_each_shared_edge_list_once(monkeypatch, name):
     forced = {"empty pool": 0, "direct pickup": 0}
 
     def counting_search(allocation, adjacency, sources):
-        copies = {}
-        lists = {u: copies.setdefault(id(out), _Walked(out)) for u, out in adjacency.items()}
+        copies = {id(pair): (pair[0], _Walked(pair[1])) for pair in adjacency.values()}
+        lists = {u: copies[id(pair)] for u, pair in adjacency.items()}
+        walked_lists = [heavy for _light, heavy in copies.values()]
         path = search(allocation, lists, sources)
-        assert all(out.walks <= 1 for out in copies.values())
-        walked = sum(out.walks for out in copies.values())
+        assert all(out.walks <= 1 for out in walked_lists)
+        walked = sum(out.walks for out in walked_lists)
         pool = allocation.unallocated
         if not pool:
             forced["empty pool"] += bool(sources)
@@ -228,13 +244,25 @@ def test_search_walks_each_shared_edge_list_once(monkeypatch, name):
             forced["direct pickup"] += len(pool.intersection(sources)) > 1
             assert path == (min(pool.intersection(sources)),) and walked == 0
         walks["search"] += walked
-        for out in copies.values():
+        for out in walked_lists:
             out.walks = 0
         assert path == reference_shortest_path_to_pool(allocation, lists, sources)
-        walks["reference"] += sum(out.walks for out in copies.values())
+        walks["reference"] += sum(out.walks for out in walked_lists)
         return path
 
     monkeypatch.setattr(yankee, "shortest_path_to_pool", counting_search)
     yankee_swap(inst.num_items, betas)
     assert 0 < walks["search"] < walks["reference"]
     assert forced["empty pool"] > 0 and forced["direct pickup"] > 0
+
+
+def test_search_walks_a_shared_pair_once():
+    # o1 and o2 share one pair and are both reached from o0 in one layer, so
+    # the pair is walked at o1 only; the path to the pool item o9 goes
+    # through o1, the first parent to reach o4
+    shared = ((), _Walked((3, 4)))
+    adjacency = {0: ((), (1, 2)), 1: shared, 2: shared, 4: ((), (9,))}
+    allocation = Allocation.from_bundles([set(range(9))], 10)
+    path = yankee.shortest_path_to_pool(allocation, adjacency, frozenset({0}))
+    assert path == (0, 1, 4, 9)
+    assert shared[1].walks == 1
