@@ -118,8 +118,12 @@ def _cmd_brute(args) -> int:
 
 def _cmd_verify(args) -> int:
     inst = _read_instance(args.instance)
-    allocation = instgen.parse_allocation(_read_text(args.allocation), inst.num_items)
+    allocation = instgen.parse_allocation(
+        _read_text(args.allocation), inst.num_items, inst.num_agents
+    )
     props = [p.strip() for p in args.props.split(",") if p.strip()]
+    if not props:
+        raise ContractViolation("--props names no property")
     for p in props:
         if p not in VERIFY_PROPS:
             raise ContractViolation(

@@ -37,10 +37,6 @@ class CleannessViolation(MannaError):
     """
 
 
-class OracleViolation(MannaError):
-    """A supplied binary oracle returned a marginal outside {0, 1}."""
-
-
 class TerminationGuard(MannaError):
     """The augmentation counter exceeded its polynomial safety bound."""
 

@@ -1,9 +1,10 @@
 """Exchange graphs, weighted path search, and path augmentation.
 
 The exchange graph of a clean allocation has an edge ``o -> o'`` whenever the
-agent holding ``o`` could swap it for ``o'`` without losing count under their
-binary oracle.  Augmenting along a path shifts every item one step toward the
-path's start, freeing the first item for the requesting agent.
+agent holding ``o`` could swap it for ``o'`` without losing count: the
+marginal of ``o'`` on the rest of the bundle reaches the threshold.
+Augmenting along a path shifts every item one step toward the path's start,
+freeing the first item for the requesting agent.
 
 The weighted variant grades edges in doubled units (so arithmetic stays in
 exact integers): an edge from an agent's counted bundle into the same agent's
@@ -18,8 +19,9 @@ One store, ``ExchangeGraph``, holds both phases' graphs, and one builder
 advances it.  Each item's out-list is a pair ``(light, heavy)`` of ascending
 items: its weight-1 and its weight-2 edges.  Phase 2 builds it at threshold
 c over the state ``(xc, x0)`` (``build_weighted_graph``).  Phase 1 builds it
-at threshold 1 over the zero-threshold oracles, with an empty zero-valued
-part, so every edge is heavy (``unweighted_adjacency``).
+at threshold 0 over the valuations, with an empty zero-valued part, so every
+edge is heavy (``unweighted_adjacency``).  ``empty_graph`` lists both
+phases' candidates and declarations.
 
 Searches are deterministic: minimum doubled cost, then fewest edges, then
 lexicographically smallest item sequence.  A search stops at the first
@@ -46,14 +48,13 @@ candidate that reaches it on B itself (a *sure* one) is an out-neighbour of
 every item of B, so only the other candidates (*maybe* ones) are tested
 against each ``B - o``.  A candidate that the agent's valuation declares
 *bundle-independent* at the threshold (see ``valuations``) is sure without
-an oracle call: its marginal on B is on the same side of the threshold as
+a query: its marginal on B is on the same side of the threshold as
 its marginal on ∅, which reached it.
-So the sure test asks only about the undeclared candidates.  The oracles
+So the sure test asks only about the undeclared candidates.  The valuations
 are asked in batches: ``marginals(B, items)`` gives the marginals of a list
 of items on one bundle.  The candidates cost one call on the empty bundle,
 the sure test at most one call per agent and the maybe test one per held
-item, so the wrapper layers between the builder and the valuation, and
-their checks, are paid once per call instead of once per item.
+item.
 When there are no maybe candidates -- always when every candidate is
 declared, as for additive agents, and for capped agents with no group at
 its cap -- all items of B share one pair.  Every test left out has a
@@ -61,12 +62,12 @@ known answer and the candidates are walked in ascending order, so each
 pair is what a scan of all items gives.  The same lists bound ``f_set``.
 An agent's desired items, its ``f_set``, are its sure candidates, so the
 builder keeps them with the edges.  An agent whose candidates are all
-declared makes no oracle call after its candidates are listed.
+declared makes no query after its candidates are listed.
 
 Both phases advance one graph in place along each augmentation instead of
 building a new one per state, and this changes no tie-break.  The
 out-edges of an item held by agent j depend only on j's bundles and j's
-oracle.  After an augmentation only the gainer and the holders of path
+valuation.  After an augmentation only the gainer and the holders of path
 items have new bundles: ``shift_along_path`` and ``augment`` pass every
 other agent's bundle through as the same object.  So the builder, given the
 previous graph, keys each agent on the identity of its bundles.  An agent
@@ -159,8 +160,8 @@ EXCHANGE = "exchange"
 
 def candidate_items(marginals, threshold: int, num_items: int) -> tuple[int, ...]:
     """Items whose marginal on the empty bundle reaches ``threshold``, in
-    ascending order; ``marginals(bundle, items)`` is the agent's batched
-    oracle, asked once.
+    ascending order; ``marginals(bundle, items)`` is the agent's valuation's
+    batched marginals, asked once.
 
     Marginals only fall as a bundle grows, so no other item reaches the
     threshold on any bundle: these are the only items an agent can desire
@@ -198,7 +199,7 @@ def _out_lists(bundle, outside, x0_j, dependent, marginals, threshold):
     the agent's candidates are *sure* ones.
 
     ``o -> o'`` whenever ``marginals(bundle - {o}, [o'])`` reaches
-    ``threshold``; ``marginals`` is the agent's batched oracle.  ``outside``
+    ``threshold``; ``marginals`` is the agent's valuation's.  ``outside``
     lists the agent's candidate items that lie outside the bundle, in
     ascending order; the edges into ``x0_j``, the agent's zero-valued
     bundle, are light and the rest heavy.  Only the candidates in
@@ -254,10 +255,10 @@ def _changed(bundles, before):
 @dataclass
 class ExchangeGraph:
     """Exchange graph of the state ``(xc, x0)`` under the per-agent
-    ``oracles`` at ``threshold``.  ``candidates[i-1]`` is agent i's
+    ``valuations`` at ``threshold``.  ``candidates[i-1]`` is agent i's
     ``candidate_items`` at the threshold, ``dependent[i-1]`` those of them
-    its oracle does not declare bundle-independent, and ``desired[i-1]`` its
-    ``f_set``.
+    its valuation does not declare bundle-independent, and ``desired[i-1]``
+    its ``f_set``.
 
     ``adjacency`` maps each item with out-edges to its pair ``(light,
     heavy)`` of ascending items: its edges into its holder's ``x0`` bundle,
@@ -270,7 +271,7 @@ class ExchangeGraph:
     new state and returned.
     """
 
-    oracles: Sequence
+    valuations: Sequence
     threshold: int
     candidates: Sequence[Sequence[int]]
     dependent: Sequence[frozenset[int]]
@@ -324,25 +325,29 @@ class ExchangeGraph:
         return "\n".join(f"o{u} -> o{v} w={w}" for u, v, w in self.edges())
 
 
+def empty_graph(valuations: Sequence, threshold: int, num_items: int) -> ExchangeGraph:
+    """The graph of ``valuations`` at ``threshold`` with no state yet: each
+    agent's ``candidate_items`` and its ``dependent`` ones, those its
+    valuation does not declare bundle-independent at the threshold."""
+    candidates = tuple(candidate_items(v.marginals, threshold, num_items) for v in valuations)
+    dependent = tuple(
+        frozenset(cs).difference(v.bundle_independent(cs, threshold))
+        for v, cs in zip(valuations, candidates)
+    )
+    return ExchangeGraph(valuations, threshold, candidates, dependent)
+
+
 def unweighted_adjacency(
     allocation: Allocation,
-    oracles: Sequence,
-    candidates: Sequence[Sequence[int]],
-    dependent: Sequence[frozenset[int]],
+    valuations: Sequence,
     previous: Optional[ExchangeGraph] = None,
 ) -> ExchangeGraph:
-    """Exchange graph of a clean allocation under binary oracles: the store
-    at threshold 1 with an empty zero-valued part, so every edge is heavy.
-    ``desired[i-1]`` holds agent i's candidates outside its bundle whose
-    marginal on the bundle is 1.
-
-    ``oracles[i-1]`` must expose ``marginals(bundle, items)`` with values in
-    {0, 1} that never grow as the bundle grows, and ``candidates[i-1]`` is its
-    ``candidate_items`` at threshold 1, of which ``dependent[i-1]`` are those
-    the oracle does not declare bundle-independent, the only ones it is
-    asked about.  Items in the pool have no outgoing edges.  ``previous``, a
-    graph built with the same oracles, is consumed: it is advanced in place
-    and returned.
+    """Exchange graph of an allocation clean at threshold 0: the store of
+    ``valuations`` at threshold 0 with an empty zero-valued part, so every
+    edge is heavy.  ``desired[i-1]`` holds agent i's candidates outside its
+    bundle whose marginal on the bundle is at least 0.  Items in the pool
+    have no outgoing edges.  ``previous``, a graph built with the same
+    valuations, is consumed: it is advanced in place and returned.
     """
     if previous is not None:
         return _advance(previous, allocation, previous.x0)
@@ -351,7 +356,7 @@ def unweighted_adjacency(
     x0 = allocation
     if any(allocation.bundles):
         x0 = Allocation.empty(allocation.num_agents, allocation.num_items)
-    return _advance(ExchangeGraph(oracles, 1, candidates, dependent), allocation, x0)
+    return _advance(empty_graph(valuations, 0, allocation.num_items), allocation, x0)
 
 
 def build_weighted_graph(
@@ -376,14 +381,8 @@ def build_weighted_graph(
         if violations:
             raise ContractViolation("; ".join(violations))
     if previous is None:
-        specs, c = inst.valuations, inst.c
-        candidates = tuple(candidate_items(s.marginals, c, inst.num_items) for s in specs)
-        dependent = tuple(
-            frozenset(cs).difference(spec.bundle_independent(cs, c))
-            for spec, cs in zip(specs, candidates)
-        )
-        previous = ExchangeGraph(specs, c, candidates, dependent)
-    elif previous.oracles is not inst.valuations:
+        previous = empty_graph(inst.valuations, inst.c, inst.num_items)
+    elif previous.valuations is not inst.valuations:
         raise ContractViolation("previous graph belongs to another instance")
     return _advance(previous, xc, x0)
 
@@ -442,7 +441,7 @@ def _advance(graph, xc, x0):
             outside,
             x0.bundles[j - 1],
             dependent[j - 1],
-            graph.oracles[j - 1].marginals,
+            graph.valuations[j - 1].marginals,
             graph.threshold,
         )
         adjacency.update(out)

@@ -469,7 +469,9 @@ def allocation_to_obj(allocation: Allocation) -> dict:
     }
 
 
-def allocation_from_obj(obj, num_items: int | None = None) -> Allocation:
+def allocation_from_obj(
+    obj, num_items: int | None = None, num_agents: int | None = None
+) -> Allocation:
     loc = "allocation"
     bundles = _expect(obj, "bundles", list, loc)
     parsed = [
@@ -484,6 +486,8 @@ def allocation_from_obj(obj, num_items: int | None = None) -> Allocation:
         raise ParseError(loc, str(exc)) from exc
     if num_items is not None and alloc.num_items != num_items:
         raise ParseError(loc, f"covers {alloc.num_items} items, expected {num_items}")
+    if num_agents is not None and alloc.num_agents != num_agents:
+        raise ParseError(loc, f"has {alloc.num_agents} bundles, expected {num_agents}")
     return alloc
 
 
@@ -530,5 +534,7 @@ def serialize_allocation(allocation: Allocation) -> str:
     return dumps(allocation_to_obj(allocation))
 
 
-def parse_allocation(text: str, num_items: int | None = None) -> Allocation:
-    return allocation_from_obj(loads(text), num_items)
+def parse_allocation(
+    text: str, num_items: int | None = None, num_agents: int | None = None
+) -> Allocation:
+    return allocation_from_obj(loads(text), num_items, num_agents)

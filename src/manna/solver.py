@@ -1,11 +1,11 @@
 """Three-phase leximin solver for {-1, 0, c} order-neutral submodular instances.
 
-Phase 1 seeds the state: the zero-threshold oracles are handed to the
-binary-swap subroutine, which allocates every item that can contribute a
-non-negative marginal somewhere.  Phase 2 turns the c-counted part into a
-leximin allocation by augmenting along minimum-weight Pareto-improving and
-exchange paths.  Phase 3 distributes the leftover universally-negative items
-to the currently happiest agents.  The final utility vector, sorted
+Phase 1 seeds the state: Yankee Swap on the valuations' threshold-0 counts
+allocates every item that can contribute a non-negative marginal somewhere.
+Phase 2 turns the c-counted part into a leximin allocation by augmenting
+along minimum-weight Pareto-improving and exchange paths.  Phase 3
+distributes the leftover universally-negative items to the currently
+happiest agents.  The final utility vector, sorted
 ascending, is lexicographically maximal among all complete allocations.
 """
 
@@ -33,7 +33,7 @@ from .exchange import (
     f_set,  # noqa: F401  (not called here; perfbench/spans.py wraps solver.f_set)
     min_weight_path,
 )
-from .threshold import ThresholdBeta, TriDecomposition, verify_tridecomposition
+from .threshold import TriDecomposition, verify_tridecomposition
 from .valuations import (
     Explicit,
     is_solver_supported,
@@ -92,10 +92,9 @@ def check_supported(inst: Instance) -> None:
 
 
 def phase1(inst: Instance) -> SolverState:
-    """Allocate all non-negative marginals via the binary-swap subroutine."""
+    """Allocate all non-negative marginals by Yankee Swap at threshold 0."""
     check_supported(inst)
-    betas0 = [ThresholdBeta(inst.valuation(i), 0) for i in inst.agents]
-    x0 = yankee_swap(inst.num_items, betas0)
+    x0 = yankee_swap(inst.num_items, inst.valuations)
     empty = Allocation.empty(inst.num_agents, inst.num_items)
     state = SolverState(xc=empty, x0=x0, xm1=empty)
     problems = clean_state_violations(inst, state.xc, state.x0)

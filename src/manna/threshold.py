@@ -11,7 +11,7 @@ uses ``tau = 0`` and ``tau = c``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import Allocation, Instance
 from .errors import DecompositionFailure
@@ -34,34 +34,6 @@ def beta(spec: ValuationSpec, tau: int, items: Iterable[int]) -> int:
         if count_at_least is not None:
             return count_at_least(tau, items)
     return sum(1 for gain in telescoping_gains(spec, sorted(items)) if gain >= tau)
-
-
-@dataclass(frozen=True)
-class ThresholdBeta:
-    """Binary submodular oracle derived from a valuation and a threshold."""
-
-    spec: ValuationSpec
-    tau: int
-
-    def value(self, items: Iterable[int]) -> int:
-        return beta(self.spec, self.tau, items)
-
-    def marginals(self, items: Iterable[int], candidates: Sequence[int]) -> list[int]:
-        """For each candidate, 1 when its valuation marginal on ``items`` is
-        at least ``tau`` and 0 otherwise, asking the valuation once."""
-        tau = self.tau
-        return [1 if d >= tau else 0 for d in self.spec.marginals(items, candidates)]
-
-    def bundle_independent(self, items: Iterable[int]) -> frozenset[int]:
-        """The items whose 0/1 marginal is the same on every bundle without
-        them: those the valuation declares at ``tau``, whose marginal stays
-        on one side of it."""
-        return self.spec.bundle_independent(items, self.tau)
-
-
-def is_clean(oracle, bundle: Iterable[int]) -> bool:
-    bundle = frozenset(bundle)
-    return oracle.value(bundle) == len(bundle)
 
 
 def decompose_threshold(

@@ -30,9 +30,9 @@ on the items before it.  ``telescoping_vector`` sorts those gains, and
 Each solver family also declares its *bundle-independent* items at a
 threshold: ``bundle_independent(items, tau)`` returns those items ``o`` of
 ``items`` whose marginal stays on one side of ``tau`` on every bundle
-without ``o``, so that Δ(B, o) >= tau exactly when Δ(∅, o) >= tau.  Each
-builder passes the threshold its oracle uses (0 in phase 1, c in phase 2)
-and never asks the oracle about such an item again (see ``exchange``).  A
+without ``o``, so that Δ(B, o) >= tau exactly when Δ(∅, o) >= tau.  The
+exchange graph passes its threshold (0 in phase 1, c in phase 2) and never
+asks the valuation about such an item again (see ``exchange``).  A
 declaration may leave such items out, never put others in:
 
 * ``Additive`` declares every item at every threshold: its marginals are

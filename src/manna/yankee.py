@@ -1,24 +1,26 @@
-"""Clean MAX-USW leximin allocation for binary submodular oracles.
+"""Clean MAX-USW leximin allocation for the threshold-0 counts of valuations.
 
+Agent i's count (``threshold.beta`` at 0) is binary submodular: an item's
+marginal under it is 1 exactly when the valuation's marginal reaches 0.
 The procedure repeatedly lets the active agent with the smallest bundle
 (ties to the lower index) hunt for a shortest exchange-graph path from its
-desired items to the pool.  A found path is augmented, handing the agent its
-first item; otherwise the agent retires.  The result is simultaneously
-leximin and welfare-maximal for the supplied oracles, and every bundle is
-clean (its oracle count equals its size).
+desired items to the pool.  A found path is augmented, handing the agent
+its first item; otherwise the agent retires.  The result is leximin and
+welfare-maximal for these counts, and every bundle is clean (its count
+equals its size).
 
 The turn order is a heap of ``(bundle size, agent)`` over the active agents.
 Only the gainer's entry ever needs to move.  A path ends in the pool, so
 each path item a holder gives up is replaced in its bundle by the next item
 on the path, and only the gainer, which receives the first item, grows: by
 exactly one.  The gainer goes back with its size plus one, an always-on
-check confirms that its bundle grew by exactly one, and a retiring agent
-leaves the heap.  The heap's least entry is then the one a scan of all
-active agents for the smallest bundle would pick.
+check confirms that its bundle grew by exactly one and is clean, and a
+retiring agent leaves the heap.  The heap's least entry is then the one a
+scan of all active agents for the smallest bundle would pick.
 
 An agent's desired items and the out-neighbours of its items are sought
-only among the items it values on the empty bundle, so the oracles'
-marginals must not grow as a bundle grows (see ``exchange``).
+only among the items whose marginal on the empty bundle reaches 0, so the
+valuations' marginals must not grow as a bundle grows (see ``exchange``).
 
 Every exchange-graph edge weighs 1 here, so cost equals edge count and a
 path's key is ``(edges, item sequence)``; ties go to the lexicographically
@@ -36,10 +38,6 @@ in the pool is a path of no edges, below every longer one, so the least
 such item is the path (a *direct pickup*), and the sources are sorted only
 when the breadth-first search runs.
 
-The oracles are asked in batches, through ``marginals(bundle, items)``, so
-one call through the wrapper that checks each marginal is 0 or 1 covers a
-whole list of items on one bundle (see ``exchange``).
-
 The exchange graph is built once and then advanced in place only after an
 augmentation, recomputing only the agents whose bundles changed (see
 ``exchange``).  The build also lists each agent's desired items: it tests
@@ -55,72 +53,19 @@ from __future__ import annotations
 import heapq
 from typing import Iterable, Optional, Sequence
 
-from . import exchange
+from . import exchange, threshold
 from .core import Allocation
-from .errors import CleannessViolation, OracleViolation
+from .errors import CleannessViolation
 from .exchange import shift_along_path
-from .threshold import ThresholdBeta, is_clean
 
 
-_BINARY = frozenset((0, 1))
-
-
-class _CheckedOracle:
-    """Wraps a binary oracle, rejecting out-of-range marginals."""
-
-    def __init__(self, oracle, agent: int):
-        self._oracle = oracle
-        self._agent = agent
-
-    def value(self, items):
-        return self._oracle.value(items)
-
-    def marginals(self, items, candidates):
-        ds = self._oracle.marginals(items, candidates)
-        if len(ds) != len(candidates):
-            raise OracleViolation(
-                f"agent {self._agent}: binary oracle returned {len(ds)} "
-                f"marginals for {len(candidates)} items"
-            )
-        if not _BINARY.issuperset(ds):
-            d = next(d for d in ds if d not in _BINARY)
-            raise OracleViolation(
-                f"agent {self._agent}: binary oracle returned marginal {d}"
-            )
-        return ds
-
-    def bundle_independent(self, items):
-        """The bundle-independent items among ``items`` that a wrapped
-        ``ThresholdBeta`` declares for its valuation at its own threshold;
-        none for any other
-        oracle.  No later call checks a declared item, so only manna's own
-        valuation families are trusted to declare."""
-        if type(self._oracle) is ThresholdBeta:
-            return self._oracle.bundle_independent(items)
-        return frozenset()
-
-
-def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
-    """Compute a clean MAX-USW leximin allocation for ``betas``.
-
-    ``betas[i-1]`` is agent i's binary submodular oracle.  It answers
-    ``value(bundle)`` and ``marginals(bundle, items)``, the 0/1 marginals
-    of a list of items on one bundle, which must not grow as the bundle
-    grows; no single-item form is asked for.  A ``ThresholdBeta`` oracle
-    also answers ``bundle_independent(items)``: the items whose 0/1
-    marginal is the same on every bundle without them, which its valuation
-    declares at the oracle's own threshold (see ``valuations``).  They are
-    never asked about again.
-    """
-    n = len(betas)
-    oracles = [_CheckedOracle(b, i + 1) for i, b in enumerate(betas)]
-    candidates = [exchange.candidate_items(o.marginals, 1, num_items) for o in oracles]
-    dependent = [
-        frozenset(c).difference(o.bundle_independent(c))
-        for o, c in zip(oracles, candidates)
-    ]
+def yankee_swap(num_items: int, valuations: Sequence) -> Allocation:
+    """Compute a clean MAX-USW leximin allocation for the threshold-0 counts
+    of ``valuations`` (agent i's is ``valuations[i-1]``), whose marginals
+    must not grow as a bundle grows: the solver's gate admits no other."""
+    n = len(valuations)
     allocation = Allocation.empty(n, num_items)
-    graph = exchange.unweighted_adjacency(allocation, oracles, candidates, dependent)
+    graph = exchange.unweighted_adjacency(allocation, valuations)
     # (bundle size, agent) of every active agent; sorted, so already a heap
     turns = [(0, i) for i in range(1, n + 1)]
     while turns:
@@ -130,23 +75,21 @@ def yankee_swap(num_items: int, betas: Sequence) -> Allocation:
             heapq.heappop(turns)
             continue
         allocation = shift_along_path(allocation, path, agent)
-        if len(allocation.bundle(agent)) != size + 1:
+        bundle = allocation.bundle(agent)
+        if len(bundle) != size + 1:
             raise CleannessViolation(
-                f"agent {agent}: bundle size {len(allocation.bundle(agent))} "
-                f"after augmentation, expected {size + 1}"
+                f"agent {agent}: bundle size {len(bundle)} after augmentation, "
+                f"expected {size + 1}"
             )
         heapq.heapreplace(turns, (size + 1, agent))
-        if not is_clean(oracles[agent - 1], allocation.bundle(agent)):
-            raise OracleViolation(
-                f"agent {agent}: bundle not clean after augmentation; "
-                "the supplied oracle is not binary submodular"
+        if threshold.beta(valuations[agent - 1], 0, bundle) != len(bundle):
+            raise CleannessViolation(
+                f"agent {agent}: bundle not clean at threshold 0 after augmentation"
             )
-        graph = exchange.unweighted_adjacency(
-            allocation, oracles, candidates, dependent, graph
-        )
-    for i in range(1, n + 1):
-        if not is_clean(oracles[i - 1], allocation.bundle(i)):
-            raise OracleViolation(f"agent {i}: final bundle not clean")
+        graph = exchange.unweighted_adjacency(allocation, valuations, graph)
+    for i, bundle in enumerate(allocation.bundles, 1):
+        if threshold.beta(valuations[i - 1], 0, bundle) != len(bundle):
+            raise CleannessViolation(f"agent {i}: final bundle not clean at threshold 0")
     return allocation
 
 

@@ -11,17 +11,18 @@ import heapq
 
 from hypothesis import strategies as st
 
+from manna import exchange, threshold
 from manna.core import Allocation, Instance
-from manna.errors import OracleViolation
+from manna.errors import CleannessViolation
 from manna.exchange import (
     EXCHANGE,
     PARETO,
+    ExchangeGraph,
     augment,
     build_weighted_graph,
     candidate_items,
     min_weight_path,
     shift_along_path,
-    unweighted_adjacency,
 )
 from manna.instgen import (
     SplitMix64,
@@ -29,7 +30,6 @@ from manna.instgen import (
     gen_random_additive,
     graphic_matroid_rank_table,
 )
-from manna.threshold import is_clean
 from manna.valuations import (
     Additive,
     CappedGroups,
@@ -38,7 +38,6 @@ from manna.valuations import (
     Group,
     items_of,
 )
-from manna.yankee import _CheckedOracle
 
 ADDITIVE_SEED_BASE = 1000
 CAPPED_SEED_BASE = 2000
@@ -190,7 +189,7 @@ def exhaustive_least_key(starts, neighbors, targets):
 
 def full_scan_unweighted_adjacency(allocation, specs, tau):
     """Reference for the out-neighbours in ``exchange.unweighted_adjacency``
-    over the oracles ``ThresholdBeta(spec, tau)``: every held item's
+    over the valuations ``specs`` at ``tau``: every held item's
     valuation is asked about every item outside its holder's bundle."""
     adj = {}
     for j in range(1, allocation.num_agents + 1):
@@ -232,7 +231,7 @@ def full_scan_weighted_adjacency(inst, xc, x0):
 
 def full_scan_f_set(allocation, spec, agent, tau):
     """Reference for ``exchange.f_set`` and for the desired items of
-    ``exchange.unweighted_adjacency`` over ``ThresholdBeta(spec, tau)``,
+    ``exchange.unweighted_adjacency`` over ``spec`` at ``tau``,
     scanning every item."""
     bundle = allocation.bundle(agent)
     return frozenset(
@@ -344,18 +343,19 @@ def reference_shortest_path_to_pool(allocation, adjacency, sources):
     return None
 
 
-def reference_yankee_swap(num_items, betas, turns):
+def reference_yankee_swap(num_items, valuations, turns):
     """Reference for ``yankee.yankee_swap``: each turn goes to the active
     agent with the smallest bundle (ties to the lower index), found by a
     scan of all active agents, and searches with
-    ``reference_shortest_path_to_pool``.  Each turn's ``(agent, path)`` is
-    appended to ``turns``, ``path`` None when the agent retires."""
-    n = len(betas)
-    oracles = [_CheckedOracle(b, i + 1) for i, b in enumerate(betas)]
-    candidates = [candidate_items(o.marginals, 1, num_items) for o in oracles]
+    ``reference_shortest_path_to_pool`` in a graph that uses no
+    declaration.  Each turn's ``(agent, path)`` is appended to ``turns``,
+    ``path`` None when the agent retires."""
+    n = len(valuations)
+    candidates = [candidate_items(v.marginals, 0, num_items) for v in valuations]
     asked = [frozenset(c) for c in candidates]  # no declaration is used
     allocation = Allocation.empty(n, num_items)
-    graph = unweighted_adjacency(allocation, oracles, candidates, asked)
+    graph = ExchangeGraph(valuations, 0, candidates, asked)
+    exchange._advance(graph, allocation, allocation)
     active = set(range(1, n + 1))
     while active:
         agent = min(active, key=lambda i: (len(allocation.bundle(i)), i))
@@ -366,9 +366,10 @@ def reference_yankee_swap(num_items, betas, turns):
             active.discard(agent)
             continue
         allocation = shift_along_path(allocation, path, agent)
-        if not is_clean(oracles[agent - 1], allocation.bundle(agent)):
-            raise OracleViolation(f"agent {agent}: bundle not clean after augmentation")
-        graph = unweighted_adjacency(allocation, oracles, candidates, asked, graph)
+        bundle = allocation.bundle(agent)
+        if threshold.beta(valuations[agent - 1], 0, bundle) != len(bundle):
+            raise CleannessViolation(f"agent {agent}: bundle not clean after augmentation")
+        exchange._advance(graph, allocation, graph.x0)
     return allocation
 
 

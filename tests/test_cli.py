@@ -132,6 +132,42 @@ def test_verify_unknown_prop_is_usage_error(tmp_path, fixture_file, capsys):
     assert "unknown property" in err
 
 
+@pytest.mark.parametrize("prop", ["leximin", "prop1", "ef1", "mms", "lorenz", "usw"])
+@pytest.mark.parametrize(
+    "bundles, unallocated",
+    [([[0, 1]], [2, 3]), ([[0], [1], [3]], [2])],
+    ids=["fewer-bundles", "more-bundles"],
+)
+def test_verify_rejects_an_allocation_of_another_agent_count(
+    tmp_path, fixture_file, capsys, prop, bundles, unallocated
+):
+    # ex2 has two agents and four items; every item is covered either way
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(json.dumps({"bundles": bundles, "unallocated": unallocated}))
+    code, out, err = run(
+        capsys,
+        ["verify", "--instance", fixture_file("ex2"), "--allocation", str(alloc_path),
+         "--props", prop],
+    )
+    assert code == 4
+    assert out == ""
+    assert f"has {len(bundles)} bundles, expected 2" in err
+    assert "Traceback" not in err
+
+
+def test_verify_rejects_an_empty_property_list(tmp_path, fixture_file, capsys):
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(serialize_allocation(solve(fixtures()["ex2"]).allocation))
+    code, out, err = run(
+        capsys,
+        ["verify", "--instance", fixture_file("ex2"), "--allocation", str(alloc_path),
+         "--props", ","],
+    )
+    assert code == 2
+    assert out == ""
+    assert "names no property" in err
+
+
 def test_gen_additive_round_trips(tmp_path, capsys):
     out_path = tmp_path / "gen.json"
     code, _, _ = run(
@@ -346,7 +382,6 @@ EXIT_CODES = {
     errors.InvalidInstance: (4, "error"),
     errors.DecompositionFailure: (2, "internal error"),
     errors.CleannessViolation: (2, "internal error"),
-    errors.OracleViolation: (2, "internal error"),
     errors.TerminationGuard: (2, "internal error"),
     errors.BudgetExceeded: (3, "error"),
     errors.ParseError: (4, "error"),

@@ -309,7 +309,7 @@ def _assert_equals_fresh_build(g):
     pairs with the type of each class list, its nodes, desired items, and
     the items that reach the pool or an agent's counted bundle -- equals a
     fresh build's: the same builder from an empty graph."""
-    fresh = ExchangeGraph(g.oracles, g.threshold, g.candidates, g.dependent)
+    fresh = ExchangeGraph(g.valuations, g.threshold, g.candidates, g.dependent)
     exchange._advance(fresh, g.xc, g.x0)
     assert g.dump() == fresh.dump()
     assert g.adjacency == fresh.adjacency
@@ -334,7 +334,7 @@ def test_incremental_graph_equals_fresh_build(monkeypatch, name):
 
     def recording_splice(graph, j, pair, left, entered):
         splice(graph, j, pair, left, entered)
-        if graph.oracles is not inst.valuations:
+        if graph.threshold == 0:
             return  # phase 1's
         pareto = len(graph.xc.unallocated) < pools[-1]
         spliced.append((len(listed), pareto, None if any(pair) else j))
@@ -429,9 +429,9 @@ def test_builders_equal_full_scan(monkeypatch, name):
     phase1_varied, phase2_varied = [], []
     build = exchange.unweighted_adjacency
 
-    def recording(allocation, oracles, candidates, dependent, previous=None):
-        graph = build(allocation, oracles, candidates, dependent, previous)
-        # phase 1's oracles are the valuations at threshold 0, and every
+    def recording(allocation, valuations, previous=None):
+        graph = build(allocation, valuations, previous)
+        # phase 1's graph is the valuations' at threshold 0, and every
         # edge is heavy
         lists = _edge_lists(graph)
         assert {w for out in lists.values() for _v, w in out} <= {2}
@@ -477,13 +477,14 @@ def test_graphs_advanced_in_place_equal_fresh_builds(inst):
     unweighted, weighted = exchange.unweighted_adjacency, solver.build_weighted_graph
     shift, augment_state = yankee.shift_along_path, solver.augment
 
-    def checked_adjacency(allocation, oracles, candidates, dependent, previous=None):
-        graph = unweighted(allocation, oracles, candidates, dependent, previous)
+    def checked_adjacency(allocation, valuations, previous=None):
+        graph = unweighted(allocation, valuations, previous)
         assert previous is None or graph is previous
         _assert_equals_fresh_build(graph)
         # a fresh build that asks about every candidate has the same edges
-        asked = [frozenset(c) for c in candidates]
-        fresh = unweighted(allocation, oracles, candidates, asked)
+        asked = [frozenset(c) for c in graph.candidates]
+        fresh = ExchangeGraph(valuations, 0, graph.candidates, asked)
+        exchange._advance(fresh, allocation, graph.x0)
         assert (fresh.dump(), fresh.desired) == (graph.dump(), graph.desired)
         return graph
 

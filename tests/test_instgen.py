@@ -241,6 +241,10 @@ def test_allocation_round_trip_and_errors():
         parse_allocation('{"bundles": [[0], [0]], "unallocated": [1]}')
     with pytest.raises(ParseError):
         parse_allocation(serialize_allocation(alloc), num_items=7)
+    assert parse_allocation(serialize_allocation(alloc), 4, 2) == alloc
+    for num_agents in (1, 3):
+        with pytest.raises(ParseError, match=f"has 2 bundles, expected {num_agents}"):
+            parse_allocation(serialize_allocation(alloc), num_agents=num_agents)
 
 
 @st.composite

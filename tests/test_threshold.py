@@ -6,7 +6,6 @@ from manna.core import Allocation
 from manna.errors import ContractViolation
 from manna.instgen import gen_capped_groups
 from manna.threshold import (
-    ThresholdBeta,
     TriDecomposition,
     beta,
     decompose3,
@@ -61,13 +60,13 @@ def test_beta_rejects_a_repeated_item():
 
 def test_beta_marginal_examples(named_fixtures):
     ex2 = named_fixtures["ex2"]
-    v1 = ThresholdBeta(ex2.valuation(1), ex2.c)
-    assert v1.marginals(frozenset(), [0]) == [1]
-    assert v1.marginals({0}, [1]) == [0]
-    classic = ThresholdBeta(named_fixtures["ex_classic"].valuation(1), 2)
-    assert classic.marginals({0}, [1]) == [0]
+    v1 = ex2.valuation(1)
+    assert v1.marginals(frozenset(), [0]) == v1.marginals(frozenset(), [1]) == [ex2.c]
+    assert v1.marginals({0}, [1]) == v1.marginals({1}, [0]) == [0]
+    classic = named_fixtures["ex_classic"].valuation(1)
+    assert classic.marginals({0}, [1]) == [-1]
     with pytest.raises(ContractViolation):
-        ThresholdBeta(ex2.valuation(1), 0).marginals({0}, [0])
+        v1.marginals({0}, [0])
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -208,11 +207,3 @@ def test_beta_monotone_in_threshold(named_fixtures):
     for mask in range(0, 1 << 10, 37):
         S = items_of(mask)
         assert beta(spec, inst.c, S) <= beta(spec, 0, S) <= len(S)
-
-
-def test_threshold_beta_oracle_wrapper(named_fixtures):
-    ex2 = named_fixtures["ex2"]
-    oracle = ThresholdBeta(ex2.valuation(1), ex2.c)
-    assert oracle.value({0, 1}) == 1
-    assert oracle.marginals(frozenset(), [1]) == [1]
-    assert oracle.marginals({1}, [0]) == [0]

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manna.errors import ContractViolation, MalformedValuation, OracleViolation
+from manna.errors import ContractViolation, MalformedValuation
 from manna.instgen import SplitMix64, gen_capped_groups, gen_random_additive
-from manna.threshold import ThresholdBeta
 from manna.valuations import (
     Additive,
     CappedGroups,
@@ -19,7 +18,6 @@ from manna.valuations import (
     validate_range,
     validate_submodular,
 )
-from manna.yankee import _CheckedOracle
 from support import (
     capped_specs,
     graphic_matroid_instance,
@@ -310,9 +308,7 @@ def test_capped_groups_rejects_overlapping_groups():
 
 @st.composite
 def batched_queries(draw):
-    """An in-scope valuation and its threshold wrappers, each with the
-    single-item marginal it must batch (the wrappers': the valuation's
-    marginal at the threshold), a bundle of some container type, and items
+    """An in-scope valuation, a bundle of some container type, and items
     outside it in any order."""
     family = draw(st.sampled_from(("additive", "capped", "graphic")))
     seed = draw(st.integers(0, 2**16))
@@ -330,54 +326,26 @@ def batched_queries(draw):
     items = draw(st.permutations(outside))
     items = items[: draw(st.integers(0, len(items)))]
     container = draw(st.sampled_from((frozenset, set, sorted)))
-    oracles = [(spec, spec.marginal)]
-    for tau in (0, inst.c):
-
-        def marginal(bundle, o, tau=tau):
-            return 1 if spec.marginal(bundle, o) >= tau else 0
-
-        oracles += [
-            (ThresholdBeta(spec, tau), marginal),
-            (_CheckedOracle(ThresholdBeta(spec, tau), 1), marginal),
-        ]
-    return oracles, container(bundle), items
+    return spec, container(bundle), items
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(batched_queries(), st.data())
 def test_batched_marginals_equal_single_marginals(query, data):
-    oracles, bundle, items = query
-    for oracle, marginal in oracles:
-        assert oracle.marginals(bundle, items) == [marginal(bundle, o) for o in items]
-        if bundle:
-            held = data.draw(st.sampled_from(sorted(bundle)))
-            at = data.draw(st.integers(0, len(items)))
-            with pytest.raises(ContractViolation, match=f"item {held} already"):
-                oracle.marginals(bundle, items[:at] + [held] + items[at:])
-
-
-def test_checked_oracle_rejects_non_binary_batched_marginals():
-    class Doubler:
-        def marginals(self, items, candidates):
-            return [2] * len(candidates)
-
-    class Short(Doubler):
-        def marginals(self, items, candidates):
-            return [1] * (len(candidates) - 1)
-
-    with pytest.raises(OracleViolation, match="marginal 2"):
-        _CheckedOracle(Doubler(), 1).marginals(frozenset(), [0, 1])
-    with pytest.raises(OracleViolation, match="returned 1 marginals for 2 items"):
-        _CheckedOracle(Short(), 1).marginals(frozenset(), [0, 1])
+    spec, bundle, items = query
+    assert spec.marginals(bundle, items) == [spec.marginal(bundle, o) for o in items]
+    if bundle:
+        held = data.draw(st.sampled_from(sorted(bundle)))
+        at = data.draw(st.integers(0, len(items)))
+        with pytest.raises(ContractViolation, match=f"item {held} already"):
+            spec.marginals(bundle, items[:at] + [held] + items[at:])
 
 
 @st.composite
-def declaring_oracles(draw):
+def declaring_valuations(draw):
     """A valuation of a declaring family -- additive, capped groups with caps
     0 to 3, or a graphic-matroid table -- with a threshold ``tau`` of 0 or
-    c, asked bare (None) or through ``ThresholdBeta`` at ``tau``, bare or
-    behind ``_CheckedOracle``, with its item count and the items it must
-    declare at ``tau``."""
+    c, its item count and the items it must declare at ``tau``."""
     family = draw(st.sampled_from(("additive", "capped", "graphic")))
     c = 1 if family == "graphic" else draw(st.integers(1, 3))
     tau = draw(st.sampled_from((0, c)))
@@ -400,30 +368,25 @@ def declaring_oracles(draw):
                 if not (g.cap == 0 or g.cap >= len(g.items) or (g.hi >= tau) == (g.lo >= tau))
             )
             want = frozenset(range(m)).difference(*crossing)
-    beta = ThresholdBeta(spec, tau)
-    oracle = draw(st.sampled_from((None, beta, _CheckedOracle(beta, 1))))
-    return spec, tau, oracle, m, want
+    return spec, tau, m, want
 
 
 @settings(derandomize=True, deadline=None, max_examples=400)
-@given(declaring_oracles(), st.data())
+@given(declaring_valuations(), st.data())
 def test_declared_items_keep_their_empty_bundle_marginal(drawn, data):
     """Each family declares exactly its documented items at each threshold,
-    the wrappers pass the declaration at their own threshold through, and
-    every declared item's marginal is on the same side of the threshold on
-    drawn bundles as on the empty one: the same 0/1 marginal."""
-    spec, tau, oracle, m, want = drawn
+    and every declared item's marginal is on the same side of the threshold
+    on drawn bundles as on the empty one."""
+    spec, tau, m, want = drawn
     items = data.draw(st.permutations(range(m)))
-    if oracle is None:
-        declared = spec.bundle_independent(items, tau)
-    else:
-        declared = oracle.bundle_independent(items)
+    declared = spec.bundle_independent(items, tau)
     assert declared == want
-    beta = ThresholdBeta(spec, tau)
     for _ in range(3):
         bundle = data.draw(st.frozensets(st.sampled_from(range(m))))
         for o in sorted(declared - bundle):
-            assert beta.marginals(bundle, [o]) == beta.marginals(frozenset(), [o])
+            [on_bundle] = spec.marginals(bundle, [o])
+            [on_empty] = spec.marginals(frozenset(), [o])
+            assert (on_bundle >= tau) == (on_empty >= tau)
 
 
 def test_capped_declarations_depend_on_the_threshold():
@@ -438,23 +401,3 @@ def test_capped_declarations_depend_on_the_threshold():
     items = range(11)  # item 10 is ungrouped
     assert spec.bundle_independent(items, 0) == {0, 1, 2, 5, 6, 7, 8, 9, 10}
     assert spec.bundle_independent(items, C) == {5, 6, 7, 8, 9, 10}
-
-
-def test_checked_oracle_trusts_only_threshold_beta_declarations():
-    """No later call checks a declared item, so the phase-1 wrapper passes
-    on only the declarations of manna's own families, through
-    ``ThresholdBeta``; an outside oracle's, or a bare spec's, are dropped."""
-
-    class Binary:
-        def marginals(self, items, candidates):
-            return [1] * len(candidates)
-
-    class Declaring(Binary):
-        def bundle_independent(self, items):
-            return frozenset(items)
-
-    spec = Additive((1, 0, 1, 1))
-    for oracle in (Binary(), Declaring(), spec):
-        assert _CheckedOracle(oracle, 1).bundle_independent(range(4)) == frozenset()
-    wrapped = _CheckedOracle(ThresholdBeta(spec, 1), 1)
-    assert wrapped.bundle_independent(range(4)) == frozenset(range(4))

@@ -3,13 +3,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 
-from manna import exchange, yankee
+from manna import exchange, threshold, yankee
 from manna.core import Allocation
-from manna.errors import OracleViolation
-from manna.exchange import candidate_items, shift_along_path, unweighted_adjacency
+from manna.errors import CleannessViolation
+from manna.exchange import shift_along_path, unweighted_adjacency
 from manna.instgen import gen_capped_groups, gen_random_additive
-from manna.threshold import ThresholdBeta, is_clean
-from manna.valuations import Explicit
+from manna.valuations import Additive, Explicit, items_of
 from manna.yankee import yankee_swap
 from support import (
     reference_shortest_path_to_pool,
@@ -18,10 +17,10 @@ from support import (
 )
 
 
-def brute_beta_leximin(num_items, betas):
-    """Best sorted oracle-value vector over every (n+1)-way split, plus the
-    maximum total value."""
-    n = len(betas)
+def brute_beta_leximin(num_items, valuations):
+    """Best sorted vector of threshold-0 counts over every (n+1)-way split,
+    plus the maximum total count."""
+    n = len(valuations)
     best = None
     best_total = None
     for assign in product(range(n + 1), repeat=num_items):
@@ -29,7 +28,7 @@ def brute_beta_leximin(num_items, betas):
         for item, a in enumerate(assign):
             if a > 0:
                 bundles[a - 1].add(item)
-        values = tuple(b.value(frozenset(s)) for b, s in zip(betas, bundles))
+        values = tuple(threshold.beta(v, 0, frozenset(s)) for v, s in zip(valuations, bundles))
         key = tuple(sorted(values))
         total = sum(values)
         if best is None or key > best:
@@ -41,23 +40,23 @@ def brute_beta_leximin(num_items, betas):
 
 def test_example2_zero_threshold_oracles(named_fixtures):
     ex2 = named_fixtures["ex2"]
-    betas = [ThresholdBeta(ex2.valuation(i), 0) for i in ex2.agents]
-    out = yankee_swap(4, betas)
+    out = yankee_swap(4, ex2.valuations)
     assert out.sizes() == (2, 2)
     assert out.bundle(2) == frozenset({0, 1})
 
 
 def test_single_agent_single_useful_item():
-    # values one specific item; the other stays in the pool
-    beta = Explicit(2, (0, 1, 0, 1))
-    out = yankee_swap(2, [beta])
+    # counts one specific item; the other, whose marginal is -1, stays in
+    # the pool
+    out = yankee_swap(2, [Additive((1, -1))])
     assert out.bundle(1) == frozenset({0})
     assert out.unallocated == frozenset({1})
 
 
 def test_all_zero_oracles():
-    zero = Explicit(3, (0,) * 8)
-    out = yankee_swap(3, [zero, zero])
+    # every marginal is -1, so every threshold-0 count is zero
+    chores = Explicit(3, tuple(-len(items_of(s)) for s in range(8)))
+    out = yankee_swap(3, [chores, chores])
     assert out.sizes() == (0, 0)
     assert out.unallocated == frozenset({0, 1, 2})
 
@@ -67,26 +66,22 @@ def test_output_clean_and_matches_brute_force():
         n = 2 + k % 2
         m = 4 + k % 3
         inst = gen_capped_groups(n, m, 1 + k % 3, (1, 3), (1, 3), 4000 + k)
-        betas = [ThresholdBeta(inst.valuation(i), 0) for i in inst.agents]
-        out = yankee_swap(m, betas)
+        out = yankee_swap(m, inst.valuations)
         for i in inst.agents:
-            assert is_clean(betas[i - 1], out.bundle(i))
+            assert threshold.beta(inst.valuation(i), 0, out.bundle(i)) == len(out.bundle(i))
         got_sizes = tuple(sorted(out.sizes()))
-        want_sizes, want_total = brute_beta_leximin(m, betas)
+        want_sizes, want_total = brute_beta_leximin(m, inst.valuations)
         assert got_sizes == want_sizes
         assert sum(out.sizes()) == want_total
 
 
-def test_rejects_non_binary_oracle():
-    class Doubler:
-        def value(self, items):
-            return 2 * len(items)
-
-        def marginals(self, items, candidates):
-            return [2] * len(candidates)
-
-    with pytest.raises(OracleViolation):
-        yankee_swap(2, [Doubler()])
+def test_rejects_a_bundle_left_unclean():
+    # not submodular: item 1's marginal is -1 on {0} and on {2} but 0 on
+    # {0, 2}, so the agent takes items 0, 2 and 1 in turn, and along the
+    # ascending order item 1 counts -1 in {0, 1, 2}
+    table = Explicit(3, (0, 0, 0, -1, 0, 0, -1, 0))
+    with pytest.raises(CleannessViolation, match="agent 1: bundle not clean"):
+        yankee_swap(3, [table])
 
 
 PHASE1_INSTANCES = {
@@ -102,7 +97,6 @@ def test_reused_adjacency_equals_fresh_build(monkeypatch, name):
     only empty light lists; additive agents are fully declared at threshold
     0, so phase 1 splices them."""
     inst = PHASE1_INSTANCES[name]()
-    betas = [ThresholdBeta(inst.valuation(i), 0) for i in inst.agents]
     built = spliced = 0
     splice = exchange._splice
 
@@ -111,18 +105,18 @@ def test_reused_adjacency_equals_fresh_build(monkeypatch, name):
         spliced += 1
         splice(*args)
 
-    def recording(allocation, oracles, candidates, dependent, previous=None):
+    def recording(allocation, valuations, previous=None):
         nonlocal built
-        graph = unweighted_adjacency(allocation, oracles, candidates, dependent, previous)
+        graph = unweighted_adjacency(allocation, valuations, previous)
         # checked before the next build advances it in place
-        assert graph == unweighted_adjacency(allocation, oracles, candidates, dependent)
+        assert graph == unweighted_adjacency(allocation, valuations)
         assert not any(light for light, _heavy in graph.adjacency.values())
         built += 1
         return graph
 
     monkeypatch.setattr(exchange, "_splice", recording_splice)
     monkeypatch.setattr(exchange, "unweighted_adjacency", recording)
-    out = yankee_swap(inst.num_items, betas)
+    out = yankee_swap(inst.num_items, inst.valuations)
     # each augmentation allocates one more item; one build before the first
     # turn, then one after each augmentation and none when an agent retires
     augmentations = sum(out.sizes())
@@ -133,23 +127,27 @@ def test_reused_adjacency_equals_fresh_build(monkeypatch, name):
 
 
 def test_adjacency_recomputes_gainer_holding_no_path_item():
-    # agent 1 counts up to two of items 0..2; agent 2 counts one of {2, 3}
-    uniform2 = Explicit(4, tuple(min(bin(s & 0b0111).count("1"), 2) for s in range(16)))
-    either = Explicit(4, tuple(min(bin(s & 0b1100).count("1"), 1) for s in range(16)))
-    oracles = [uniform2, either]
-    candidates = [candidate_items(o.marginals, 1, 4) for o in oracles]
-    assert candidates == [(0, 1, 2), (2, 3)]
-    asked = [frozenset(c) for c in candidates]
+    # agent 1 counts up to two of items 0..2; agent 2 counts one of {2, 3};
+    # a count f becomes the valuation 2f - |S|, whose marginals are 1 where
+    # f's are 1 and -1 where they are 0
+    def counting(f):
+        return Explicit(4, tuple(2 * f(s) - bin(s).count("1") for s in range(16)))
+
+    valuations = [
+        counting(lambda s: min(bin(s & 0b0111).count("1"), 2)),
+        counting(lambda s: min(bin(s & 0b1100).count("1"), 1)),
+    ]
     before = Allocation.from_bundles([{0}, {3}], 4)
-    graph = unweighted_adjacency(before, oracles, candidates, asked)
+    graph = unweighted_adjacency(before, valuations)
+    assert graph.candidates == ((0, 1, 2), (2, 3))
     assert graph.adjacency == {0: ((), (1, 2)), 3: ((), (2,))}
     assert graph.desired == [{1, 2}, set()]
     kept_pair, kept_desired = graph.adjacency[3], graph.desired[1]
     # the path is a lone pool item: no agent holds a path item, yet the
     # gainer's bundle grows and its edges change
     after = shift_along_path(before, (1,), 1)
-    reused = unweighted_adjacency(after, oracles, candidates, asked, graph)
-    fresh = unweighted_adjacency(after, oracles, candidates, asked)
+    reused = unweighted_adjacency(after, valuations, graph)
+    fresh = unweighted_adjacency(after, valuations)
     # o2 is an out-neighbour of both held items but not desired: agent 1
     # already counts two of items 0..2
     assert reused == fresh
@@ -178,14 +176,13 @@ def test_heap_turn_order_equals_min_scan_reference(inst):
     allocation is the same, as in the reference loop, which scans every
     active agent for the smallest bundle and walks every edge list in its
     searches."""
-    betas = [ThresholdBeta(inst.valuation(i), 0) for i in inst.agents]
     want_turns = []
-    want = reference_yankee_swap(inst.num_items, betas, want_turns)
+    want = reference_yankee_swap(inst.num_items, inst.valuations, want_turns)
     build, search = exchange.unweighted_adjacency, yankee.shortest_path_to_pool
     turns, recorded = [], []
 
-    def recording_build(allocation, oracles, candidates, dependent, previous=None):
-        graph = build(allocation, oracles, candidates, dependent, previous)
+    def recording_build(allocation, valuations, previous=None):
+        graph = build(allocation, valuations, previous)
         if previous is None:
             graph.desired = _Recording(graph.desired)  # advanced in place from here on
             recorded.append(graph.desired)
@@ -200,7 +197,7 @@ def test_heap_turn_order_equals_min_scan_reference(inst):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exchange, "unweighted_adjacency", recording_build)
         patch.setattr(yankee, "shortest_path_to_pool", recording_search)
-        got = yankee_swap(inst.num_items, betas)
+        got = yankee_swap(inst.num_items, inst.valuations)
     assert turns == want_turns
     assert got == want
 
@@ -223,7 +220,6 @@ def test_search_walks_each_shared_edge_list_once(monkeypatch, name):
     A search on an empty pool, and one with a source in the pool (a direct
     pickup, whose path is its least such source), walks no list."""
     inst = PHASE1_INSTANCES[name]()
-    betas = [ThresholdBeta(inst.valuation(i), 0) for i in inst.agents]
     search = yankee.shortest_path_to_pool
     walks = {"search": 0, "reference": 0}
     forced = {"empty pool": 0, "direct pickup": 0}
@@ -251,7 +247,7 @@ def test_search_walks_each_shared_edge_list_once(monkeypatch, name):
         return path
 
     monkeypatch.setattr(yankee, "shortest_path_to_pool", counting_search)
-    yankee_swap(inst.num_items, betas)
+    yankee_swap(inst.num_items, inst.valuations)
     assert 0 < walks["search"] < walks["reference"]
     assert forced["empty pool"] > 0 and forced["direct pickup"] > 0
 
