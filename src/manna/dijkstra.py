@@ -1,4 +1,5 @@
-"""The lazy Dijkstra that runs every phase-2 path search.
+"""The lazy Dijkstra that runs the phase-2 path searches whose answer the key
+order alone does not fix; ``exchange`` answers the others without it.
 
 A path's key is ``(cost, edge count, item sequence)``; the search returns
 the least key of a path from a start to a target.  Extending a path

@@ -29,10 +29,12 @@ target it reaches, which holds the least key of all targets: exactly the one
 a search run to exhaustion would pick.
 
 Phase 2 runs one search for both path kinds, the lazy Dijkstra of
-``dijkstra``, over the pairs.  A pool search's edge class adds whether the
-edge enters the pool: an item picked up from the pool along ``u -> v`` costs
-1 exactly when ``v`` lies in the zero-valued bundle of ``u``'s holder, the
-very test that made the edge light, so a pool edge costs twice its weight.
+``dijkstra``, over the pairs, for every search whose answer the key order
+alone does not fix (see the last bullet below).  A pool search's edge class
+adds whether the edge enters the pool: an item picked up from the pool
+along ``u -> v`` costs 1 exactly when ``v`` lies in the zero-valued bundle
+of ``u``'s holder, the very test that made the edge light, so a pool edge
+costs twice its weight.
 Phase 1's search is breadth-first over ``heavy``
 (``yankee.shortest_path_to_pool``).
 
@@ -118,26 +120,42 @@ Phase 2 asks each graph state for up to n² paths, so it also shares these:
   the items grouped by their pair's identity, once per state, and that
   advancing the graph drops with the rest of the cache.  A
   ``pareto_improving`` search
-  returns None, before it builds start costs or runs Dijkstra, when no
+  returns None, before it builds its starts or runs Dijkstra, when no
   source is among them.  Those are exactly the runs in which Dijkstra
   would reach no target and return None, so the searches that do run are
   unchanged.  Two kinds of pool search have a known answer to the filter
   and do not consult it: one with no sources returns None at once, and one
-  whose sources meet the pool runs Dijkstra, since a source in the pool is
-  itself a target and the filter would pass.  So the reverse search runs
-  only for a graph where some other pool search is asked, and there it
-  serves the Pareto scan of all n agents, most of whose searches find
-  nothing, so it pays.  An exchange search has a target set of its own,
+  whose sources meet the pool is a direct pickup (below), since a source in
+  the pool is itself a target and the filter would pass.  So the reverse
+  search runs only for a graph where some other pool search is asked, and
+  there it serves the Pareto scan of all n agents, most of whose searches
+  find nothing, so it pays.  An exchange search has a target set of its own,
   an agent's counted bundle, and the exchange scan searches only pairs
   whose sizes qualify, where a path nearly always exists.  A reverse
   search there would cost about as much as the Dijkstra run it could
   spare, so exchange searches run Dijkstra directly, and the exchange
   stage builds no index before its final Pareto check.
-* **One-item steals without a search.**  When some source of an exchange
-  search lies in the target's counted bundle, the search returns the least
-  such item as a one-item path of cost 0.  Every start has cost 0 and
-  no edges, so no key is below ``(0, 0, (o,))`` for the least such item
-  ``o``: it is the first target Dijkstra would settle.
+* **Searches of at most one edge without a heap.**  Three search shapes
+  have their answer fixed by the key order alone, and Dijkstra runs only
+  for the searches that match none of them.
+
+  - *Direct pickups.*  When the sources of a pool search meet the pool,
+    the answer is the one-item path of the least ``(pickup cost, item)``
+    among them.  Any other path ends in an edge into the pool, at a cost
+    of at least 2, so its key is above ``(2, 0, ...)``, the largest key of
+    a one-item pickup.
+  - *One-item steals.*  When some source of an exchange search lies in the
+    target's counted bundle, the least such item is the answer, a one-item
+    path of cost 0: every start has cost 0 and no edges, so no key is below
+    ``(0, 0, (o,))`` for the least such item ``o``.
+  - *One-edge exchanges.*  Otherwise every exchange path has an edge, and
+    one of two or more edges costs at least 2 and has at least 2 edges.  So
+    a light one-edge path, key ``(1, 1, ...)``, beats every other path, and
+    a heavy one, ``(2, 1, ...)``, beats every path of two or more edges.
+    The sources are walked once in ascending order, each pair once: the
+    first light hit is the answer, and failing one the first heavy hit.
+    In the states phase 2 reaches, ``x0`` lies in the pool, so no light
+    edge enters a counted bundle; the contract allows one all the same.
 """
 
 from __future__ import annotations
@@ -507,34 +525,65 @@ def min_weight_path(
     A pool item ``v`` reached along ``u -> v`` is picked up by ``u``'s
     holder, at 1 when it holds ``v`` in its zero-valued bundle, else 2:
     the edge's own weight, since the same membership makes it light.  So
-    such an edge costs twice its weight."""
-    xc, x0 = graph.xc, graph.x0
+    such an edge costs twice its weight.  Searches of at most one edge are
+    answered without Dijkstra (see the module docstring).
+
+    ``agent`` and ``target_agent`` must be agents, 1..n."""
+    xc = graph.xc
+    n = xc.num_agents
+    if not 1 <= agent <= n:
+        raise ContractViolation(f"agent {agent} is not among the agents 1..{n}")
     if kind == PARETO:
         if not sources:
             return None
         targets = xc.unallocated
-        if targets.isdisjoint(sources) and graph.reaching(targets).isdisjoint(sources):
+        picked = targets.intersection(sources)
+        if picked:  # a direct pickup, the least key
+            cheap = picked.intersection(graph.x0.bundle(agent))
+            return AugmentingPath((min(cheap or picked),), kind, agent, 0, 1 if cheap else 2)
+        if graph.reaching(targets).isdisjoint(sources):
             return None
-        held = x0.bundle(agent)
-        starts = {
-            o: (1 if o in held else 2) if o in targets else 0 for o in sources
-        }
+        target_agent = 0
     elif kind == EXCHANGE:
-        if target_agent is None or target_agent == agent:
-            raise ContractViolation("exchange paths need a distinct target agent")
+        if target_agent is None or target_agent == agent or not 1 <= target_agent <= n:
+            raise ContractViolation(f"exchange paths need a distinct target agent among 1..{n}")
         targets = xc.bundle(target_agent)
         if not targets.isdisjoint(sources):  # a one-item steal, the least key
             return AugmentingPath(
                 (min(targets.intersection(sources)),), kind, agent, target_agent, 0
             )
-        starts = dict.fromkeys(sources, 0)
+        key = _one_edge_key(graph.adjacency, sources, targets)
+        if key is not None:
+            return AugmentingPath(key[2], kind, agent, target_agent, key[0])
     else:
         raise ContractViolation(f"unknown path kind {kind!r}")
+    starts = dict.fromkeys(sources, 0)
     key = dijkstra.least_key(starts, graph.adjacency, targets, kind == PARETO)
     if key is None:
         return None
-    target = 0 if kind == PARETO else target_agent
-    return AugmentingPath(key[2], kind, agent, target, key[0])
+    return AugmentingPath(key[2], kind, agent, target_agent, key[0])
+
+
+def _one_edge_key(adjacency, sources, targets):
+    """Least key ``(cost, 1, (source, target))`` of a one-edge path from
+    ``sources`` into ``targets``, or None when there is none.
+
+    The sources are walked in ascending order and each pair once, since a
+    later source of the same pair has the larger path.  The first light hit
+    is the answer; failing one, the first heavy hit."""
+    heavy_hit = None
+    walked = set()
+    for o in sorted(sources):
+        pair = adjacency.get(o)
+        if pair is None or id(pair) in walked:
+            continue
+        walked.add(id(pair))
+        light, heavy = pair
+        if light and not targets.isdisjoint(light):
+            return 1, 1, (o, min(targets.intersection(light)))
+        if heavy_hit is None and not targets.isdisjoint(heavy):
+            heavy_hit = 2, 1, (o, min(targets.intersection(heavy)))
+    return heavy_hit
 
 
 def shift_along_path(allocation: Allocation, items: Sequence[int], gainer: int) -> Allocation:

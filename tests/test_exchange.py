@@ -4,7 +4,7 @@ import types
 from collections import defaultdict, deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from manna import dijkstra, exchange, solver, yankee
@@ -564,12 +564,15 @@ def test_build_weighted_graph_rejects_previous_of_another_instance(named_fixture
 
 
 def _every_search(graph, inst):
+    """Every search phase 2 can ask of ``graph``, as ``(i, j, sources,
+    path)``: agent i's Pareto search (j = 0) and its exchange search toward
+    each other agent j."""
     for i in inst.agents:
         sources = f_set(inst, graph.xc, i, inst.c)
-        yield min_weight_path(graph, sources, PARETO, i)
-        for j in inst.agents:
+        for j in (0, *inst.agents):
             if j != i:
-                yield min_weight_path(graph, sources, EXCHANGE, i, target_agent=j)
+                kind = EXCHANGE if j else PARETO
+                yield i, j, sources, min_weight_path(graph, sources, kind, i, j or None)
 
 
 def test_reachability_filter_changes_no_search(monkeypatch, named_fixtures):
@@ -580,14 +583,14 @@ def test_reachability_filter_changes_no_search(monkeypatch, named_fixtures):
 
         def check(g):
             nonlocal found, missing
-            filtered = list(_every_search(g, inst))
+            filtered = [path for *_search, path in _every_search(g, inst)]
             with monkeypatch.context() as patch:
                 patch.setattr(
                     ExchangeGraph,
                     "reaching",
                     lambda self, targets: frozenset(range(self.xc.num_items)),
                 )
-                unfiltered = list(_every_search(g, inst))
+                unfiltered = [path for *_search, path in _every_search(g, inst)]
             assert filtered == unfiltered, name
             found += sum(p is not None for p in filtered)
             missing += sum(p is None for p in filtered)
@@ -637,6 +640,48 @@ def test_pareto_searches_consult_reaching_only_when_unforced(monkeypatch, name):
     monkeypatch.setattr(solver, "min_weight_path", checked)
     solver.solve(inst)
     assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize("name, heap_runs", [("additive_8x40_s0", 0), ("capped_6x30_s0", 2)])
+def test_heap_runs_only_for_searches_of_two_or_more_edges(monkeypatch, name, heap_runs):
+    """A solve's direct pickups, steals and one-edge exchanges are answered
+    without ``dijkstra.least_key``; these are the heap runs left."""
+    searches, least_key = solver.min_weight_path, dijkstra.least_key
+    calls = {"searches": 0, "heap runs": 0}
+
+    def counting(counter, function):
+        def counted(*args, **kwargs):
+            calls[counter] += 1
+            return function(*args, **kwargs)
+
+        return counted
+
+    monkeypatch.setattr(solver, "min_weight_path", counting("searches", searches))
+    monkeypatch.setattr(dijkstra, "least_key", counting("heap runs", least_key))
+    solver.solve(EQUIVALENCE_INSTANCES[name]())
+    assert calls["searches"] > 40
+    assert calls["heap runs"] == heap_runs
+
+
+@pytest.mark.parametrize(
+    "kind, agent, target_agent",
+    [
+        (EXCHANGE, 1, 0),  # would end in the pool
+        (EXCHANGE, 1, -1),  # would search agent 3's bundle
+        (EXCHANGE, 1, 5),
+        (EXCHANGE, 0, 3),
+        (PARETO, 0, None),  # would be a path with source agent 0
+        (PARETO, -1, None),
+        (PARETO, 5, None),
+    ],
+)
+def test_min_weight_path_rejects_agents_outside_the_instance(kind, agent, target_agent):
+    inst = Instance(4, 4, 2, (Additive((2, 2, 2, 2)),) * 4)
+    xc = Allocation.from_bundles([set(), {0}, {1}, set()], 4)
+    x0 = Allocation.empty(4, 4)
+    g = build_weighted_graph(inst, xc, x0)
+    with pytest.raises(ContractViolation, match="1..4"):
+        min_weight_path(g, frozenset({1, 2}), kind, agent, target_agent)
 
 
 def test_reaching_is_reverse_reachability(monkeypatch):
@@ -706,37 +751,21 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
             except InvalidInstance:
                 continue  # non_on is not order-neutral
     assert sum(outcomes) > 2000 and outcomes.count(False) > 500
-    # every min_weight_path of every phase-2 state, unfiltered so that the
-    # searches that find nothing run too
+    # every min_weight_path of every phase-2 state equals the exhaustive
+    # search, closed-form answers included; each search's starts also run
+    # through the heap directly, so that every search counts as a heap run,
+    # the ones that find nothing too
     outcomes.clear()
-    bounded = dijkstra.least_key
-    graph = lists = None  # the graph being searched, and its edges
-
-    def checked(starts, adjacency, targets, pool):
-        key = bounded(starts, adjacency, targets, pool)
-        x0 = graph.x0
-
-        def neighbors(u):
-            # the pickup as defined, not as the search derives it
-            for v, w in lists.get(u, ()):
-                pickup = 1 if v in x0.bundle(graph.xc.owner_of(u)) else 2
-                yield v, w + (pickup if pool and v in targets else 0)
-
-        reference_starts = {o: (cost, 0, (o,)) for o, cost in starts.items()}
-        assert key == exhaustive_least_key(reference_starts, neighbors, targets)
-        if starts:
-            outcomes.append(key is not None)
-        return key
 
     def search_all(g):
-        nonlocal graph, lists
-        graph, lists = g, _edge_lists(g)
-        list(_every_search(g, inst))
+        lists = _edge_lists(g)
+        for i, j, sources, path in _every_search(g, inst):
+            starts, targets, key = _reference_search(g, lists, sources, i, j)
+            assert _path_key(path, EXCHANGE if j else PARETO, i, j) == key
+            assert dijkstra.least_key(starts, g.adjacency, targets, not j) == key
+            if starts:
+                outcomes.append(key is not None)
 
-    monkeypatch.setattr(dijkstra, "least_key", checked)
-    monkeypatch.setattr(
-        ExchangeGraph, "reaching", lambda self, targets: frozenset(range(self.xc.num_items))
-    )
     for inst in instances.values():
         try:
             _phase2_graphs(monkeypatch, inst, search_all)
@@ -745,26 +774,73 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
     assert sum(outcomes) > 1000 and outcomes.count(False) > 2000
 
 
+def _reference_search(graph, lists, sources, agent, target_agent):
+    """The starts, targets and exhaustive least key of a search from
+    ``agent``'s ``sources`` in ``graph``, whose ``_edge_lists`` are
+    ``lists``: into ``target_agent``'s counted bundle, or into the pool when
+    it is 0.  An item is picked up from the pool, as a start or along an
+    edge, at 1 when the picker holds it in its zero-valued bundle, else 2:
+    the pickup as defined, not as the search derives it."""
+    xc, x0 = graph.xc, graph.x0
+    targets = xc.bundle(target_agent)
+
+    def pickup(picker, v):
+        if target_agent or v not in targets:
+            return 0
+        return 1 if v in x0.bundle(picker) else 2
+
+    starts = {o: pickup(agent, o) for o in sources}
+
+    def neighbors(u):
+        for v, w in lists.get(u, ()):
+            yield v, w + pickup(xc.owner_of(u), v)
+
+    reference_starts = {o: (cost, 0, (o,)) for o, cost in starts.items()}
+    return starts, targets, exhaustive_least_key(reference_starts, neighbors, targets)
+
+
+def _path_key(path, kind, agent, target_agent):
+    """The key of a path ``min_weight_path`` returned for a search of
+    ``kind`` from ``agent`` to ``target_agent`` (0: the pool), after
+    checking its labels."""
+    if path is None:
+        return None
+    assert (path.kind, path.source_agent, path.target) == (kind, agent, target_agent)
+    return path.doubled_weight, len(path.items) - 1, path.items
+
+
 @st.composite
-def exchange_searches(draw):
-    """A weighted exchange graph of an arbitrary state of a small instance
-    and an exchange search in it, from agent i's sources to agent j's
-    counted bundle: in about a third of the searches the sources meet that
-    bundle, a one-item steal."""
+def contract_states(draw):
+    """A small instance and the weighted exchange graph of a state that
+    meets only the per-agent disjointness of ``build_weighted_graph``'s
+    contract: an item's zero-valued holder is none or any agent but its
+    counted one, so a light edge can enter another agent's counted bundle, which no
+    state the solver reaches allows."""
     inst = draw(solver_instances(max_agents=4))
     n, m = inst.num_agents, inst.num_items
-    agent = st.integers(0, n)  # 0: the pool
-    xc_owner = [draw(agent) for _ in range(m)]
-    x0_owner = [draw(agent) if not k else 0 for k in xc_owner]
+    xc_owner = [draw(st.integers(0, n)) for _ in range(m)]  # 0: the pool
+    x0_owner = [
+        draw(st.sampled_from([k for k in range(n + 1) if not k or k != owner]))
+        for owner in xc_owner
+    ]
     xc, x0 = (
         Allocation.from_bundles(
             [{o for o in inst.items if owner[o] == k} for k in inst.agents], m
         )
         for owner in (xc_owner, x0_owner)
     )
-    graph = build_weighted_graph(inst, xc, x0, check=False)
+    return inst, build_weighted_graph(inst, xc, x0, check=False)
+
+
+@st.composite
+def exchange_searches(draw):
+    """An exchange search in a ``contract_states`` graph, from agent i's
+    sources to agent j's counted bundle: in about a third of the searches
+    the sources meet that bundle, a one-item steal."""
+    inst, graph = draw(contract_states())
+    m = inst.num_items
     i, j = draw(st.permutations(list(inst.agents)))[:2]
-    targets = xc.bundle(j)
+    targets = graph.xc.bundle(j)
     # sources mostly among the items with a path to the targets, so that
     # most searches that are not steals find one
     reaching = sorted(graph.reaching(targets) - targets)
@@ -783,18 +859,83 @@ def exchange_searches(draw):
 def test_exchange_search_equals_exhaustive_search(search):
     graph, sources, i, j = search
     path = min_weight_path(graph, sources, EXCHANGE, i, target_agent=j)
-    lists = _edge_lists(graph)
+    _starts, _targets, key = _reference_search(graph, _edge_lists(graph), sources, i, j)
+    assert _path_key(path, EXCHANGE, i, j) == key
 
-    def neighbors(u):
-        yield from lists.get(u, ())
 
-    starts = {o: (0, 0, (o,)) for o in sources}
-    key = exhaustive_least_key(starts, neighbors, graph.xc.bundle(j))
-    if key is None:
-        assert path is None
+def test_light_one_edge_path_of_a_later_source_beats_a_heavy_one():
+    # agent 1 desires o0 and o1.  Agent 2 holds o0 and values o2, a heavy
+    # edge into agent 3's bundle; agent 4 holds o1, values o2 and holds it
+    # in its zero-valued bundle, which the contract allows as o2 is not in
+    # agent 4's counted bundle, so o1 -> o2 is light.
+    inst = Instance(
+        4,
+        3,
+        2,
+        (Additive((2, 2, 0)), Additive((2, 0, 2)), Additive((0, 0, 2)), Additive((0, 2, 2))),
+    )
+    xc = Allocation.from_bundles([set(), {0}, {2}, {1}], 3)
+    x0 = Allocation.from_bundles([set(), set(), set(), {2}], 3)
+    g = build_weighted_graph(inst, xc, x0)
+    assert g.dump() == "o0 -> o2 w=2\no1 -> o2 w=1"
+    sources = f_set(inst, xc, 1, inst.c)
+    assert sources == frozenset({0, 1})
+    path = min_weight_path(g, sources, EXCHANGE, 1, target_agent=3)
+    assert (path.items, path.doubled_weight) == ((1, 2), 1)
+    _starts, _targets, key = _reference_search(g, _edge_lists(g), sources, 1, 3)
+    assert key == (1, 1, (1, 2))
+
+
+@st.composite
+def pareto_searches(draw):
+    """A Pareto search in a ``contract_states`` graph from agent i's
+    sources: in about half of the searches some sources lie in the pool, a
+    forced pickup."""
+    inst, graph = draw(contract_states())
+    m = inst.num_items
+    i = draw(st.sampled_from(list(inst.agents)))
+    pool = graph.xc.unallocated
+    # otherwise mostly among the items with a path to the pool
+    reaching = sorted(graph.reaching(pool) - pool)
+    near = st.sampled_from(reaching or list(inst.items))
+    sources = draw(st.frozensets(near, max_size=3))
+    sources |= draw(st.frozensets(st.integers(0, m - 1), max_size=1))
+    if pool and draw(st.booleans()):
+        sources |= draw(st.frozensets(st.sampled_from(sorted(pool)), min_size=1, max_size=2))
     else:
-        assert (path.kind, path.source_agent, path.target) == (EXCHANGE, i, j)
-        assert (path.doubled_weight, len(path.items) - 1, path.items) == key
+        sources -= pool
+    return graph, sources, i
+
+
+def _later_cheap_pickup():
+    """One agent desiring the pool items o0 and o1 and holding o1 in its
+    zero-valued bundle: picking up o1 costs 1 and o0 costs 2."""
+    inst = Instance(1, 2, 2, (Additive((2, 2)),))
+    xc = Allocation.empty(1, 2)
+    x0 = Allocation.from_bundles([{1}], 2)
+    return build_weighted_graph(inst, xc, x0), frozenset({0, 1}), 1
+
+
+def test_pareto_search_equals_exhaustive_search():
+    drawn = forced = 0
+    graph, sources, i = _later_cheap_pickup()
+    path = min_weight_path(graph, sources, PARETO, i)
+    assert (path.items, path.doubled_weight) == ((1,), 1)
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(pareto_searches())
+    @example((graph, sources, i))
+    def check(search):
+        nonlocal drawn, forced
+        graph, sources, i = search
+        path = min_weight_path(graph, sources, PARETO, i)
+        _starts, _targets, key = _reference_search(graph, _edge_lists(graph), sources, i, 0)
+        assert _path_key(path, PARETO, i, 0) == key
+        drawn += 1
+        forced += not graph.xc.unallocated.isdisjoint(sources)
+
+    check()
+    assert 4 * forced >= drawn > 0
 
 
 def _reference_key(starts, adjacency, targets, pool):
