@@ -11,7 +11,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ContractViolation, InvalidInstance
 from .valuations import ValuationSpec, validate_structure
@@ -54,8 +54,8 @@ class Allocation:
     """An (n+1)-way partition of the items ``0 .. m-1``.
 
     ``bundles[i-1]`` is agent ``i``'s bundle; ``unallocated`` is the pool.
-    The constructor enforces the disjoint-cover invariant, and
-    ``replace_bundles`` keeps it.
+    The constructor enforces the disjoint-cover invariant in O(n + m).
+    ``move`` keeps it by moving items between parts, checked in O(moves).
     """
 
     bundles: tuple[frozenset[int], ...]
@@ -95,45 +95,57 @@ class Allocation:
         return self.unallocated if agent == 0 else self.bundles[agent - 1]
 
     def owner_of(self, item: int) -> int:
-        """Agent holding ``item``, or ``0`` if unallocated."""
+        """Agent holding ``item``, or ``0`` if it is in the pool; an item in
+        no part raises ``ContractViolation``.  The pool is tested first."""
+        if item in self.unallocated:
+            return 0
         for i, b in enumerate(self.bundles, start=1):
             if item in b:
                 return i
-        return 0
+        raise ContractViolation(f"item {item} is in no part of the allocation")
 
-    def replace_bundle(self, agent: int, items: Iterable[int]) -> "Allocation":
-        """New allocation with agent's bundle replaced; pool adjusts to cover.
-        Every other bundle is passed through as the same object."""
-        new = frozenset(items)
-        pool = (self.unallocated | self.bundle(agent)) - new
-        return self.replace_bundles({agent: new, 0: pool})
+    def move(self, moves: Sequence[tuple[int, int, int]]) -> "Allocation":
+        """New allocation with each move ``(item, from, to)`` applied, where
+        ``from`` and ``to`` are agents or 0, the pool.  Only the parts the
+        moves touch are rebuilt; every other part is passed through as the
+        same object.
 
-    def replace_bundles(self, parts: Mapping[int, Iterable[int]]) -> "Allocation":
-        """New allocation with ``parts[k]`` as agent k's bundle (``k = 0``:
-        the pool) for each key k, an agent or 0; every other bundle is
-        passed through as the same object.
-
-        Checked in O(n + size of the replaced parts), where the
-        constructor's check is O(n + m), and as strong.  This allocation is
-        a disjoint cover of the items, so its unreplaced bundles cover
-        exactly the items that its replaced parts do not.  The result is
-        therefore a disjoint cover exactly when the new parts are pairwise
-        disjoint and cover the same items as the parts they replace.
+        Checked in O(moves), where the constructor's check is O(n + m), and
+        as strong: no item moves twice, each item lies in the part it
+        leaves, and each touched part's new size is its old size minus the
+        items that left plus the items that entered, which also rejects an
+        item entering a part that already holds it.  Items only change
+        parts, so the result is again a disjoint cover of the same items.
         Raises ``ContractViolation`` otherwise.
         """
-        everything = [self.unallocated, *self.bundles]  # indexed by agent
-        new = [frozenset(items) for items in parts.values()]
-        covered = frozenset().union(*new)
-        if len(covered) != sum(map(len, new)):
-            raise ContractViolation("allocation bundles are not pairwise disjoint")
-        if covered != frozenset().union(*[everything[k] for k in parts]):
-            raise ContractViolation("replaced bundles change the items they cover")
-        for k, bundle in zip(parts, new):
-            everything[k] = bundle
-        # the constructor would repeat the O(m) check just argued for
+        parts = [self.unallocated, *self.bundles]  # indexed by agent
+        left: dict[int, list[int]] = {}
+        entered: dict[int, list[int]] = {}
+        moved = set()
+        for item, source, dest in moves:
+            if not (0 <= source < len(parts) and 0 <= dest < len(parts)):
+                raise ContractViolation(f"item {item} moves between unknown parts")
+            if item in moved:
+                raise ContractViolation(f"item {item} moves twice")
+            if item not in parts[source]:
+                raise ContractViolation(f"item {item} is not in part {source}")
+            moved.add(item)
+            left.setdefault(source, []).append(item)
+            entered.setdefault(dest, []).append(item)
+        for k in {*left, *entered}:
+            old = new = parts[k]
+            gained, lost = entered.get(k, ()), left.get(k, ())
+            if gained:
+                new = new.union(gained)
+            if lost:
+                new = new.difference(lost)
+            if len(new) != len(old) - len(lost) + len(gained):
+                raise ContractViolation(f"a moved item is already in part {k}")
+            parts[k] = new
+        # the constructor would repeat the O(n + m) check just argued for
         derived = object.__new__(Allocation)
-        object.__setattr__(derived, "bundles", tuple(everything[1:]))
-        object.__setattr__(derived, "unallocated", everything[0])
+        object.__setattr__(derived, "bundles", tuple(parts[1:]))
+        object.__setattr__(derived, "unallocated", parts[0])
         return derived
 
     @property

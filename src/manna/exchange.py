@@ -4,7 +4,12 @@ The exchange graph of a clean allocation has an edge ``o -> o'`` whenever the
 agent holding ``o`` could swap it for ``o'`` without losing count: the
 marginal of ``o'`` on the rest of the bundle reaches the threshold.
 Augmenting along a path shifts every item one step toward the path's start,
-freeing the first item for the requesting agent.
+freeing the first item for the requesting agent.  The shift is a list of
+moves ``(item, from, to)``, one per path item, that ``Allocation.move``
+applies: it rebuilds only the parts the moves touch and checks them in
+O(moves), and it updates the pool, which a pool-terminated path leaves, by
+one set difference.  A path moves one to three items, so an augmentation
+does no set work on the parts it leaves alone.
 
 The weighted variant grades edges in doubled units (so arithmetic stays in
 exact integers): an edge from an agent's counted bundle into the same agent's
@@ -38,8 +43,9 @@ costs twice its weight.
 Phase 1's search is breadth-first over ``heavy``
 (``yankee.shortest_path_to_pool``).
 
-The builder scans only each agent's *candidate items*, listed once per
-graph: the items whose marginal on the empty bundle reaches the threshold.
+The builder scans only each agent's *candidate items*: the items whose
+marginal on the empty bundle reaches the threshold.  Those marginals are
+asked once per valuation object, so both phases' graphs share them.
 Marginals only fall as a bundle grows, so for a bundle B holding o::
 
     Δ(B, o') <= Δ(B - o, o') <= Δ(∅, o')
@@ -70,9 +76,10 @@ Both phases advance one graph in place along each augmentation instead of
 building a new one per state, and this changes no tie-break.  The
 out-edges of an item held by agent j depend only on j's bundles and j's
 valuation.  After an augmentation only the gainer and the holders of path
-items have new bundles: ``shift_along_path`` and ``augment`` pass every
-other agent's bundle through as the same object.  So the builder, given the
-previous graph, keys each agent on the identity of its bundles.  An agent
+items have new bundles: their moves touch no other part, and
+``Allocation.move`` passes every part it leaves alone through as the same
+object.  So the builder, given the previous graph, keys each agent on the
+identity of its bundles.  An agent
 whose bundle objects are the previous graph's keeps its entries; every
 other agent's entries are dropped, or edited where the builder splices them
 (below), every removal before any addition, since an item may move between
@@ -115,7 +122,8 @@ Phase 2 asks each graph state for up to n² paths, so it also shares these:
 
 * **Reachability pre-filter, for pool searches only.**  Each graph state
   caches the items that can reach the pool, found by a reverse search that
-  expands each node into its items once.  The search reads, per item,
+  expands each node into its items once, from the targets with an in-edge
+  (a pool item has no out-edge).  The search reads, per item,
   the nodes with an edge into it: an index that ``reaching`` builds from
   the items grouped by their pair's identity, once per state, and that
   advancing the graph drops with the rest of the cache.  A
@@ -176,16 +184,21 @@ PARETO = "pareto_improving"
 EXCHANGE = "exchange"
 
 
-def candidate_items(marginals, threshold: int, num_items: int) -> tuple[int, ...]:
+def candidate_items(valuation, threshold: int, num_items: int) -> tuple[int, ...]:
     """Items whose marginal on the empty bundle reaches ``threshold``, in
-    ascending order; ``marginals(bundle, items)`` is the agent's valuation's
-    batched marginals, asked once.
+    ascending order.
 
     Marginals only fall as a bundle grows, so no other item reaches the
     threshold on any bundle: these are the only items an agent can desire
-    and the only out-neighbours of the items it holds.
+    and the only out-neighbours of the items it holds.  The marginals on the
+    empty bundle are asked once per valuation object, in one batched call,
+    and kept with it outside its fields, so a solve's threshold-0 and
+    threshold-c graphs share them.
     """
-    gains = marginals(frozenset(), range(num_items))
+    gains = valuation.__dict__.get("_empty_gains")
+    if gains is None or len(gains) != num_items:
+        gains = tuple(valuation.marginals(frozenset(), range(num_items)))
+        object.__setattr__(valuation, "_empty_gains", gains)
     return tuple(o for o, d in enumerate(gains) if d >= threshold)
 
 
@@ -203,7 +216,7 @@ def f_set(
     """
     spec = inst.valuation(agent)
     if candidates is None:
-        candidates = candidate_items(spec.marginals, tau, inst.num_items)
+        candidates = candidate_items(spec, tau, inst.num_items)
     bundle = allocation.bundle(agent)
     if not bundle:
         return frozenset(candidates)  # on the empty bundle, exactly these
@@ -304,7 +317,8 @@ class ExchangeGraph:
     def reaching(self, targets: frozenset[int]) -> frozenset[int]:
         """Items with a path to some item of ``targets`` (targets included),
         computed once per target set by a reverse search that expands each
-        node into its items once.  The search reads, per item, the nodes
+        node into its items once, started from the targets that have an
+        in-edge.  The search reads, per item, the nodes
         with an edge into it, indexed at the state's first call from the
         items grouped by their pair's identity."""
         cache = self._reaching
@@ -320,7 +334,7 @@ class ExchangeGraph:
                         for v in part:
                             into[v].append(items)
             seen = set(targets)
-            stack = list(targets)
+            stack = [v for v in into if v in targets]  # the rest have no in-edge
             expanded = set()
             while stack:
                 for items in into.get(stack.pop(), ()):
@@ -347,7 +361,7 @@ def empty_graph(valuations: Sequence, threshold: int, num_items: int) -> Exchang
     """The graph of ``valuations`` at ``threshold`` with no state yet: each
     agent's ``candidate_items`` and its ``dependent`` ones, those its
     valuation does not declare bundle-independent at the threshold."""
-    candidates = tuple(candidate_items(v.marginals, threshold, num_items) for v in valuations)
+    candidates = tuple(candidate_items(v, threshold, num_items) for v in valuations)
     dependent = tuple(
         frozenset(cs).difference(v.bundle_independent(cs, threshold))
         for v, cs in zip(valuations, candidates)
@@ -594,23 +608,18 @@ def shift_along_path(allocation: Allocation, items: Sequence[int], gainer: int) 
     Only the gainer's and the path holders' bundles, the pool among them
     when the last item is unallocated, are rebuilt and checked; every other
     bundle is passed through as the same object."""
-    return allocation.replace_bundles(_shifted_parts(allocation, items, gainer))
+    return allocation.move(_path_moves(allocation, items, gainer))
 
 
-def _shifted_parts(allocation, items, gainer):
-    """The bundles ``shift_along_path`` replaces, keyed by agent (0: the
-    pool), as they are after the shift."""
-    path_set = set(items)
-    if len(path_set) != len(items):
+def _path_moves(allocation, items, gainer):
+    """The moves ``(item, from, to)`` of ``shift_along_path``: each path item
+    goes to the holder of the item before it, the first to ``gainer``."""
+    if len(set(items)) != len(items):
         raise ContractViolation("augmenting path repeats an item")
     holders = [allocation.owner_of(o) for o in items]
     if 0 in holders[:-1]:
         raise ContractViolation("interior path item is unallocated")
-    receivers = (gainer, *holders)  # items[k] goes to receivers[k], never 0
-    parts = {k: allocation.bundle(k) - path_set for k in receivers}
-    for o, k in zip(items, receivers):
-        parts[k] = parts[k] | {o}
-    return parts
+    return list(zip(items, holders, (gainer, *holders)))
 
 
 def clean_state_violations(
@@ -652,23 +661,24 @@ def augment(
     the same object.  The postconditions (cleanness, disjointness,
     bundle-size deltas) are asserted, and any failure raises
     ``CleannessViolation`` -- which must never happen for valid inputs.  The
-    state passed in must be sound.  The changed agents are the ones whose
-    counted bundles the shift replaced, plus the x0 holder of a Pareto
-    terminal: exactly the agents with a new bundle object, found without a
-    walk over all n agents.  Cleanness and disjointness are rechecked only
-    for them.
+    state passed in must be sound.  The changed agents are the gainer and
+    the path items' holders, whose counted bundles the shift's moves touch,
+    plus the x0 holder of a Pareto terminal, which moves into x0's pool:
+    exactly the agents with a new bundle object, found without a walk over
+    all n agents.  Cleanness and disjointness are rechecked only for them.
     """
     items = path.items
-    parts = _shifted_parts(xc, items, path.source_agent)
-    new_xc = xc.replace_bundles(parts)
+    moves = _path_moves(xc, items, path.source_agent)
+    new_xc = xc.move(moves)
     new_x0 = x0
-    changed = set(parts)
+    # the gainer and the holders, the pool among them when the path ends there
+    changed = {path.source_agent}.union(source for _, source, _ in moves)
     changed.discard(0)
     if path.kind == PARETO:
         terminal = items[-1]
         holder = x0.owner_of(terminal)
         if holder:
-            new_x0 = x0.replace_bundle(holder, x0.bundle(holder) - {terminal})
+            new_x0 = x0.move([(terminal, holder, 0)])
             changed.add(holder)
     changed = sorted(changed)
     # A bundle passed through as the same object kept its size, so only

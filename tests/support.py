@@ -351,7 +351,7 @@ def reference_yankee_swap(num_items, valuations, turns):
     declaration.  Each turn's ``(agent, path)`` is appended to ``turns``,
     ``path`` None when the agent retires."""
     n = len(valuations)
-    candidates = [candidate_items(v.marginals, 0, num_items) for v in valuations]
+    candidates = [candidate_items(v, 0, num_items) for v in valuations]
     asked = [frozenset(c) for c in candidates]  # no declaration is used
     allocation = Allocation.empty(n, num_items)
     graph = ExchangeGraph(valuations, 0, candidates, asked)

@@ -60,8 +60,16 @@ def test_allocation_invariants():
     assert alloc.num_items == 4
     assert alloc.bundle(0) == frozenset({2})
     assert alloc.owner_of(3) == 2
+    assert alloc.owner_of(2) == 0
     assert not alloc.is_complete
     assert Allocation((frozenset({0}), frozenset({1})), frozenset()).is_complete
+
+
+@pytest.mark.parametrize("item", [4, 999, -1])
+def test_owner_of_rejects_an_item_in_no_part(item):
+    alloc = Allocation((frozenset({0, 1}), frozenset({3})), frozenset({2}))
+    with pytest.raises(ContractViolation, match=f"item {item} is in no part"):
+        alloc.owner_of(item)
 
 
 def test_allocation_rejects_overlap_and_gaps():
@@ -74,37 +82,64 @@ def test_allocation_rejects_overlap_and_gaps():
 def test_allocation_helpers():
     alloc = Allocation.empty(2, 3)
     assert alloc.unallocated == frozenset({0, 1, 2})
-    moved = alloc.replace_bundle(1, {0, 2})
+    moved = alloc.move([(0, 0, 1), (2, 0, 1)])
     assert moved.bundle(1) == frozenset({0, 2})
     assert moved.unallocated == frozenset({1})
     assert moved.sizes() == (2, 0)
     assert moved.bundles[1] is alloc.bundles[1]
-    back = moved.replace_bundle(1, {2})
+    back = moved.move([(0, 1, 0)])
     assert back.unallocated == frozenset({0, 1})
     with pytest.raises(ContractViolation):
-        back.replace_bundle(2, {2})  # o2 is agent 1's
+        back.move([(2, 2, 0)])  # o2 is agent 1's
 
 
-def test_replace_bundles_checks_only_the_replaced_parts():
-    alloc = Allocation(
-        (frozenset({0, 1}), frozenset({3}), frozenset({4})), frozenset({2})
-    )
-    moved = alloc.replace_bundles({1: {0}, 0: {1, 2}})
+def _three_agents():
+    return Allocation((frozenset({0, 1}), frozenset({3}), frozenset({4})), frozenset({2}))
+
+
+def test_move_rebuilds_only_the_touched_parts():
+    alloc = _three_agents()
+    # o1 goes back to the pool
+    moved = alloc.move([(1, 1, 0)])
     assert moved == Allocation(
         (frozenset({0}), frozenset({3}), frozenset({4})), frozenset({1, 2})
     )
     assert moved.bundles[1] is alloc.bundles[1] and moved.bundles[2] is alloc.bundles[2]
-    swapped = alloc.replace_bundles({1: {0, 3}, 2: {1}})
+    # a path ending at a held item: agent 1 takes o3 from agent 2, who takes
+    # o1 from agent 1; the pool and agent 3 pass through
+    swapped = alloc.move([(3, 2, 1), (1, 1, 2)])
     assert swapped.bundles == (frozenset({0, 3}), frozenset({1}), frozenset({4}))
     assert swapped.unallocated is alloc.unallocated
-    for parts in (
-        {1: {0, 1, 4}},  # o4 duplicated into a bundle that agent 3 keeps
-        {1: {0, 1}, 0: {1, 2}},  # o1 in two replaced parts
-        {1: {0}},  # o1 dropped
-        {1: {0, 1, 5}},  # o5 added: there is no such item
-    ):
-        with pytest.raises(ContractViolation):
-            alloc.replace_bundles(parts)
+    assert swapped.bundles[2] is alloc.bundles[2]
+    # a pickup from the pool: only the pool and the gainer change
+    picked = alloc.move([(2, 0, 3)])
+    assert picked.bundles[2] == frozenset({2, 4}) and picked.unallocated == frozenset()
+    assert all(new is old for new, old in zip(picked.bundles[:2], alloc.bundles))
+    # no move: every part passes through
+    same = alloc.move([])
+    assert same == alloc and same.unallocated is alloc.unallocated
+    assert all(new is old for new, old in zip(same.bundles, alloc.bundles))
+
+
+@pytest.mark.parametrize(
+    "moves, message",
+    [
+        # o3 is agent 2's; the self-move of o0 keeps agent 1's size in step,
+        # so without the membership check o3 would end in two parts
+        ([(3, 1, 3), (0, 1, 1)], "item 3 is not in part 1"),
+        # o1 leaves agent 1 twice; the self-move of o0 keeps the sizes in
+        # step, so without the check o1 would end in two parts
+        ([(1, 1, 2), (1, 1, 3), (0, 1, 1)], "item 1 moves twice"),
+        # o0 enters agent 1, which holds it: only the size check sees it
+        ([(0, 1, 1)], "a moved item is already in part 1"),
+        ([(2, 0, 4)], "item 2 moves between unknown parts"),
+        ([(2, 0, -1)], "item 2 moves between unknown parts"),
+        ([(5, 0, 1)], "item 5 is not in part 0"),  # there is no such item
+    ],
+)
+def test_move_rejects_moves_that_break_the_cover(moves, message):
+    with pytest.raises(ContractViolation, match=f"^{message}$"):
+        _three_agents().move(moves)
 
 
 def test_instance_validation():

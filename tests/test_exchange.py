@@ -17,12 +17,13 @@ from manna.exchange import (
     ExchangeGraph,
     augment,
     build_weighted_graph,
+    candidate_items,
     clean_state_violations,
     f_set,
     min_weight_path,
     shift_along_path,
 )
-from manna.instgen import gen_capped_groups, gen_random_additive
+from manna.instgen import gen_capped_groups, gen_random_additive, serialize_instance
 from manna.solver import phase1
 from manna.valuations import Additive, CappedGroups
 from manna.yankee import shortest_path_to_pool
@@ -112,6 +113,23 @@ def test_augment_good_path(named_fixtures):
     assert clean_state_violations(inst, nxc, nx0) == []
 
 
+def test_pareto_augment_moves_the_terminal_into_the_x0_pool():
+    # agent 1 picks up pool item o0, which agent 2 holds in its x0 bundle
+    zero = Additive((0, 0, 0, 0))
+    inst = Instance(3, 4, 2, (Additive((2, 0, 0, 0)), zero, zero))
+    xc = Allocation.empty(3, 4)
+    x0 = Allocation.from_bundles([{1}, {0}, {2}], 4)
+    g = build_weighted_graph(inst, xc, x0)
+    path = min_weight_path(g, f_set(inst, xc, 1, inst.c), PARETO, 1)
+    assert (path.items, path.doubled_weight) == ((0,), 2)
+    nxc, nx0 = augment(inst, xc, x0, path)
+    assert nxc.bundles == (frozenset({0}), frozenset(), frozenset())
+    assert nxc.bundles[1] is xc.bundles[1] and nxc.bundles[2] is xc.bundles[2]
+    assert nx0.bundles == (frozenset({1}), frozenset(), frozenset({2}))
+    assert nx0.unallocated == x0.unallocated | {0}
+    assert nx0.bundles[0] is x0.bundles[0] and nx0.bundles[2] is x0.bundles[2]
+
+
 def test_augment_forced_bad_path_is_caught(named_fixtures):
     # regression for why edge weights exist: grabbing the pool item keeps the
     # zero-bundle item stranded and breaks cleanness of the union
@@ -197,6 +215,9 @@ def test_shift_along_path_rebuilds_only_the_gainer_and_path_holders(
     assert after.bundles == bundles
     for k, (new, old) in enumerate(zip(after.bundles, before.bundles), start=1):
         assert (new is not old) == (k in rebuilt), k
+    # the pool is rebuilt only when the path ends there
+    ends_in_pool = items[-1] in before.unallocated
+    assert (after.unallocated is not before.unallocated) == ends_in_pool
 
 
 def _edge_lists(graph):
@@ -376,8 +397,8 @@ def _recorded_marginals(monkeypatch):
 
 def test_additive_rebuilds_make_no_oracle_call(monkeypatch):
     """An additive agent declares every item bundle-independent, so after
-    the candidates are found, once per agent in each phase, no builder call
-    asks ``Additive.marginals`` anything."""
+    the candidates are found, from one call per agent in the whole solve,
+    no builder call asks ``Additive.marginals`` anything."""
     calls = _recorded_marginals(monkeypatch)
     inst = EQUIVALENCE_INSTANCES["additive_8x40_s0"]()
     asked_by_fresh_build = []
@@ -387,8 +408,24 @@ def test_additive_rebuilds_make_no_oracle_call(monkeypatch):
             asked_by_fresh_build.append(len(calls))
 
     assert _phase2_graphs(monkeypatch, inst, check) > 10
-    assert asked_by_fresh_build == [len(calls)] == [2 * inst.num_agents]
+    assert asked_by_fresh_build == [len(calls)] == [inst.num_agents]
     assert all(not bundle for _spec, bundle, _items in calls)
+
+
+def test_empty_bundle_marginals_are_kept_outside_the_fields():
+    """The marginals on the empty bundle that ``candidate_items`` keeps with
+    each valuation change no valuation's ``==``, hash, ``repr`` or
+    serialization, and are asked again for another item count."""
+    inst, twin = (EQUIVALENCE_INSTANCES["capped_6x30_s0"]() for _ in range(2))
+    solver.solve(inst)
+    assert all("_empty_gains" in vars(v) for v in inst.valuations)
+    assert inst == twin and hash(inst.valuations) == hash(twin.valuations)
+    assert [repr(v) for v in inst.valuations] == [repr(v) for v in twin.valuations]
+    assert serialize_instance(inst) == serialize_instance(twin)
+    spec = CappedGroups((), 0)
+    assert candidate_items(spec, 0, 3) == (0, 1, 2)
+    assert candidate_items(spec, 0, 5) == (0, 1, 2, 3, 4)
+    assert candidate_items(spec, 1, 5) == ()
 
 
 def test_capped_rebuilds_ask_only_about_grouped_items(monkeypatch):
