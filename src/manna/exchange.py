@@ -29,19 +29,16 @@ edge is heavy (``unweighted_adjacency``).  ``empty_graph`` lists both
 phases' candidates and declarations.
 
 Searches are deterministic: minimum doubled cost, then fewest edges, then
-lexicographically smallest item sequence.  A search stops at the first
-target it reaches, which holds the least key of all targets: exactly the one
-a search run to exhaustion would pick.
-
-Phase 2 runs one search for both path kinds, the lazy Dijkstra of
-``dijkstra``, over the pairs, for every search whose answer the key order
-alone does not fix (see the last bullet below).  A pool search's edge class
-adds whether the edge enters the pool: an item picked up from the pool
-along ``u -> v`` costs 1 exactly when ``v`` lies in the zero-valued bundle
-of ``u``'s holder, the very test that made the edge light, so a pool edge
-costs twice its weight.
-Phase 1's search is breadth-first over ``heavy``
-(``yankee.shortest_path_to_pool``).
+lexicographically smallest item sequence.  The state ``(xc, x0)`` is two
+parts of one allocation, so every ``x0`` item lies in ``xc``'s pool and a
+light edge, which enters its holder's ``x0`` bundle, can only be a path's
+last edge.  So a path's key follows from its edge count and its last edge,
+and the key order is breadth-first order: both phases run one search,
+``search.least_path``, over the pairs, after the answers of no edge that
+``min_weight_path`` and ``yankee.shortest_path_to_pool`` give themselves
+(below).  A pool item picked up along ``u -> v`` costs 1 exactly when
+``v`` lies in the zero-valued bundle of ``u``'s holder, the very test that
+made the edge light, so a pool edge costs twice its weight.
 
 The builder scans only each agent's *candidate items*: the items whose
 marginal on the empty bundle reaches the threshold.  Those marginals are
@@ -127,25 +124,23 @@ Phase 2 asks each graph state for up to n² paths, so it also shares these:
   the nodes with an edge into it: an index that ``reaching`` builds from
   the items grouped by their pair's identity, once per state, and that
   advancing the graph drops with the rest of the cache.  A
-  ``pareto_improving`` search
-  returns None, before it builds its starts or runs Dijkstra, when no
-  source is among them.  Those are exactly the runs in which Dijkstra
-  would reach no target and return None, so the searches that do run are
+  ``pareto_improving`` request returns None before ``least_path`` runs
+  when no source is among them.  Those are exactly the searches that would
+  reach no target and return None, so the searches that do run are
   unchanged.  Two kinds of pool search have a known answer to the filter
   and do not consult it: one with no sources returns None at once, and one
   whose sources meet the pool is a direct pickup (below), since a source in
   the pool is itself a target and the filter would pass.  So the reverse
   search runs only for a graph where some other pool search is asked, and
   there it serves the Pareto scan of all n agents, most of whose searches
-  find nothing, so it pays.  An exchange search has a target set of its own,
-  an agent's counted bundle, and the exchange scan searches only pairs
+  find nothing, so it pays.  An exchange search has a target set of its
+  own, an agent's counted bundle, and the exchange scan searches only pairs
   whose sizes qualify, where a path nearly always exists.  A reverse
-  search there would cost about as much as the Dijkstra run it could
-  spare, so exchange searches run Dijkstra directly, and the exchange
-  stage builds no index before its final Pareto check.
-* **Searches of at most one edge without a heap.**  Three search shapes
-  have their answer fixed by the key order alone, and Dijkstra runs only
-  for the searches that match none of them.
+  search there would cost about as much as the search it could spare, so
+  exchange searches skip it, and the exchange stage builds no index before
+  its final Pareto check.
+* **Searches of no edge, answered without a search.**  A path of no edges
+  is a source that is a target, and ``min_weight_path`` answers it itself.
 
   - *Direct pickups.*  When the sources of a pool search meet the pool,
     the answer is the one-item path of the least ``(pickup cost, item)``
@@ -156,14 +151,9 @@ Phase 2 asks each graph state for up to n² paths, so it also shares these:
     target's counted bundle, the least such item is the answer, a one-item
     path of cost 0: every start has cost 0 and no edges, so no key is below
     ``(0, 0, (o,))`` for the least such item ``o``.
-  - *One-edge exchanges.*  Otherwise every exchange path has an edge, and
-    one of two or more edges costs at least 2 and has at least 2 edges.  So
-    a light one-edge path, key ``(1, 1, ...)``, beats every other path, and
-    a heavy one, ``(2, 1, ...)``, beats every path of two or more edges.
-    The sources are walked once in ascending order, each pair once: the
-    first light hit is the answer, and failing one the first heavy hit.
-    In the states phase 2 reaches, ``x0`` lies in the pool, so no light
-    edge enters a counted bundle; the contract allows one all the same.
+
+  They stay at the call site: inside the search they would cost a call
+  per forced search, a measurable cost at desk scale.
 """
 
 from __future__ import annotations
@@ -175,9 +165,9 @@ from operator import is_not
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Optional, Sequence
 
-from . import dijkstra
 from .core import Allocation, Instance
 from .errors import CleannessViolation, ContractViolation
+from .search import least_path
 from .threshold import beta
 
 PARETO = "pareto_improving"
@@ -405,8 +395,8 @@ def build_weighted_graph(
     in place and returned.
 
     Preconditions (asserted unless ``check`` is False):
-    ``xc`` clean at threshold c, ``xc ∪ x0`` clean at threshold 0, and the
-    per-agent parts disjoint.
+    ``xc`` clean at threshold c, ``xc ∪ x0`` clean at threshold 0, and
+    every ``x0`` bundle within ``xc``'s pool.
     """
     if check:
         violations = clean_state_violations(inst, xc, x0)
@@ -539,8 +529,10 @@ def min_weight_path(
     A pool item ``v`` reached along ``u -> v`` is picked up by ``u``'s
     holder, at 1 when it holds ``v`` in its zero-valued bundle, else 2:
     the edge's own weight, since the same membership makes it light.  So
-    such an edge costs twice its weight.  Searches of at most one edge are
-    answered without Dijkstra (see the module docstring).
+    such an edge costs twice its weight.  A search with a source among the
+    targets is answered here; any other is ``search.least_path``'s, and its
+    edge count and whether its last edge is light fix its cost (see the
+    module docstring).
 
     ``agent`` and ``target_agent`` must be agents, 1..n."""
     xc = graph.xc
@@ -566,38 +558,16 @@ def min_weight_path(
             return AugmentingPath(
                 (min(targets.intersection(sources)),), kind, agent, target_agent, 0
             )
-        key = _one_edge_key(graph.adjacency, sources, targets)
-        if key is not None:
-            return AugmentingPath(key[2], kind, agent, target_agent, key[0])
     else:
         raise ContractViolation(f"unknown path kind {kind!r}")
-    starts = dict.fromkeys(sources, 0)
-    key = dijkstra.least_key(starts, graph.adjacency, targets, kind == PARETO)
-    if key is None:
+    found = least_path(graph.adjacency, sources, targets)
+    if found is None:
         return None
-    return AugmentingPath(key[2], kind, agent, target_agent, key[0])
-
-
-def _one_edge_key(adjacency, sources, targets):
-    """Least key ``(cost, 1, (source, target))`` of a one-edge path from
-    ``sources`` into ``targets``, or None when there is none.
-
-    The sources are walked in ascending order and each pair once, since a
-    later source of the same pair has the larger path.  The first light hit
-    is the answer; failing one, the first heavy hit."""
-    heavy_hit = None
-    walked = set()
-    for o in sorted(sources):
-        pair = adjacency.get(o)
-        if pair is None or id(pair) in walked:
-            continue
-        walked.add(id(pair))
-        light, heavy = pair
-        if light and not targets.isdisjoint(light):
-            return 1, 1, (o, min(targets.intersection(light)))
-        if heavy_hit is None and not targets.isdisjoint(heavy):
-            heavy_hit = 2, 1, (o, min(targets.intersection(heavy)))
-    return heavy_hit
+    items, light = found
+    edges = len(items) - 1
+    # every edge but the last is heavy; a pickup pays the last edge again
+    weight = 2 * edges + 2 - 2 * light if kind == PARETO else 2 * edges - light
+    return AugmentingPath(items, kind, agent, target_agent, weight)
 
 
 def shift_along_path(allocation: Allocation, items: Sequence[int], gainer: int) -> Allocation:
@@ -629,17 +599,25 @@ def clean_state_violations(
     agents: Optional[Iterable[int]] = None,
 ) -> list[str]:
     """All broken state invariants: c-cleanness of xc, 0-cleanness of the
-    per-agent unions, and per-agent disjointness.  Empty list when sound.
+    per-agent unions, and every x0 bundle within xc's pool, as two parts of
+    one allocation.  Empty list when sound.
 
     Each invariant concerns one agent's bundles; ``agents`` limits the check
     to those agents (default: all).
     """
     problems = []
+    pool = xc.unallocated
     for i in inst.agents if agents is None else agents:
         spec = inst.valuation(i)
         xc_i, x0_i = xc.bundle(i), x0.bundle(i)
-        if xc_i & x0_i:
-            problems.append(f"agent {i}: xc and x0 overlap on {sorted(xc_i & x0_i)}")
+        if not x0_i <= pool:
+            held = x0_i - pool
+            if held & xc_i:
+                problems.append(f"agent {i}: xc and x0 overlap on {sorted(held & xc_i)}")
+            if held - xc_i:
+                problems.append(
+                    f"agent {i}: x0 holds {sorted(held - xc_i)}, outside xc's pool"
+                )
         if beta(spec, inst.c, xc_i) != len(xc_i):
             problems.append(f"agent {i}: xc bundle not clean at threshold c")
         union = xc_i | x0_i
@@ -658,14 +636,15 @@ def augment(
 
     Pool-terminated paths also retire the terminal item from whichever x0
     bundle held it.  Every bundle the path leaves alone is passed through as
-    the same object.  The postconditions (cleanness, disjointness,
-    bundle-size deltas) are asserted, and any failure raises
+    the same object.  The postconditions (cleanness, every x0 bundle within
+    xc's pool, bundle-size deltas) are asserted, and any failure raises
     ``CleannessViolation`` -- which must never happen for valid inputs.  The
     state passed in must be sound.  The changed agents are the gainer and
     the path items' holders, whose counted bundles the shift's moves touch,
     plus the x0 holder of a Pareto terminal, which moves into x0's pool:
     exactly the agents with a new bundle object, found without a walk over
-    all n agents.  Cleanness and disjointness are rechecked only for them.
+    all n agents.  The invariants are rechecked only for them: xc's pool
+    loses only a Pareto terminal, whose x0 holder is among them.
     """
     items = path.items
     moves = _path_moves(xc, items, path.source_agent)

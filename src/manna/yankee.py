@@ -22,21 +22,16 @@ An agent's desired items and the out-neighbours of its items are sought
 only among the items whose marginal on the empty bundle reaches 0, so the
 valuations' marginals must not grow as a bundle grows (see ``exchange``).
 
-Every exchange-graph edge weighs 1 here, so cost equals edge count and a
-path's key is ``(edges, item sequence)``; ties go to the lexicographically
-smallest item sequence.  A FIFO search discovers items in that order: a
-layer sorted by path key, expanded in discovery order through ascending
-edge lists, yields the next layer sorted by ``(parent's path key, item)``,
-which is that layer's path key.  So the first parent to reach an item gives
-it its least key, and the first pool item discovered is the one Dijkstra
-would settle first.  Items that share one out-list pair form one node of
-the graph's agent quotient, walked once (see ``exchange``).
+Every exchange-graph edge is heavy here, so a path's key orders as
+``(edges, item sequence)``; ties go to the lexicographically smallest item
+sequence.  The search is the one phase 2 runs, ``search.least_path``: a
+breadth-first search whose first pool item reached, in layer order, is the
+least path, and which walks each node of the graph's agent quotient once.
 
 Two kinds of search have a forced answer and walk no list.  Every path
 ends in the pool, so a search on an empty pool finds none.  A desired item
 in the pool is a path of no edges, below every longer one, so the least
-such item is the path (a *direct pickup*), and the sources are sorted only
-when the breadth-first search runs.
+such item is the path (a *direct pickup*).
 
 The exchange graph is built once and then advanced in place only after an
 augmentation, recomputing only the agents whose bundles changed (see
@@ -57,6 +52,7 @@ from . import exchange, threshold
 from .core import Allocation
 from .errors import CleannessViolation
 from .exchange import shift_along_path
+from .search import least_path
 
 
 def yankee_swap(num_items: int, valuations: Sequence) -> Allocation:
@@ -102,12 +98,7 @@ def shortest_path_to_pool(
     lexicographically smallest item sequence.
 
     An empty pool gives None and a source in the pool the least such item,
-    without a walk.  Otherwise a breadth-first search: each layer is walked
-    in discovery order and each ``heavy`` list in its ascending order, an
-    item's parent is the first item to reach it, and the search stops at the
-    first pool item it discovers.  A pair shared by several items, the same
-    object, is walked once: walking it again would only meet items already
-    reached.
+    without a walk; any other search is ``search.least_path``'s.
     """
     pool = allocation.unallocated
     if not pool:
@@ -115,25 +106,5 @@ def shortest_path_to_pool(
     direct = pool.intersection(sources)
     if direct:
         return (min(direct),)
-    frontier = sorted(sources)
-    parent: dict[int, Optional[int]] = dict.fromkeys(frontier)
-    walked = set()  # ids of the pairs walked, alive in ``adjacency``
-    while frontier:
-        layer = []
-        for u in frontier:
-            pair = adjacency.get(u)
-            if pair is None or id(pair) in walked:
-                continue
-            walked.add(id(pair))
-            for v in pair[1]:
-                if v in parent:
-                    continue
-                parent[v] = u
-                if v in pool:
-                    path = [v]
-                    while (v := parent[v]) is not None:
-                        path.append(v)
-                    return tuple(reversed(path))
-                layer.append(v)
-        frontier = layer
-    return None
+    found = least_path(adjacency, sources, pool)
+    return None if found is None else found[0]

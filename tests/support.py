@@ -166,8 +166,9 @@ def permute_allocation(allocation: Allocation, item_perm: list[int]) -> Allocati
 
 
 def exhaustive_least_key(starts, neighbors, targets):
-    """Reference for both path searches, ``dijkstra.least_key`` and
-    ``yankee.shortest_path_to_pool`` (every edge weighing 1): run Dijkstra
+    """Reference for the path searches, ``search.least_path`` and the
+    callers that answer its searches of no edge, ``exchange.min_weight_path``
+    and ``yankee.shortest_path_to_pool`` (every edge weighing 1): run Dijkstra
     over the whole reachable graph, then take the least key among the
     reached targets."""
     best = dict(starts)

@@ -1,13 +1,12 @@
 import dataclasses
-import heapq
-import types
-from collections import defaultdict, deque
+import re
+from collections import Counter, defaultdict, deque
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from manna import dijkstra, exchange, solver, yankee
+from manna import exchange, solver, yankee
 from manna.core import Allocation, Instance
 from manna.errors import CleannessViolation, ContractViolation, InvalidInstance
 from manna.exchange import (
@@ -24,6 +23,7 @@ from manna.exchange import (
     shift_along_path,
 )
 from manna.instgen import gen_capped_groups, gen_random_additive, serialize_instance
+from manna.search import least_path
 from manna.solver import phase1
 from manna.valuations import Additive, CappedGroups
 from manna.yankee import shortest_path_to_pool
@@ -128,6 +128,24 @@ def test_pareto_augment_moves_the_terminal_into_the_x0_pool():
     assert nx0.bundles == (frozenset({1}), frozenset(), frozenset({2}))
     assert nx0.unallocated == x0.unallocated | {0}
     assert nx0.bundles[0] is x0.bundles[0] and nx0.bundles[2] is x0.bundles[2]
+
+
+def test_augment_catches_a_terminal_left_in_another_agents_x0():
+    # The pickup above with the retirement from x0 left out: agent 2 keeps
+    # o0 in its x0 bundle while agent 1 counts it.  Each agent's own two
+    # bundles stay disjoint and clean, so only the pool clause catches it.
+    class Unretired(Allocation):
+        def move(self, moves):
+            return self
+
+    zero = Additive((0, 0, 0, 0))
+    inst = Instance(3, 4, 2, (Additive((2, 0, 0, 0)), zero, zero))
+    xc = Allocation.empty(3, 4)
+    x0 = Unretired((frozenset({1}), frozenset({0}), frozenset({2})), frozenset({3}))
+    path = AugmentingPath((0,), PARETO, 1, 0, 2)
+    stray = r"^agent 2: x0 holds \[0\], outside xc's pool$"
+    with pytest.raises(CleannessViolation, match=stray):
+        augment(inst, xc, x0, path)
 
 
 def test_augment_forced_bad_path_is_caught(named_fixtures):
@@ -679,27 +697,6 @@ def test_pareto_searches_consult_reaching_only_when_unforced(monkeypatch, name):
     assert min(seen.values()) > 0, seen
 
 
-@pytest.mark.parametrize("name, heap_runs", [("additive_8x40_s0", 0), ("capped_6x30_s0", 2)])
-def test_heap_runs_only_for_searches_of_two_or_more_edges(monkeypatch, name, heap_runs):
-    """A solve's direct pickups, steals and one-edge exchanges are answered
-    without ``dijkstra.least_key``; these are the heap runs left."""
-    searches, least_key = solver.min_weight_path, dijkstra.least_key
-    calls = {"searches": 0, "heap runs": 0}
-
-    def counting(counter, function):
-        def counted(*args, **kwargs):
-            calls[counter] += 1
-            return function(*args, **kwargs)
-
-        return counted
-
-    monkeypatch.setattr(solver, "min_weight_path", counting("searches", searches))
-    monkeypatch.setattr(dijkstra, "least_key", counting("heap runs", least_key))
-    solver.solve(EQUIVALENCE_INSTANCES[name]())
-    assert calls["searches"] > 40
-    assert calls["heap runs"] == heap_runs
-
-
 @pytest.mark.parametrize(
     "kind, agent, target_agent",
     [
@@ -789,9 +786,9 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
                 continue  # non_on is not order-neutral
     assert sum(outcomes) > 2000 and outcomes.count(False) > 500
     # every min_weight_path of every phase-2 state equals the exhaustive
-    # search, closed-form answers included; each search's starts also run
-    # through the heap directly, so that every search counts as a heap run,
-    # the ones that find nothing too
+    # search, forced answers included; each search whose sources miss the
+    # targets also runs through ``least_path`` directly, so that the ones
+    # the reachability filter answers count too
     outcomes.clear()
 
     def search_all(g):
@@ -799,7 +796,8 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
         for i, j, sources, path in _every_search(g, inst):
             starts, targets, key = _reference_search(g, lists, sources, i, j)
             assert _path_key(path, EXCHANGE if j else PARETO, i, j) == key
-            assert dijkstra.least_key(starts, g.adjacency, targets, not j) == key
+            if targets.isdisjoint(sources):
+                assert _least_key(least_path(g.adjacency, sources, targets), not j) == key
             if starts:
                 outcomes.append(key is not None)
 
@@ -846,20 +844,47 @@ def _path_key(path, kind, agent, target_agent):
     return path.doubled_weight, len(path.items) - 1, path.items
 
 
+def _least_key(found, pool):
+    """The key ``(doubled cost, edge count, items)`` of a ``least_path``
+    result ``(items, light)``: every edge but the last weighs 2 and the
+    last 1 when it is light, and a pool search pays the last edge again."""
+    if found is None:
+        return None
+    items, light = found
+    edges = len(items) - 1
+    last = (1 if light else 2) * (2 if pool else 1)
+    return 2 * (edges - 1) + last, edges, items
+
+
+def _shape(sources, targets, path):
+    """Which kind of search found ``path``: a forced one, whose sources meet
+    its targets, or one of one edge, of two or more, or of none found."""
+    if not targets.isdisjoint(sources):
+        return "forced"
+    if path is None:
+        return "no path"
+    return "one edge" if len(path.items) == 2 else "two or more edges"
+
+
+def _assert_every_shape(shapes):
+    """Each kind of search is at least a twentieth of those drawn."""
+    drawn = sum(shapes.values())
+    for shape in ("forced", "one edge", "two or more edges", "no path"):
+        assert 20 * shapes[shape] >= drawn > 0, shapes
+
+
 @st.composite
 def contract_states(draw):
     """A small instance and the weighted exchange graph of a state that
-    meets only the per-agent disjointness of ``build_weighted_graph``'s
-    contract: an item's zero-valued holder is none or any agent but its
-    counted one, so a light edge can enter another agent's counted bundle, which no
-    state the solver reaches allows."""
+    meets the part of ``build_weighted_graph``'s contract the search relies
+    on: ``xc`` and ``x0`` are two parts of one allocation, so an item has a
+    zero-valued holder, any agent or none, only while ``xc`` leaves it in
+    the pool.  So every light edge enters the pool.  Neither part need be
+    clean."""
     inst = draw(solver_instances(max_agents=4))
     n, m = inst.num_agents, inst.num_items
     xc_owner = [draw(st.integers(0, n)) for _ in range(m)]  # 0: the pool
-    x0_owner = [
-        draw(st.sampled_from([k for k in range(n + 1) if not k or k != owner]))
-        for owner in xc_owner
-    ]
+    x0_owner = [0 if owner else draw(st.integers(0, n)) for owner in xc_owner]
     xc, x0 = (
         Allocation.from_bundles(
             [{o for o in inst.items if owner[o] == k} for k in inst.agents], m
@@ -869,20 +894,43 @@ def contract_states(draw):
     return inst, build_weighted_graph(inst, xc, x0, check=False)
 
 
+def _distances(graph, targets):
+    """The fewest edges of a path into ``targets`` from each item outside
+    them that has one."""
+    lists = _edge_lists(graph)
+    return {o: _bfs_length(lists, {o}, targets) for o in graph.reaching(targets) - targets}
+
+
+def _near(distances, items, draw):
+    """A strategy for sources: the items with a path to the targets, or in
+    about half of the draws the farthest of them; every item when there
+    are none."""
+    reaching = set(distances)
+    if reaching and draw(st.booleans()):
+        far = max(distances.values())
+        reaching = {o for o, d in distances.items() if d == far}
+    return st.sampled_from(sorted(reaching) or list(items))
+
+
 @st.composite
 def exchange_searches(draw):
     """An exchange search in a ``contract_states`` graph, from agent i's
-    sources to agent j's counted bundle: in about a third of the searches
+    sources to agent j's counted bundle.  In about half of the searches j
+    is the agent whose bundle is farthest from some item, and in about half
     the sources meet that bundle, a one-item steal."""
     inst, graph = draw(contract_states())
     m = inst.num_items
-    i, j = draw(st.permutations(list(inst.agents)))[:2]
-    targets = graph.xc.bundle(j)
+    agents, xc = list(inst.agents), graph.xc
+    j = draw(st.sampled_from(agents))
+    if draw(st.booleans()):
+        j = max(agents, key=lambda k: max(_distances(graph, xc.bundle(k)).values(), default=0))
+    i = draw(st.sampled_from([k for k in agents if k != j]))
+    targets = xc.bundle(j)
     # sources mostly among the items with a path to the targets, so that
-    # most searches that are not steals find one
-    reaching = sorted(graph.reaching(targets) - targets)
-    near = st.sampled_from(reaching or list(inst.items))
-    sources = draw(st.frozensets(near, max_size=3))
+    # most searches that are not steals find one, and often among the
+    # farthest, so that many paths have two edges or more
+    near = _near(_distances(graph, targets), inst.items, draw)
+    sources = draw(st.frozensets(near, min_size=1, max_size=3))
     sources |= draw(st.frozensets(st.integers(0, m - 1), max_size=1))
     if targets and draw(st.booleans()):
         sources |= {draw(st.sampled_from(sorted(targets)))}
@@ -891,20 +939,27 @@ def exchange_searches(draw):
     return graph, sources, i, j
 
 
-@settings(derandomize=True, deadline=None, max_examples=400)
-@given(exchange_searches())
-def test_exchange_search_equals_exhaustive_search(search):
-    graph, sources, i, j = search
-    path = min_weight_path(graph, sources, EXCHANGE, i, target_agent=j)
-    _starts, _targets, key = _reference_search(graph, _edge_lists(graph), sources, i, j)
-    assert _path_key(path, EXCHANGE, i, j) == key
+def test_exchange_search_equals_exhaustive_search():
+    shapes = Counter()
+
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(exchange_searches())
+    def check(search):
+        graph, sources, i, j = search
+        path = min_weight_path(graph, sources, EXCHANGE, i, target_agent=j)
+        _starts, _targets, key = _reference_search(graph, _edge_lists(graph), sources, i, j)
+        assert _path_key(path, EXCHANGE, i, j) == key
+        shapes[_shape(sources, graph.xc.bundle(j), path)] += 1
+
+    check()
+    _assert_every_shape(shapes)
 
 
-def test_light_one_edge_path_of_a_later_source_beats_a_heavy_one():
-    # agent 1 desires o0 and o1.  Agent 2 holds o0 and values o2, a heavy
-    # edge into agent 3's bundle; agent 4 holds o1, values o2 and holds it
-    # in its zero-valued bundle, which the contract allows as o2 is not in
-    # agent 4's counted bundle, so o1 -> o2 is light.
+def test_build_weighted_graph_rejects_x0_outside_the_pool():
+    # Agent 4 holds o2 in its zero-valued bundle while agent 3 counts it, so
+    # xc and x0 are not two parts of one allocation, and o1 -> o2 would be
+    # a light edge into a counted bundle.  Every agent's own two bundles are
+    # disjoint and clean, so only the pool clause reports it.
     inst = Instance(
         4,
         3,
@@ -913,14 +968,10 @@ def test_light_one_edge_path_of_a_later_source_beats_a_heavy_one():
     )
     xc = Allocation.from_bundles([set(), {0}, {2}, {1}], 3)
     x0 = Allocation.from_bundles([set(), set(), set(), {2}], 3)
-    g = build_weighted_graph(inst, xc, x0)
-    assert g.dump() == "o0 -> o2 w=2\no1 -> o2 w=1"
-    sources = f_set(inst, xc, 1, inst.c)
-    assert sources == frozenset({0, 1})
-    path = min_weight_path(g, sources, EXCHANGE, 1, target_agent=3)
-    assert (path.items, path.doubled_weight) == ((1, 2), 1)
-    _starts, _targets, key = _reference_search(g, _edge_lists(g), sources, 1, 3)
-    assert key == (1, 1, (1, 2))
+    stray = "agent 4: x0 holds [2], outside xc's pool"
+    assert clean_state_violations(inst, xc, x0) == [stray]
+    with pytest.raises(ContractViolation, match=re.escape(stray)):
+        build_weighted_graph(inst, xc, x0)
 
 
 @st.composite
@@ -932,10 +983,9 @@ def pareto_searches(draw):
     m = inst.num_items
     i = draw(st.sampled_from(list(inst.agents)))
     pool = graph.xc.unallocated
-    # otherwise mostly among the items with a path to the pool
-    reaching = sorted(graph.reaching(pool) - pool)
-    near = st.sampled_from(reaching or list(inst.items))
-    sources = draw(st.frozensets(near, max_size=3))
+    # otherwise mostly among the items with a path to the pool, as above
+    near = _near(_distances(graph, pool), inst.items, draw)
+    sources = draw(st.frozensets(near, min_size=1, max_size=3))
     sources |= draw(st.frozensets(st.integers(0, m - 1), max_size=1))
     if pool and draw(st.booleans()):
         sources |= draw(st.frozensets(st.sampled_from(sorted(pool)), min_size=1, max_size=2))
@@ -954,7 +1004,7 @@ def _later_cheap_pickup():
 
 
 def test_pareto_search_equals_exhaustive_search():
-    drawn = forced = 0
+    shapes = Counter()
     graph, sources, i = _later_cheap_pickup()
     path = min_weight_path(graph, sources, PARETO, i)
     assert (path.items, path.doubled_weight) == ((1,), 1)
@@ -963,53 +1013,57 @@ def test_pareto_search_equals_exhaustive_search():
     @given(pareto_searches())
     @example((graph, sources, i))
     def check(search):
-        nonlocal drawn, forced
         graph, sources, i = search
         path = min_weight_path(graph, sources, PARETO, i)
         _starts, _targets, key = _reference_search(graph, _edge_lists(graph), sources, i, 0)
         assert _path_key(path, PARETO, i, 0) == key
-        drawn += 1
-        forced += not graph.xc.unallocated.isdisjoint(sources)
+        shapes[_shape(sources, graph.xc.unallocated, path)] += 1
 
     check()
-    assert 4 * forced >= drawn > 0
+    _assert_every_shape(shapes)
 
 
-def _reference_key(starts, adjacency, targets, pool):
-    """What ``dijkstra.least_key`` must return for these arguments: the
-    exhaustive search's least key, where a light edge costs 1 and a heavy
-    one 2, doubled into a target of a pool search."""
+def _reference_key(sources, adjacency, targets, pool):
+    """What ``least_path`` must return for these arguments, as a key: the
+    exhaustive search's least key from the ``sources``, where a light edge
+    costs 1 and a heavy one 2, doubled into a target of a pool search."""
 
     def neighbors(u):
         for w, part in zip((1, 2), adjacency.get(u, ())):
             for v in part:
                 yield v, 2 * w if pool and v in targets else w
 
-    reference_starts = {o: (cost, 0, (o,)) for o, cost in starts.items()}
-    return exhaustive_least_key(reference_starts, neighbors, targets)
+    starts = {o: (0, 0, (o,)) for o in sources}
+    return exhaustive_least_key(starts, neighbors, targets)
 
 
 @st.composite
 def quotient_searches(draw):
     """The arguments of a search over a small graph shaped like a phase-2
-    exchange graph: each agent's held items either share one out-list pair
-    or have pairs of their own; each pair's light and heavy lists are
-    ascending, disjoint and avoid the holder's own items, and pool items
-    have none.  A pool search targets the pool, and an edge into it costs
-    twice its weight; any other search targets a few items.  Lists of up to
-    six edges over at most ten items make cursors pass over items settled
-    after they were pushed, and make two cursors of one cost meet, from two
-    nodes or, in a pool search, from one."""
+    exchange graph, and whether it is a pool search: each agent's held
+    items either share one out-list pair or have pairs of their own; each
+    pair's light and heavy lists are ascending, disjoint and avoid the
+    holder's own items, and pool items have none.  A pool search targets
+    the pool, and an edge into it costs twice its weight; any other search
+    targets a few items.  A light edge enters a target or the pool, so it
+    ends every path it is on.  The sources avoid the targets."""
     m = draw(st.integers(5, 10))
     item = st.integers(0, m - 1)
     n = draw(st.integers(1, 3))
     owner = [draw(st.integers(0, n)) for _ in range(m)]  # 0: the pool
+    pool = draw(st.booleans())
+    if pool:
+        targets = frozenset(o for o in range(m) if owner[o] == 0)
+    else:
+        targets = draw(st.frozensets(item, min_size=1, max_size=3))
+    ends = targets.union(o for o in range(m) if owner[o] == 0)
     adjacency = {}
 
     def out_pair(held):
         edges = draw(st.dictionaries(item, st.integers(1, 2), min_size=1, max_size=6))
         edges = {v: w for v, w in edges.items() if v not in held}
-        return tuple(tuple(sorted(v for v, w in edges.items() if w == k)) for k in (1, 2))
+        light = tuple(sorted(v for v, w in edges.items() if w == 1 and v in ends))
+        return light, tuple(sorted(v for v in edges if v not in light))
 
     for j in range(1, n + 1):
         held = [o for o in range(m) if owner[o] == j]
@@ -1021,31 +1075,38 @@ def quotient_searches(draw):
             for o in held:
                 if any(pair := out_pair(held)):
                     adjacency[o] = pair
-    pool = draw(st.booleans())
-    if pool:
-        targets = frozenset(o for o in range(m) if owner[o] == 0)
-    else:
-        targets = draw(st.frozensets(item, min_size=1, max_size=3))
-    # a source in the targets ends most searches at once, so most have none
-    sources = draw(st.frozensets(item, min_size=1, max_size=4))
-    sources = (sources - targets or sources) if draw(st.integers(0, 3)) else sources
-    costs = st.just(0) if draw(st.booleans()) else st.integers(0, 2)
-    starts = {o: draw(costs) for o in sorted(sources)}
-    return starts, adjacency, targets, pool
+    sources = draw(st.frozensets(item, min_size=1, max_size=4)) - targets
+    return sources, adjacency, targets, pool
+
+
+def _members_of_one_node():
+    """A search in which o2 and o3 share agent 1's out-list pair; both are
+    reached in one edge and both reach the target o7 in two.  The path
+    through o0 is lexicographically smaller, so it goes through o3 although
+    o2 is the smaller item."""
+    adjacency = {0: ((), (3,)), 1: ((), (2,)), 3: ((), (7,))}
+    adjacency[2] = adjacency[3]
+    return frozenset({0, 1}), adjacency, frozenset({7}), False
 
 
 @settings(derandomize=True, deadline=None, max_examples=1000)
 @given(quotient_searches())
+@example(_members_of_one_node())
+# from o0, the heavy edge to o1 and the light edge into the pool item o2
+# both cost 2; the light one is the answer, and the pool item o4, light
+# from o1, is never reached
+@example((frozenset({0}), {0: ((2,), (1,)), 1: ((4,), ())}, frozenset({2, 4}), True))
 def test_one_expansion_search_equals_exhaustive_search(search):
-    assert dijkstra.least_key(*search) == _reference_key(*search)
+    sources, adjacency, targets, pool = search
+    found = least_path(adjacency, sources, targets)
+    assert _least_key(found, pool) == _reference_key(*search)
 
 
-def _recorded_search(monkeypatch, starts, adjacency, targets, pool=False):
-    """Run the search, recording the item of every node it expands and the
-    item of every heap entry it pops, in order.  A node is expanded when
-    the search reads its pair's class lists, just after looking the item
-    up."""
-    expanded, popped = [], []
+def test_one_expansion_search_tie_break_between_members():
+    # o3 is reached first, from o0, so the shared pair is read at o3, and
+    # o2, reached from o1, is never expanded
+    sources, adjacency, targets, _pool = _members_of_one_node()
+    expanded = []
 
     class Recording(dict):
         last = None  # the item last looked up
@@ -1063,67 +1124,8 @@ def _recorded_search(monkeypatch, starts, adjacency, targets, pool=False):
 
     wrapped = {id(pair): Expanded(pair) for pair in adjacency.values()}
     recording.update((u, wrapped[id(pair)]) for u, pair in adjacency.items())
-
-    def recorded(pop):
-        def wrapper(*args):
-            entry = pop(*args)
-            popped.append(entry[3])
-            return entry
-
-        return wrapper
-
-    heap = types.SimpleNamespace(
-        heapify=heapq.heapify,
-        heappush=heapq.heappush,
-        heappop=recorded(heapq.heappop),
-        heapreplace=recorded(heapq.heapreplace),
-    )
-    with monkeypatch.context() as patch:
-        patch.setattr(dijkstra, "heapq", heap)
-        key = dijkstra.least_key(starts, recording, targets, pool)
-    assert key == _reference_key(starts, adjacency, targets, pool)
-    return key, expanded, popped
-
-
-def test_one_expansion_search_tie_break_between_members(monkeypatch):
-    # o2 and o3 share agent 1's out-list pair; both are reached at cost 2
-    # in one edge and both reach the target o7 at cost 4 in two.  The path
-    # through o0 is lexicographically smaller, so o3 is popped and expanded
-    # first although o2 is the smaller item, and o2 is never expanded.
-    adjacency = {0: ((), (3,)), 1: ((), (2,)), 3: ((), (7,))}
-    adjacency[2] = adjacency[3]
-    starts = {0: 0, 1: 0}
-    key, expanded, _popped = _recorded_search(
-        monkeypatch, starts, adjacency, frozenset({7})
-    )
-    assert key == (4, 2, (0, 3, 7))
+    assert least_path(recording, sources, targets) == ((0, 3, 7), False)
     assert expanded == [0, 1, 3]
-
-
-def test_cursor_passes_over_items_settled_after_it_was_pushed(monkeypatch):
-    # o0's cursor is pushed pointing at o1 at cost 2.  o5 then reaches o2
-    # at cost 1 and settles it, so when the cursor is popped at o1 it moves
-    # straight on to o3, the target: no item is popped twice.
-    adjacency = {0: ((), (1, 2, 3)), 5: ((2,), ())}
-    key, _expanded, popped = _recorded_search(
-        monkeypatch, {0: 0, 5: 0}, adjacency, frozenset({3})
-    )
-    assert key == (2, 1, (0, 3))
-    assert popped == [0, 5, 2, 1]
-
-
-def test_pool_search_ties_two_classes_of_one_cursor_cost(monkeypatch):
-    # From o0, the heavy edge to o1 and the light edge into the pool item
-    # o2 both cost 2, so two of o0's cursors tie on cost, edge count and
-    # prefix; the smaller item, o1, goes first.  The pool item o4 is
-    # reached through o1 at cost 4, but o2 costs 2 and ends the search.
-    adjacency = {0: ((2,), (1,)), 1: ((4,), ())}
-    key, expanded, popped = _recorded_search(
-        monkeypatch, {0: 0}, adjacency, frozenset({2, 4}), pool=True
-    )
-    assert key == (2, 1, (0, 2))
-    assert expanded == [0, 1]
-    assert popped == [0, 1]
 
 
 @st.composite

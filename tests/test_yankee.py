@@ -203,7 +203,7 @@ def test_heap_turn_order_equals_min_scan_reference(inst):
 
 
 class _Walked(tuple):
-    """A class list that counts the times it is walked."""
+    """An out-list pair that counts the times it is read."""
 
     walks = 0
 
@@ -214,23 +214,24 @@ class _Walked(tuple):
 
 @pytest.mark.parametrize("name", sorted(PHASE1_INSTANCES))
 def test_search_walks_each_shared_edge_list_once(monkeypatch, name):
-    """Every search of a solve walks each heavy list at most once and finds
-    the reference's path, which walks the lists of every item it reaches;
-    pairs shared by several items make that fewer walks in all.
-    A search on an empty pool, and one with a source in the pool (a direct
-    pickup, whose path is its least such source), walks no list."""
+    """Every search of a solve reads each out-list pair at most once, a pair
+    shared by several items included, and finds the reference's path, which
+    reads the pair of every item it reaches; shared pairs make that fewer
+    reads in all.  A search on an empty pool, and one with a source in the
+    pool (a direct pickup, whose path is its least such source), reads no
+    pair."""
     inst = PHASE1_INSTANCES[name]()
     search = yankee.shortest_path_to_pool
     walks = {"search": 0, "reference": 0}
     forced = {"empty pool": 0, "direct pickup": 0}
 
     def counting_search(allocation, adjacency, sources):
-        copies = {id(pair): (pair[0], _Walked(pair[1])) for pair in adjacency.values()}
-        lists = {u: copies[id(pair)] for u, pair in adjacency.items()}
-        walked_lists = [heavy for _light, heavy in copies.values()]
-        path = search(allocation, lists, sources)
-        assert all(out.walks <= 1 for out in walked_lists)
-        walked = sum(out.walks for out in walked_lists)
+        copies = {id(pair): _Walked(pair) for pair in adjacency.values()}
+        pairs = {u: copies[id(pair)] for u, pair in adjacency.items()}
+        walked_pairs = list(copies.values())
+        path = search(allocation, pairs, sources)
+        assert all(pair.walks <= 1 for pair in walked_pairs)
+        walked = sum(pair.walks for pair in walked_pairs)
         pool = allocation.unallocated
         if not pool:
             forced["empty pool"] += bool(sources)
@@ -240,10 +241,10 @@ def test_search_walks_each_shared_edge_list_once(monkeypatch, name):
             forced["direct pickup"] += len(pool.intersection(sources)) > 1
             assert path == (min(pool.intersection(sources)),) and walked == 0
         walks["search"] += walked
-        for out in walked_lists:
-            out.walks = 0
-        assert path == reference_shortest_path_to_pool(allocation, lists, sources)
-        walks["reference"] += sum(out.walks for out in walked_lists)
+        for pair in walked_pairs:
+            pair.walks = 0
+        assert path == reference_shortest_path_to_pool(allocation, pairs, sources)
+        walks["reference"] += sum(pair.walks for pair in walked_pairs)
         return path
 
     monkeypatch.setattr(yankee, "shortest_path_to_pool", counting_search)
@@ -254,11 +255,11 @@ def test_search_walks_each_shared_edge_list_once(monkeypatch, name):
 
 def test_search_walks_a_shared_pair_once():
     # o1 and o2 share one pair and are both reached from o0 in one layer, so
-    # the pair is walked at o1 only; the path to the pool item o9 goes
+    # the pair is read at o1 only; the path to the pool item o9 goes
     # through o1, the first parent to reach o4
-    shared = ((), _Walked((3, 4)))
+    shared = _Walked(((), (3, 4)))
     adjacency = {0: ((), (1, 2)), 1: shared, 2: shared, 4: ((), (9,))}
     allocation = Allocation.from_bundles([set(range(9))], 10)
     path = yankee.shortest_path_to_pool(allocation, adjacency, frozenset({0}))
     assert path == (0, 1, 4, 9)
-    assert shared[1].walks == 1
+    assert shared.walks == 1
