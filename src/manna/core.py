@@ -111,16 +111,12 @@ class Allocation:
         same object.
 
         Checked in O(moves), where the constructor's check is O(n + m), and
-        as strong: no item moves twice, each item lies in the part it
-        leaves, and each touched part's new size is its old size minus the
-        items that left plus the items that entered, which also rejects an
-        item entering a part that already holds it.  Items only change
+        as strong: no item moves twice, and each lies in the part it leaves,
+        the only part holding it, and enters another.  Items only change
         parts, so the result is again a disjoint cover of the same items.
         Raises ``ContractViolation`` otherwise.
         """
         parts = [self.unallocated, *self.bundles]  # indexed by agent
-        left: dict[int, list[int]] = {}
-        entered: dict[int, list[int]] = {}
         moved = set()
         for item, source, dest in moves:
             if not (0 <= source < len(parts) and 0 <= dest < len(parts)):
@@ -129,19 +125,11 @@ class Allocation:
                 raise ContractViolation(f"item {item} moves twice")
             if item not in parts[source]:
                 raise ContractViolation(f"item {item} is not in part {source}")
+            if dest == source:  # the parts are disjoint: only this one holds it
+                raise ContractViolation(f"a moved item is already in part {dest}")
             moved.add(item)
-            left.setdefault(source, []).append(item)
-            entered.setdefault(dest, []).append(item)
-        for k in {*left, *entered}:
-            old = new = parts[k]
-            gained, lost = entered.get(k, ()), left.get(k, ())
-            if gained:
-                new = new.union(gained)
-            if lost:
-                new = new.difference(lost)
-            if len(new) != len(old) - len(lost) + len(gained):
-                raise ContractViolation(f"a moved item is already in part {k}")
-            parts[k] = new
+            parts[source] = parts[source].difference((item,))
+            parts[dest] = parts[dest].union((item,))
         # the constructor would repeat the O(n + m) check just argued for
         derived = object.__new__(Allocation)
         object.__setattr__(derived, "bundles", tuple(parts[1:]))

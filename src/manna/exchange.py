@@ -117,28 +117,12 @@ agent retires builds nothing.
 
 Phase 2 asks each graph state for up to n² paths, so it also shares these:
 
-* **Reachability pre-filter, for pool searches only.**  Each graph state
-  caches the items that can reach the pool, found by a reverse search that
-  expands each node into its items once, from the targets with an in-edge
-  (a pool item has no out-edge).  The search reads, per item,
-  the nodes with an edge into it: an index that ``reaching`` builds from
-  the items grouped by their pair's identity, once per state, and that
-  advancing the graph drops with the rest of the cache.  A
-  ``pareto_improving`` request returns None before ``least_path`` runs
-  when no source is among them.  Those are exactly the searches that would
-  reach no target and return None, so the searches that do run are
-  unchanged.  Two kinds of pool search have a known answer to the filter
-  and do not consult it: one with no sources returns None at once, and one
-  whose sources meet the pool is a direct pickup (below), since a source in
-  the pool is itself a target and the filter would pass.  So the reverse
-  search runs only for a graph where some other pool search is asked, and
-  there it serves the Pareto scan of all n agents, most of whose searches
-  find nothing, so it pays.  An exchange search has a target set of its
-  own, an agent's counted bundle, and the exchange scan searches only pairs
-  whose sizes qualify, where a path nearly always exists.  A reverse
-  search there would cost about as much as the search it could spare, so
-  exchange searches skip it, and the exchange stage builds no index before
-  its final Pareto check.
+* **Dead pairs, for pool searches only.**  Each graph state keeps
+  ``dead``, the pairs that its failed pool searches walked, and every
+  pool search of the state skips them (see ``search``): they reach no
+  pool item.  Advancing the graph empties it.  An exchange search has a
+  target set of its own, an agent's counted bundle, so it gets a fresh
+  memo.
 * **Searches of no edge, answered without a search.**  A path of no edges
   is a source that is a target, and ``min_weight_path`` answers it itself.
 
@@ -159,7 +143,6 @@ Phase 2 asks each graph state for up to n² paths, so it also shares these:
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import defaultdict
 from itertools import compress
 from operator import is_not
 from dataclasses import dataclass, field
@@ -300,42 +283,8 @@ class ExchangeGraph:
     x0: Optional[Allocation] = None
     adjacency: dict[int, tuple[Sequence[int], Sequence[int]]] = field(default_factory=dict)
     desired: list[frozenset[int]] = field(default_factory=list)
-    # per state: each target set's ``reaching`` items, and under None the
-    # reverse index they are searched in
-    _reaching: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def reaching(self, targets: frozenset[int]) -> frozenset[int]:
-        """Items with a path to some item of ``targets`` (targets included),
-        computed once per target set by a reverse search that expands each
-        node into its items once, started from the targets that have an
-        in-edge.  The search reads, per item, the nodes
-        with an edge into it, indexed at the state's first call from the
-        items grouped by their pair's identity."""
-        cache = self._reaching
-        if targets not in cache:
-            into = cache.get(None)
-            if into is None:
-                nodes = defaultdict(list)
-                for u, pair in self.adjacency.items():
-                    nodes[id(pair)].append(u)
-                into = cache[None] = defaultdict(list)
-                for items in nodes.values():
-                    for part in self.adjacency[items[0]]:
-                        for v in part:
-                            into[v].append(items)
-            seen = set(targets)
-            stack = [v for v in into if v in targets]  # the rest have no in-edge
-            expanded = set()
-            while stack:
-                for items in into.get(stack.pop(), ()):
-                    if id(items) not in expanded:
-                        expanded.add(id(items))
-                        for u in items:
-                            if u not in seen:
-                                seen.add(u)
-                                stack.append(u)
-            cache[targets] = frozenset(seen)
-        return cache[targets]
+    # per state: the pairs its failed pool searches walked (``search``)
+    dead: dict[int, int] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def edges(self):
         """Every edge ``(u, v, weight)``, in ascending order."""
@@ -429,7 +378,7 @@ def _advance(graph, xc, x0):
     changed = _changed(xc.bundles, old_xc)
     if x0 is not graph.x0:
         changed = sorted({*changed, *_changed(x0.bundles, old_x0)})
-    graph.xc, graph.x0, graph._reaching = xc, x0, {}
+    graph.xc, graph.x0, graph.dead = xc, x0, {}
     adjacency, desired, dependent = graph.adjacency, graph.desired, graph.dependent
     spliced, rebuilt = [], []
     for j in changed:
@@ -530,9 +479,9 @@ def min_weight_path(
     holder, at 1 when it holds ``v`` in its zero-valued bundle, else 2:
     the edge's own weight, since the same membership makes it light.  So
     such an edge costs twice its weight.  A search with a source among the
-    targets is answered here; any other is ``search.least_path``'s, and its
-    edge count and whether its last edge is light fix its cost (see the
-    module docstring).
+    targets is answered here; any other is ``search.least_path``'s, a pool
+    search on the graph state's memo of dead pairs, and its edge count and
+    whether its last edge is light fix its cost (see the module docstring).
 
     ``agent`` and ``target_agent`` must be agents, 1..n."""
     xc = graph.xc
@@ -547,9 +496,7 @@ def min_weight_path(
         if picked:  # a direct pickup, the least key
             cheap = picked.intersection(graph.x0.bundle(agent))
             return AugmentingPath((min(cheap or picked),), kind, agent, 0, 1 if cheap else 2)
-        if graph.reaching(targets).isdisjoint(sources):
-            return None
-        target_agent = 0
+        target_agent, dead = 0, graph.dead
     elif kind == EXCHANGE:
         if target_agent is None or target_agent == agent or not 1 <= target_agent <= n:
             raise ContractViolation(f"exchange paths need a distinct target agent among 1..{n}")
@@ -558,9 +505,10 @@ def min_weight_path(
             return AugmentingPath(
                 (min(targets.intersection(sources)),), kind, agent, target_agent, 0
             )
+        dead = {}
     else:
         raise ContractViolation(f"unknown path kind {kind!r}")
-    found = least_path(graph.adjacency, sources, targets)
+    found = least_path(graph.adjacency, sources, targets, dead)
     if found is None:
         return None
     items, light = found

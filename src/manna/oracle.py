@@ -75,7 +75,11 @@ def brute_max_usw(inst: Instance, budget: Optional[int] = None) -> int:
 
 def brute_mms(inst: Instance, agent: int, budget: Optional[int] = None) -> int:
     """The agent's maxmin share: the best worst bundle over all ways they
-    could split the items into n parts themselves."""
+    could split the items into n parts themselves.  ``agent`` must be one
+    of 1..n."""
+    n = inst.num_agents
+    if not 1 <= agent <= n:
+        raise ContractViolation(f"agent {agent} is not among the agents 1..{n}")
     ensure_budget(inst, budget)
     best = None
     for bundles in _complete_bundles(inst):

@@ -33,6 +33,19 @@ one or more edges with the least key, without weighing an edge.
   could find no hit and reach no item first.  So each pair is walked once
   per search, from the first of its items: checked for hits, and extended
   when its layer has none.
+* **Dead pairs, shared by failed pool searches.**  ``dead`` holds the
+  pairs walked by earlier failed searches of the same graph state, by id,
+  and the search walks none of them; a failed search adds its own.  Phase
+  2 shares one memo between the pool searches of a state and gives every
+  other search a fresh one.  The memo changes no answer:
+
+  - every pool search of one state has the same targets, ``xc``'s pool;
+  - a light edge enters the pool, so a walked pair with a non-empty light
+    list is a hit;
+  - so a failed search has walked every pair reachable from its sources
+    and found no target, and none of those pairs reaches the pool;
+  - every out-neighbour of a dead pair is also dead, so skipping dead
+    pairs changes no hit, no discovered live item and no first parent.
 """
 
 from __future__ import annotations
@@ -42,17 +55,21 @@ from typing import Iterable, Optional
 
 
 def least_path(
-    adjacency: dict[int, tuple], sources: Iterable[int], targets: frozenset[int]
+    adjacency: dict[int, tuple],
+    sources: Iterable[int],
+    targets: frozenset[int],
+    dead: dict[int, int],
 ) -> Optional[tuple[tuple[int, ...], bool]]:
     """The least path of one or more edges from ``sources`` to ``targets``
     in ``adjacency``, and whether its last edge is light; None when no
-    target is reachable.  Every light edge must end its path, entering a
-    target or an item with no out-edges, and no source may be a target: a
-    search with a source among the targets has its zero-edge answer
-    already."""
+    target is reachable, after adding the pairs walked to ``dead``.  Every
+    light edge must end its path, entering a target or an item with no
+    out-edges, and no source may be a target: a search with a source among
+    the targets has its zero-edge answer already.  ``dead`` must hold only
+    pairs that reach no target."""
     frontier = sorted(sources)
     parent: dict[int, Optional[int]] = {}  # first parents, from the first extension on
-    walked: dict[int, int] = {}  # id of each pair walked -> the item it was walked at
+    walked = dict(dead)  # id of each pair walked -> the item it was walked at
     while frontier:
         first, hit = len(walked), None
         for u in frontier:
@@ -79,5 +96,6 @@ def least_path(
             fresh = list(filterfalse(parent.__contains__, adjacency[u][1]))
             parent.update(dict.fromkeys(fresh, u))
             frontier += fresh
+    dead.update(walked)
     return None
 

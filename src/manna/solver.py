@@ -50,7 +50,6 @@ Trace = Optional[Callable[[str], None]]
 class SolverState:
     xc: Allocation
     x0: Allocation
-    xm1: Allocation
     pareto_augmentations: int = 0
     exchange_augmentations: int = 0
 
@@ -95,8 +94,7 @@ def phase1(inst: Instance) -> SolverState:
     """Allocate all non-negative marginals by Yankee Swap at threshold 0."""
     check_supported(inst)
     x0 = yankee_swap(inst.num_items, inst.valuations)
-    empty = Allocation.empty(inst.num_agents, inst.num_items)
-    state = SolverState(xc=empty, x0=x0, xm1=empty)
+    state = SolverState(xc=Allocation.empty(inst.num_agents, inst.num_items), x0=x0)
     problems = clean_state_violations(inst, state.xc, state.x0)
     if problems:
         raise CleannessViolation("; ".join(problems))
@@ -267,10 +265,8 @@ def phase3(state: SolverState, inst: Instance, trace: Trace = None) -> SolveRepo
     marginal check before each push asserts, so only the receiver's key
     moves, and the heap's least entry is the agent a scan of all utilities
     would pick."""
-    remaining = sorted(
-        state.xc.unallocated & state.x0.unallocated & state.xm1.unallocated
-    )
-    xm1_bundles = [set(state.xm1.bundle(i)) for i in inst.agents]
+    remaining = sorted(state.xc.unallocated & state.x0.unallocated)
+    xm1_bundles = [set() for _ in inst.agents]
 
     def bundle_of(i: int) -> frozenset[int]:
         return state.xc.bundle(i) | state.x0.bundle(i) | frozenset(xm1_bundles[i - 1])
@@ -291,20 +287,20 @@ def phase3(state: SolverState, inst: Instance, trace: Trace = None) -> SolveRepo
         if trace:
             trace(f"phase3 give o{o} to agent {receiver}")
 
-    state.xm1 = Allocation.from_bundles(xm1_bundles, inst.num_items)
+    xm1 = Allocation.from_bundles(xm1_bundles, inst.num_items)
     allocation = Allocation.from_bundles(
         [bundle_of(i) for i in inst.agents], inst.num_items
     )
     if not allocation.is_complete:
         raise CleannessViolation("final allocation is not complete")
-    decomposition = TriDecomposition(state.xc, state.x0, state.xm1)
+    decomposition = TriDecomposition(state.xc, state.x0, xm1)
     ok, clause = verify_tridecomposition(inst, allocation, decomposition)
     if not ok:
         raise CleannessViolation(f"final decomposition violates clause ({clause})")
     utilities = utility_vector(inst, allocation)
     usw = sum(utilities)
     by_parts = sum(
-        inst.c * len(state.xc.bundle(i)) - len(state.xm1.bundle(i)) for i in inst.agents
+        inst.c * len(state.xc.bundle(i)) - len(xm1.bundle(i)) for i in inst.agents
     )
     if usw != by_parts:
         raise CleannessViolation(

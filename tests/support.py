@@ -252,21 +252,12 @@ def per_item_split(spec, bundle, tau):
     return clean, frozenset(bundle) - clean
 
 
-def _filtered_path(graph, sources, kind, agent, target_agent=None):
-    """``min_weight_path`` behind the reachability filter, whatever the kind."""
-    targets = graph.xc.unallocated if kind == PARETO else graph.xc.bundle(target_agent)
-    if graph.reaching(targets).isdisjoint(sources):
-        return None
-    return min_weight_path(graph, sources, kind, agent, target_agent)
-
-
 def reference_phase2(state, inst, trace, rescans):
     """Reference for ``solver.phase2``: exhaust Pareto-improving paths, make
     one qualifying exchange augmentation, and start over, so the Pareto
-    paths are sought again after every exchange; every search is filtered
-    by reachability.  Each augmentation's trace line goes to ``trace``, and
-    the result of each rescan, the first Pareto scan after an exchange, is
-    appended to ``rescans``."""
+    paths are sought again after every exchange.  Each augmentation's trace
+    line goes to ``trace``, and the result of each rescan, the first Pareto
+    scan after an exchange, is appended to ``rescans``."""
     graph = None
     after_exchange = False
     while True:
@@ -276,7 +267,7 @@ def reference_phase2(state, inst, trace, rescans):
             )
             found = None
             for i in inst.agents:
-                path = _filtered_path(graph, graph.desired[i - 1], PARETO, i)
+                path = min_weight_path(graph, graph.desired[i - 1], PARETO, i)
                 if path is not None:
                     found = path
                     break
@@ -301,7 +292,7 @@ def reference_phase2(state, inst, trace, rescans):
                 balances = sizes[i - 1] + 1 < sizes[j - 1]
                 swaps_down = sizes[i - 1] + 1 == sizes[j - 1] and i < j
                 if balances or swaps_down:
-                    found = _filtered_path(graph, sources, EXCHANGE, i, target_agent=j)
+                    found = min_weight_path(graph, sources, EXCHANGE, i, target_agent=j)
                     if found is not None:
                         break
             if found is not None:

@@ -28,7 +28,6 @@ from manna.solver import phase1
 from manna.valuations import Additive, CappedGroups
 from manna.yankee import shortest_path_to_pool
 from support import (
-    _filtered_path,
     exhaustive_least_key,
     full_scan_f_set,
     full_scan_unweighted_adjacency,
@@ -345,9 +344,8 @@ def _class_types(g):
 
 def _assert_equals_fresh_build(g):
     """Every part of ``g`` -- its edges with their weights and order, its
-    pairs with the type of each class list, its nodes, desired items, and
-    the items that reach the pool or an agent's counted bundle -- equals a
-    fresh build's: the same builder from an empty graph."""
+    pairs with the type of each class list, its nodes and desired items --
+    equals a fresh build's: the same builder from an empty graph."""
     fresh = ExchangeGraph(g.valuations, g.threshold, g.candidates, g.dependent)
     exchange._advance(fresh, g.xc, g.x0)
     assert g.dump() == fresh.dump()
@@ -355,8 +353,6 @@ def _assert_equals_fresh_build(g):
     assert _class_types(g) == _class_types(fresh)
     assert _nodes(g) == _nodes(fresh)
     assert g.desired == fresh.desired
-    for targets in (g.xc.unallocated, *g.xc.bundles):
-        assert g.reaching(targets) == fresh.reaching(targets)
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_INSTANCES))
@@ -630,7 +626,10 @@ def _every_search(graph, inst):
                 yield i, j, sources, min_weight_path(graph, sources, kind, i, j or None)
 
 
-def test_reachability_filter_changes_no_search(monkeypatch, named_fixtures):
+def test_memo_changes_no_search(monkeypatch, named_fixtures):
+    """Every Pareto search of every phase-2 graph, agents ascending and
+    then descending on the graph's shared memo of dead pairs, finds what it
+    finds on an empty memo."""
     instances = dict(named_fixtures)
     instances.update((name, make()) for name, make in EQUIVALENCE_INSTANCES.items())
     found = missing = 0
@@ -638,17 +637,13 @@ def test_reachability_filter_changes_no_search(monkeypatch, named_fixtures):
 
         def check(g):
             nonlocal found, missing
-            filtered = [path for *_search, path in _every_search(g, inst)]
-            with monkeypatch.context() as patch:
-                patch.setattr(
-                    ExchangeGraph,
-                    "reaching",
-                    lambda self, targets: frozenset(range(self.xc.num_items)),
-                )
-                unfiltered = [path for *_search, path in _every_search(g, inst)]
-            assert filtered == unfiltered, name
-            found += sum(p is not None for p in filtered)
-            missing += sum(p is None for p in filtered)
+            for i in (*inst.agents, *reversed(inst.agents)):
+                sources = g.desired[i - 1]
+                path = min_weight_path(g, sources, PARETO, i)
+                alone = min_weight_path(dataclasses.replace(g), sources, PARETO, i)
+                assert path == alone, name
+                found += path is not None
+                missing += path is None
 
         try:
             _phase2_graphs(monkeypatch, inst, check)
@@ -658,43 +653,58 @@ def test_reachability_filter_changes_no_search(monkeypatch, named_fixtures):
 
 
 @pytest.mark.parametrize("name", sorted(EQUIVALENCE_INSTANCES))
-def test_pareto_searches_consult_reaching_only_when_unforced(monkeypatch, name):
-    """Every Pareto search of a solve calls ``reaching`` exactly when its
-    sources are not empty and miss the pool, and finds what the search
-    behind the filter finds; searches with no sources, or with a source in
-    the pool, have a known answer to the filter."""
+def test_forced_pareto_searches_leave_the_memo_untouched(monkeypatch, name):
+    """Every Pareto search of a solve with no sources or with a source in
+    the pool leaves the graph's memo as it was, and so does every other
+    search that finds a path; one that finds none only adds to it.  Each
+    finds what it finds on an empty memo."""
     inst = EQUIVALENCE_INSTANCES[name]()
-    search, reaching = solver.min_weight_path, ExchangeGraph.reaching
-    consulted = 0
-    seen = {"no sources": 0, "source in pool": 0, "filtered": 0}
-
-    def counting_reaching(self, targets):
-        nonlocal consulted
-        consulted += 1
-        return reaching(self, targets)
+    search = solver.min_weight_path
+    seen = {"no sources": 0, "source in pool": 0, "searched": 0}
 
     def checked(graph, sources, kind, agent, target_agent=None):
-        nonlocal consulted
-        consulted = 0
+        before = dict(graph.dead)
         path = search(graph, sources, kind, agent, target_agent)
         if kind == PARETO:
             pool = graph.xc.unallocated
             case = (
                 "no sources"
                 if not sources
-                else "filtered" if pool.isdisjoint(sources) else "source in pool"
+                else "searched" if pool.isdisjoint(sources) else "source in pool"
             )
             seen[case] += 1
-            assert consulted == (case == "filtered")
-            # on a copy, so that only the solve's own searches fill the
-            # graph's reaching cache
-            assert path == _filtered_path(dataclasses.replace(graph), sources, kind, agent)
+            if case == "searched" and path is None:
+                assert graph.dead.items() >= before.items()
+            else:
+                assert graph.dead == before
+            assert path == search(dataclasses.replace(graph), sources, kind, agent)
         return path
 
-    monkeypatch.setattr(ExchangeGraph, "reaching", counting_reaching)
     monkeypatch.setattr(solver, "min_weight_path", checked)
     solver.solve(inst)
     assert min(seen.values()) > 0, seen
+
+
+def test_advancing_the_graph_empties_the_memo():
+    """A Pareto search that failed walked agent 2's pair; when agent 3
+    gives its item back to the pool, agent 2 keeps its bundles and so its
+    pair object, and the search finds a path through that pair."""
+    inst = Instance(
+        3, 3, 2, (Additive((2, 0, 0)), Additive((2, 2, 0)), Additive((0, 2, 0)))
+    )
+    xc = Allocation.from_bundles([set(), {0}, {1}], 3)
+    x0 = Allocation.empty(3, 3)
+    g = build_weighted_graph(inst, xc, x0)
+    pair = g.adjacency[0]
+    assert g.desired[0] == {0} and pair == ((), [1])
+    assert min_weight_path(g, g.desired[0], PARETO, 1) is None
+    assert id(pair) in g.dead
+    g = build_weighted_graph(inst, xc.move([(1, 3, 0)]), x0, previous=g)
+    assert g.adjacency[0] is pair
+    path = min_weight_path(g, g.desired[0], PARETO, 1)
+    assert path == AugmentingPath((0, 1), PARETO, 1, 0, 4)
+    fresh = build_weighted_graph(inst, g.xc, g.x0)
+    assert path == min_weight_path(fresh, fresh.desired[0], PARETO, 1)
 
 
 @pytest.mark.parametrize(
@@ -716,34 +726,6 @@ def test_min_weight_path_rejects_agents_outside_the_instance(kind, agent, target
     g = build_weighted_graph(inst, xc, x0)
     with pytest.raises(ContractViolation, match="1..4"):
         min_weight_path(g, frozenset({1, 2}), kind, agent, target_agent)
-
-
-def test_reaching_is_reverse_reachability(monkeypatch):
-    additive = gen_random_additive(8, 40, 2, (1, 1, 2), 1)
-    capped = gen_capped_groups(6, 30, 2, (1, 3), (1, 3), 0)
-    # additive agents' items always share a pair; the capped graph mixes
-    # shared pairs with pairs of one item each
-    for inst, kinds in ((additive, {True}), (capped, {True, False})):
-        middle = _phase2_graphs(monkeypatch, inst, lambda g: None) // 2
-        index = -1
-
-        def check(g):
-            nonlocal index
-            index += 1
-            if index != middle:
-                return
-            assert g.adjacency
-            assert _node_kinds(g) == kinds
-            lists = _edge_lists(g)
-            for target_agent in range(0, inst.num_agents + 1):
-                targets = g.xc.bundle(target_agent)
-                expected = {
-                    o for o in inst.items if _bfs_length(lists, {o}, targets) is not None
-                }
-                assert g.reaching(targets) == expected
-                assert g.reaching(targets) is g.reaching(targets)  # cached per set
-
-        _phase2_graphs(monkeypatch, inst, check)
 
 
 def _reference_pool_path(allocation, adjacency, sources):
@@ -787,8 +769,7 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
     assert sum(outcomes) > 2000 and outcomes.count(False) > 500
     # every min_weight_path of every phase-2 state equals the exhaustive
     # search, forced answers included; each search whose sources miss the
-    # targets also runs through ``least_path`` directly, so that the ones
-    # the reachability filter answers count too
+    # targets also runs through ``least_path`` directly, on an empty memo
     outcomes.clear()
 
     def search_all(g):
@@ -797,7 +778,8 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
             starts, targets, key = _reference_search(g, lists, sources, i, j)
             assert _path_key(path, EXCHANGE if j else PARETO, i, j) == key
             if targets.isdisjoint(sources):
-                assert _least_key(least_path(g.adjacency, sources, targets), not j) == key
+                found = least_path(g.adjacency, sources, targets, {})
+                assert _least_key(found, not j) == key
             if starts:
                 outcomes.append(key is not None)
 
@@ -898,7 +880,8 @@ def _distances(graph, targets):
     """The fewest edges of a path into ``targets`` from each item outside
     them that has one."""
     lists = _edge_lists(graph)
-    return {o: _bfs_length(lists, {o}, targets) for o in graph.reaching(targets) - targets}
+    distances = {o: _bfs_length(lists, {o}, targets) for o in lists if o not in targets}
+    return {o: d for o, d in distances.items() if d is not None}
 
 
 def _near(distances, items, draw):
@@ -1098,7 +1081,7 @@ def _members_of_one_node():
 @example((frozenset({0}), {0: ((2,), (1,)), 1: ((4,), ())}, frozenset({2, 4}), True))
 def test_one_expansion_search_equals_exhaustive_search(search):
     sources, adjacency, targets, pool = search
-    found = least_path(adjacency, sources, targets)
+    found = least_path(adjacency, sources, targets, {})
     assert _least_key(found, pool) == _reference_key(*search)
 
 
@@ -1124,7 +1107,7 @@ def test_one_expansion_search_tie_break_between_members():
 
     wrapped = {id(pair): Expanded(pair) for pair in adjacency.values()}
     recording.update((u, wrapped[id(pair)]) for u, pair in adjacency.items())
-    assert least_path(recording, sources, targets) == ((0, 3, 7), False)
+    assert least_path(recording, sources, targets, {}) == ((0, 3, 7), False)
     assert expanded == [0, 1, 3]
 
 

@@ -48,6 +48,15 @@ def test_brute_mms_examples(named_fixtures):
     assert brute_mms(single, 1) == single.value(1, range(3))
 
 
+@pytest.mark.parametrize("agent", [0, -1, 3])
+def test_brute_mms_rejects_agents_outside_the_instance(agent):
+    # agent 0 would read agent 2's valuation and agent 3 raise IndexError
+    inst = Instance(2, 3, 2, (Additive((2, 2, -1)), Additive((2, 0, 0))))
+    message = rf"^agent {agent} is not among the agents 1\.\.2$"
+    with pytest.raises(ContractViolation, match=message):
+        brute_mms(inst, agent)
+
+
 def test_brute_lorenz_examples(named_fixtures):
     ex2 = named_fixtures["ex2"]
     report = solve(ex2)

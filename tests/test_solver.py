@@ -16,7 +16,7 @@ from support import reference_phase2, solver_instances
 def test_phase1_examples(named_fixtures):
     state = phase1(named_fixtures["ex2"])
     assert state.x0.sizes() == (2, 2)
-    assert state.xc.sizes() == (0, 0) and state.xm1.sizes() == (0, 0)
+    assert state.xc.sizes() == (0, 0)
 
     empty = Instance(2, 0, 1, (Additive(()), Additive(())))
     state = phase1(empty)
