@@ -190,10 +190,16 @@ class Instance:
         return range(self.num_items)
 
 
-def utility_vector(inst: Instance, allocation: Allocation) -> tuple[int, ...]:
-    """Per-agent utilities ``v_i(X_i)`` in agent order."""
+def require_fit(inst: Instance, allocation: Allocation) -> None:
+    """Raise ``ContractViolation`` unless ``allocation`` has ``inst``'s
+    agent and item counts."""
     if allocation.num_agents != inst.num_agents or allocation.num_items != inst.num_items:
         raise ContractViolation("allocation shape does not match instance")
+
+
+def utility_vector(inst: Instance, allocation: Allocation) -> tuple[int, ...]:
+    """Per-agent utilities ``v_i(X_i)`` in agent order."""
+    require_fit(inst, allocation)
     return tuple(inst.value(i, allocation.bundle(i)) for i in inst.agents)
 
 

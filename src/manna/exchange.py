@@ -143,8 +143,8 @@ Phase 2 asks each graph state for up to n² paths, so it also shares these:
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from itertools import compress
-from operator import is_not
+from itertools import compress, repeat
+from operator import is_not, le
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Optional, Sequence
 
@@ -152,10 +152,6 @@ from .core import Allocation, Instance
 from .errors import CleannessViolation, ContractViolation
 from .search import least_path
 from .threshold import beta
-
-PARETO = "pareto_improving"
-EXCHANGE = "exchange"
-
 
 def candidate_items(valuation, threshold: int, num_items: int) -> tuple[int, ...]:
     """Items whose marginal on the empty bundle reaches ``threshold``, in
@@ -172,7 +168,7 @@ def candidate_items(valuation, threshold: int, num_items: int) -> tuple[int, ...
     if gains is None or len(gains) != num_items:
         gains = tuple(valuation.marginals(frozenset(), range(num_items)))
         object.__setattr__(valuation, "_empty_gains", gains)
-    return tuple(o for o, d in enumerate(gains) if d >= threshold)
+    return tuple(compress(range(num_items), map(le, repeat(threshold), gains)))
 
 
 def f_set(
@@ -452,13 +448,13 @@ def _splice(graph, j, pair, left, entered):
 class AugmentingPath:
     """A path selected for augmentation.
 
-    ``target`` is the agent whose counted bundle shrinks; 0 means the path
-    ends in the pool (Pareto-improving).  ``doubled_weight`` includes the
-    terminal pickup cost for pool-terminated paths.
+    ``target`` is the part of the counted allocation the path ends in: 0 for
+    the pool, where a path is Pareto-improving, else the agent whose counted
+    bundle shrinks, along an exchange path.  ``doubled_weight`` includes the
+    terminal pickup cost of a path into the pool.
     """
 
     items: tuple[int, ...]
-    kind: str
     source_agent: int
     target: int
     doubled_weight: int
@@ -467,55 +463,48 @@ class AugmentingPath:
 def min_weight_path(
     graph: ExchangeGraph,
     sources: Collection[int],
-    kind: str,
     agent: int,
-    target_agent: Optional[int] = None,
+    target: int,
 ) -> Optional[AugmentingPath]:
     """Least-cost augmenting path from ``sources`` (the requesting agent's
-    desired items) to the pool (``pareto_improving``) or to ``target_agent``'s
-    counted bundle (``exchange``).  Returns None when no path exists.
+    desired items) into part ``target`` of the counted allocation: the pool
+    when it is 0, else that agent's counted bundle.  Returns None when no
+    path exists.
 
     A pool item ``v`` reached along ``u -> v`` is picked up by ``u``'s
     holder, at 1 when it holds ``v`` in its zero-valued bundle, else 2:
     the edge's own weight, since the same membership makes it light.  So
     such an edge costs twice its weight.  A search with a source among the
-    targets is answered here; any other is ``search.least_path``'s, a pool
-    search on the graph state's memo of dead pairs, and its edge count and
-    whether its last edge is light fix its cost (see the module docstring).
+    targets is answered here; any other is ``search.least_path``'s, on the
+    graph state's memo of dead pairs for a pool search, and its edge count,
+    whether its last edge is light and the target fix its cost (see the
+    module docstring).
 
-    ``agent`` and ``target_agent`` must be agents, 1..n."""
+    ``agent`` must be an agent, 1..n, and ``target`` the pool or another
+    agent."""
     xc = graph.xc
     n = xc.num_agents
     if not 1 <= agent <= n:
         raise ContractViolation(f"agent {agent} is not among the agents 1..{n}")
-    if kind == PARETO:
-        if not sources:
-            return None
-        targets = xc.unallocated
+    if target == agent or not 0 <= target <= n:
+        raise ContractViolation(f"target {target} is not the pool 0 or another agent of 1..{n}")
+    if not sources:
+        return None
+    targets = xc.bundle(target)
+    if not targets.isdisjoint(sources):  # a path of no edge, the least key
         picked = targets.intersection(sources)
-        if picked:  # a direct pickup, the least key
-            cheap = picked.intersection(graph.x0.bundle(agent))
-            return AugmentingPath((min(cheap or picked),), kind, agent, 0, 1 if cheap else 2)
-        target_agent, dead = 0, graph.dead
-    elif kind == EXCHANGE:
-        if target_agent is None or target_agent == agent or not 1 <= target_agent <= n:
-            raise ContractViolation(f"exchange paths need a distinct target agent among 1..{n}")
-        targets = xc.bundle(target_agent)
-        if not targets.isdisjoint(sources):  # a one-item steal, the least key
-            return AugmentingPath(
-                (min(targets.intersection(sources)),), kind, agent, target_agent, 0
-            )
-        dead = {}
-    else:
-        raise ContractViolation(f"unknown path kind {kind!r}")
-    found = least_path(graph.adjacency, sources, targets, dead)
+        if target:  # a one-item steal
+            return AugmentingPath((min(picked),), agent, target, 0)
+        cheap = picked.intersection(graph.x0.bundle(agent))  # a direct pickup
+        return AugmentingPath((min(cheap or picked),), agent, 0, 1 if cheap else 2)
+    found = least_path(graph.adjacency, sources, targets, {} if target else graph.dead)
     if found is None:
         return None
     items, light = found
     edges = len(items) - 1
     # every edge but the last is heavy; a pickup pays the last edge again
-    weight = 2 * edges + 2 - 2 * light if kind == PARETO else 2 * edges - light
-    return AugmentingPath(items, kind, agent, target_agent, weight)
+    weight = 2 * edges - light if target else 2 * (edges + 1 - light)
+    return AugmentingPath(items, agent, target, weight)
 
 
 def shift_along_path(allocation: Allocation, items: Sequence[int], gainer: int) -> Allocation:
@@ -601,7 +590,7 @@ def augment(
     # the gainer and the holders, the pool among them when the path ends there
     changed = {path.source_agent}.union(source for _, source, _ in moves)
     changed.discard(0)
-    if path.kind == PARETO:
+    if not path.target:  # the path ends in the pool
         terminal = items[-1]
         holder = x0.owner_of(terminal)
         if holder:
@@ -612,7 +601,7 @@ def augment(
     # the changed agents, the source and the target are compared.
     delta = dict.fromkeys(changed, 0)
     delta[path.source_agent] = 1
-    if path.kind == EXCHANGE:
+    if path.target:
         delta[path.target] = delta.get(path.target, 0) - 1
     for k, d in delta.items():
         size, old_size = len(new_xc.bundles[k - 1]), len(xc.bundles[k - 1])

@@ -11,11 +11,14 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence
 
-from .core import Allocation, Instance
+from .core import Allocation, Instance, require_fit
 from .errors import ContractViolation
 
 
-def _require_complete(allocation: Allocation) -> None:
+def _require_complete(inst: Instance, allocation: Allocation) -> None:
+    """Raise ``ContractViolation`` unless ``allocation`` fits ``inst`` and
+    allocates every item."""
+    require_fit(inst, allocation)
     if not allocation.is_complete:
         raise ContractViolation("fairness checks apply to complete allocations")
 
@@ -26,7 +29,7 @@ def check_prop1(inst: Instance, allocation: Allocation) -> dict[int, bool]:
     Agent i passes if their bundle -- possibly after adding one outside item
     or dropping one owned item -- is worth at least a 1/n share of the whole.
     """
-    _require_complete(allocation)
+    _require_complete(inst, allocation)
     n = inst.num_agents
     verdicts = {}
     for i in inst.agents:
@@ -52,7 +55,7 @@ def check_ef1(inst: Instance, allocation: Allocation) -> dict[tuple[int, int], b
     o in either bundle can be dropped from both sides so that
     ``v_i(X_i - o) >= v_i(X_j - o)``.
     """
-    _require_complete(allocation)
+    _require_complete(inst, allocation)
     verdicts = {}
     for i in inst.agents:
         mine = allocation.bundle(i)
@@ -73,7 +76,11 @@ def check_ef1(inst: Instance, allocation: Allocation) -> dict[tuple[int, int], b
 def check_mms(
     inst: Instance, allocation: Allocation, mms: Sequence[int]
 ) -> dict[int, bool]:
-    """Per-agent test ``v_i(X_i) >= mms_i`` against caller-supplied shares."""
+    """Per-agent test ``v_i(X_i) >= mms_i`` against caller-supplied shares,
+    one per agent."""
+    require_fit(inst, allocation)
+    if len(mms) != inst.num_agents:
+        raise ContractViolation(f"{len(mms)} shares for {inst.num_agents} agents")
     return {
         i: inst.value(i, allocation.bundle(i)) >= mms[i - 1] for i in inst.agents
     }

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .core import GREATER, LESS, Allocation, Instance, lex_compare
+from .core import GREATER, LESS, Allocation, Instance, lex_compare, utility_vector
 from .errors import BudgetExceeded, ContractViolation
 from .threshold import TriDecomposition
 
@@ -94,10 +94,11 @@ def brute_lorenz_dominating(
     inst: Instance, allocation: Allocation, budget: Optional[int] = None
 ) -> bool:
     """True iff the allocation's sorted-utility prefix sums weakly dominate
-    those of every complete allocation."""
+    those of every complete allocation.  The allocation must be complete and
+    fit the instance."""
     if not allocation.is_complete:
         raise ContractViolation("Lorenz dominance is checked over complete allocations")
-    mine = tuple(sorted(inst.value(i, allocation.bundle(i)) for i in inst.agents))
+    mine = sorted(utility_vector(inst, allocation))
     prefixes = []
     acc = 0
     for v in mine:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import Allocation, Instance, sorted_utilities, utility_vector
 from .errors import (
@@ -23,8 +23,6 @@ from .errors import (
     UnsupportedValuation,
 )
 from .exchange import (
-    EXCHANGE,
-    PARETO,
     AugmentingPath,
     ExchangeGraph,
     augment,
@@ -173,8 +171,9 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
     # whose bundles changed are recomputed.  An agent's sources are its
     # desired items.
     graph = build_weighted_graph(inst, state.xc, state.x0, check=False)
+    pool_pairs = [(i, 0) for i in inst.agents]  # agents ascending, into the pool
 
-    while (path := _pareto_scan(graph, inst.agents)) is not None:
+    while (path := _first_path(graph, pool_pairs)) is not None:
         state.xc, state.x0 = augment(inst, state.xc, state.x0, path)
         state.pareto_augmentations += 1
         guard()
@@ -190,7 +189,7 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
     sizes = list(state.xc.sizes())
     potential = _scaled_potential(sizes)
     exchanged = False
-    while (path := _exchange_scan(graph, inst.agents, sizes)) is not None:
+    while (path := _first_path(graph, _exchange_pairs(graph, inst.agents, sizes))) is not None:
         state.xc, state.x0 = augment(inst, state.xc, state.x0, path)
         before, potential = potential, _exchanged_potential(potential, sizes, path)
         if potential >= before:
@@ -212,7 +211,7 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
 
     # Without an exchange the graph is the one the Pareto stage's last scan
     # found nothing in.
-    if exchanged and (path := _pareto_scan(graph, inst.agents)) is not None:
+    if exchanged and (path := _first_path(graph, pool_pairs)) is not None:
         raise CleannessViolation(
             f"agent {path.source_agent} has a Pareto-improving path "
             f"{list(path.items)} after the exchange stage"
@@ -220,40 +219,36 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
     return state
 
 
-def _pareto_scan(graph: ExchangeGraph, agents: range) -> Optional[AugmentingPath]:
-    """The Pareto-improving path of the lowest agent that has one."""
-    for i in agents:
-        path = min_weight_path(graph, graph.desired[i - 1], PARETO, i)
+def _first_path(
+    graph: ExchangeGraph, pairs: Iterable[tuple[int, int]]
+) -> Optional[AugmentingPath]:
+    """The path of the first pair (i, j) that has one: from agent i's
+    desired items into part j of the counted allocation, the pool for 0."""
+    for i, j in pairs:
+        path = min_weight_path(graph, graph.desired[i - 1], i, j)
         if path is not None:
             return path
     return None
 
 
-def _exchange_scan(
+def _exchange_pairs(
     graph: ExchangeGraph, agents: range, sizes: list[int]
-) -> Optional[AugmentingPath]:
-    """The exchange path of the lexicographically first pair (i, j) whose
-    counted sizes it balances or swaps toward the lower index.  Every pair
+) -> Iterator[tuple[int, int]]:
+    """The pairs (i, j), lexicographically, whose counted sizes an exchange
+    balances (|xc_i| + 1 < |xc_j|) or swaps toward the lower index
+    (|xc_i| + 1 = |xc_j|, i < j).  Neither holds for j = i.  Every pair
     needs |xc_i| + 1 <= |xc_j|, so an agent already within one of the
-    largest size has no partner and is skipped."""
+    largest size has no partner and is skipped, as is one that desires
+    nothing."""
     top = max(sizes)
     for i in agents:
-        sources = graph.desired[i - 1]
-        size_i = sizes[i - 1]
-        if not sources or size_i + 1 > top:
+        grown = sizes[i - 1] + 1
+        if not graph.desired[i - 1] or grown > top:
             continue
         for j in agents:
-            if j == i:
-                continue
             size_j = sizes[j - 1]
-            balances = size_i + 1 < size_j
-            swaps_down = size_i + 1 == size_j and i < j
-            if not (balances or swaps_down):
-                continue
-            path = min_weight_path(graph, sources, EXCHANGE, i, target_agent=j)
-            if path is not None:
-                return path
-    return None
+            if grown < size_j or (grown == size_j and i < j):
+                yield i, j
 
 
 def phase3(state: SolverState, inst: Instance, trace: Trace = None) -> SolveReport:

@@ -15,8 +15,6 @@ from manna import exchange, threshold
 from manna.core import Allocation, Instance
 from manna.errors import CleannessViolation
 from manna.exchange import (
-    EXCHANGE,
-    PARETO,
     ExchangeGraph,
     augment,
     build_weighted_graph,
@@ -267,7 +265,7 @@ def reference_phase2(state, inst, trace, rescans):
             )
             found = None
             for i in inst.agents:
-                path = min_weight_path(graph, graph.desired[i - 1], PARETO, i)
+                path = min_weight_path(graph, graph.desired[i - 1], i, 0)
                 if path is not None:
                     found = path
                     break
@@ -292,7 +290,7 @@ def reference_phase2(state, inst, trace, rescans):
                 balances = sizes[i - 1] + 1 < sizes[j - 1]
                 swaps_down = sizes[i - 1] + 1 == sizes[j - 1] and i < j
                 if balances or swaps_down:
-                    found = min_weight_path(graph, sources, EXCHANGE, i, target_agent=j)
+                    found = min_weight_path(graph, sources, i, j)
                     if found is not None:
                         break
             if found is not None:

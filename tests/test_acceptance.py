@@ -13,7 +13,7 @@ import pytest
 from manna.cli import main as cli_main
 from manna.core import Allocation, Instance
 from manna.errors import CleannessViolation
-from manna.exchange import PARETO, AugmentingPath, augment, clean_state_violations
+from manna.exchange import AugmentingPath, augment, clean_state_violations
 from manna.fairness import check_ef1, check_mms, check_prop1, p_mean_welfare
 from manna.instgen import (
     ExPDMInstance,
@@ -184,7 +184,7 @@ def test_c08_cleanness_invariants(suite):
     xc = Allocation.empty(1, 2)
     x0 = Allocation.from_bundles([{0}], 2)
     try:
-        augment(inst, xc, x0, AugmentingPath((1,), PARETO, 1, 0, 2))
+        augment(inst, xc, x0, AugmentingPath((1,), 1, 0, 2))
         control = False
     except CleannessViolation:
         control = True

@@ -8,7 +8,7 @@ from manna.core import Allocation, Instance
 from manna.errors import ContractViolation
 from manna.fairness import check_ef1, check_mms, check_prop1, lorenz_geq, p_mean_welfare
 from manna.instgen import SplitMix64
-from manna.oracle import brute_leximin, brute_mms
+from manna.oracle import brute_leximin, brute_lorenz_dominating, brute_mms
 from manna.solver import solve
 from manna.valuations import Additive
 from support import permute_additive, permute_allocation
@@ -67,6 +67,35 @@ def test_check_mms(named_fixtures):
     single = Instance(1, 2, 1, (Additive((1, -1)),))
     full = Allocation((frozenset({0, 1}),), frozenset())
     assert check_mms(single, full, [single.value(1, {0, 1})]) == {1: True}
+
+
+# complete allocations that do not fit ex2's 2 agents and 4 items
+MISFITS = {
+    "extra bundle": Allocation((frozenset(), frozenset(), frozenset(range(4))), frozenset()),
+    "missing bundle": Allocation((frozenset(range(4)),), frozenset()),
+    "extra item": Allocation((frozenset({0, 1}), frozenset({2, 3, 4})), frozenset()),
+}
+CHECKERS = {
+    "prop1": check_prop1,
+    "ef1": check_ef1,
+    "mms": lambda inst, allocation: check_mms(inst, allocation, [0, 0]),
+    "lorenz": brute_lorenz_dominating,
+}
+
+
+@pytest.mark.parametrize("misfit", sorted(MISFITS))
+@pytest.mark.parametrize("checker", sorted(CHECKERS))
+def test_checkers_reject_an_allocation_that_does_not_fit(named_fixtures, checker, misfit):
+    with pytest.raises(ContractViolation, match="does not match instance"):
+        CHECKERS[checker](named_fixtures["ex2"], MISFITS[misfit])
+
+
+@pytest.mark.parametrize("shares", [[], [0], [0, 0, 0]], ids=len)
+def test_check_mms_takes_one_share_per_agent(named_fixtures, shares):
+    ex2 = named_fixtures["ex2"]
+    report = solve(ex2)
+    with pytest.raises(ContractViolation, match=f"^{len(shares)} shares for 2 agents$"):
+        check_mms(ex2, report.allocation, shares)
 
 
 def test_fairness_verdicts_invariant_under_relabeling():

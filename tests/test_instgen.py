@@ -255,7 +255,7 @@ def multigraphs(draw):
     return draw(st.lists(st.tuples(vertices, vertices), max_size=12))
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(multigraphs())
 @example([(0, 1), (1, 2), (2, 0), (0, 1), (3, 3), (2, 3)] * 2)
 def test_rank_table_equals_per_subset_union_find(edges):
@@ -278,7 +278,7 @@ def json_values(scalars=JSON_SCALARS):
     )
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(json_values())
 @example({})
 @example([{}, [], ()])
@@ -350,7 +350,7 @@ def test_parse_instance_rejects_deep_nesting():
         parse_instance("[" * 200_000)
 
 
-@settings(derandomize=True, deadline=None, max_examples=250)
+@settings(max_examples=250)
 @given(documents(INSTANCE_DOCS))
 def test_parse_instance_raises_only_manna_errors(text):
     try:
@@ -359,7 +359,7 @@ def test_parse_instance_raises_only_manna_errors(text):
         pass
 
 
-@settings(derandomize=True, deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(documents(ALLOCATION_DOCS), st.none() | st.integers(-1, 6))
 def test_parse_allocation_raises_only_manna_errors(text, num_items):
     try:

@@ -69,7 +69,7 @@ def test_beta_marginal_examples(named_fixtures):
         v1.marginals({0}, [0])
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(st.data())
 def test_capped_count_at_least_equals_the_prefix_walk(data):
     """Every (hi, lo) pair, caps 0 to 3, every default and both thresholds:
@@ -159,7 +159,7 @@ def test_decompose3_verifies_on_random_capped(seed):
     assert verify_tridecomposition(inst, X, dec) == (True, None)
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(solver_instances(max_agents=3), st.data())
 def test_decompositions_equal_the_per_item_definition(inst, data):
     """Both splits equal the per-item definition on a random allocation;

@@ -191,7 +191,7 @@ def explicit_tables(draw):
     return Explicit(m, tuple(v * scale + shift for v in table)), c
 
 
-@settings(derandomize=True, deadline=None, max_examples=400)
+@settings(max_examples=400)
 @given(explicit_tables())
 def test_packed_validators_equal_reference_loops(drawn):
     spec, c = drawn
@@ -284,7 +284,7 @@ def marginal_valued_tables(draw):
 def test_marginal_values_decide_order_neutrality_as_the_pair_pass_does():
     seen = Counter()
 
-    @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+    @settings(max_examples=400, database=None)
     @given(marginal_valued_tables())
     def check(spec):
         fast, slow = validate_order_neutral(spec), reference_validate_order_neutral(spec)
@@ -329,7 +329,7 @@ def batched_queries(draw):
     return spec, container(bundle), items
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
+@settings(max_examples=300)
 @given(batched_queries(), st.data())
 def test_batched_marginals_equal_single_marginals(query, data):
     spec, bundle, items = query
@@ -371,7 +371,7 @@ def declaring_valuations(draw):
     return spec, tau, m, want
 
 
-@settings(derandomize=True, deadline=None, max_examples=400)
+@settings(max_examples=400)
 @given(declaring_valuations(), st.data())
 def test_declared_items_keep_their_empty_bundle_marginal(drawn, data):
     """Each family declares exactly its documented items at each threshold,

@@ -169,7 +169,7 @@ class _Recording(list):
         return super().__getitem__(k)
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(solver_instances(max_agents=6))
 def test_heap_turn_order_equals_min_scan_reference(inst):
     """Each turn goes to the same agent and finds the same path, and the
