@@ -476,9 +476,10 @@ def min_weight_path(
     the edge's own weight, since the same membership makes it light.  So
     such an edge costs twice its weight.  A search with a source among the
     targets is answered here; any other is ``search.least_path``'s, on the
-    graph state's memo of dead pairs for a pool search, and its edge count,
-    whether its last edge is light and the target fix its cost (see the
-    module docstring).
+    graph state's memo of dead pairs for a pool search, and stopping at its
+    first heavy hit for an exchange search, since no light list meets an
+    agent's counted bundle.  Its edge count, whether its last edge is light
+    and the target fix its cost (see the module docstring).
 
     ``agent`` must be an agent, 1..n, and ``target`` the pool or another
     agent."""
@@ -497,7 +498,9 @@ def min_weight_path(
             return AugmentingPath((min(picked),), agent, target, 0)
         cheap = picked.intersection(graph.x0.bundle(agent))  # a direct pickup
         return AugmentingPath((min(cheap or picked),), agent, 0, 1 if cheap else 2)
-    found = least_path(graph.adjacency, sources, targets, {} if target else graph.dead)
+    found = least_path(
+        graph.adjacency, sources, targets, {} if target else graph.dead, bool(target)
+    )
     if found is None:
         return None
     items, light = found
@@ -515,17 +518,24 @@ def shift_along_path(allocation: Allocation, items: Sequence[int], gainer: int) 
     Only the gainer's and the path holders' bundles, the pool among them
     when the last item is unallocated, are rebuilt and checked; every other
     bundle is passed through as the same object."""
-    return allocation.move(_path_moves(allocation, items, gainer))
+    # the pool is tried first for the last item, as ``owner_of`` does
+    return allocation.move(_path_moves(allocation, items, gainer, 0))
 
 
-def _path_moves(allocation, items, gainer):
+def _path_moves(allocation, items, gainer, target):
     """The moves ``(item, from, to)`` of ``shift_along_path``: each path item
-    goes to the holder of the item before it, the first to ``gainer``."""
+    goes to the holder of the item before it, the first to ``gainer``.  The
+    last item's holder is ``target``, the part the path should end in, when
+    that part holds it; otherwise ``owner_of`` finds it, as it finds the
+    others."""
     if len(set(items)) != len(items):
         raise ContractViolation("augmenting path repeats an item")
-    holders = [allocation.owner_of(o) for o in items]
-    if 0 in holders[:-1]:
+    holders = list(map(allocation.owner_of, items[:-1]))
+    if 0 in holders:
         raise ContractViolation("interior path item is unallocated")
+    if items:
+        last = items[-1]
+        holders.append(target if last in allocation.bundle(target) else allocation.owner_of(last))
     return list(zip(items, holders, (gainer, *holders)))
 
 
@@ -543,10 +553,10 @@ def clean_state_violations(
     to those agents (default: all).
     """
     problems = []
-    pool = xc.unallocated
+    pool, valuations = xc.unallocated, inst.valuations
     for i in inst.agents if agents is None else agents:
-        spec = inst.valuation(i)
-        xc_i, x0_i = xc.bundle(i), x0.bundle(i)
+        spec = valuations[i - 1]
+        xc_i, x0_i = xc.bundles[i - 1], x0.bundles[i - 1]
         if not x0_i <= pool:
             held = x0_i - pool
             if held & xc_i:
@@ -583,14 +593,14 @@ def augment(
     all n agents.  The invariants are rechecked only for them: xc's pool
     loses only a Pareto terminal, whose x0 holder is among them.
     """
-    items = path.items
-    moves = _path_moves(xc, items, path.source_agent)
+    items, source, target = path.items, path.source_agent, path.target
+    moves = _path_moves(xc, items, source, target)
     new_xc = xc.move(moves)
     new_x0 = x0
     # the gainer and the holders, the pool among them when the path ends there
-    changed = {path.source_agent}.union(source for _, source, _ in moves)
+    changed = {source}.union(holder for _, holder, _ in moves)
     changed.discard(0)
-    if not path.target:  # the path ends in the pool
+    if not target:  # the path ends in the pool
         terminal = items[-1]
         holder = x0.owner_of(terminal)
         if holder:
@@ -598,17 +608,15 @@ def augment(
             changed.add(holder)
     changed = sorted(changed)
     # A bundle passed through as the same object kept its size, so only
-    # the changed agents, the source and the target are compared.
-    delta = dict.fromkeys(changed, 0)
-    delta[path.source_agent] = 1
-    if path.target:
-        delta[path.target] = delta.get(path.target, 0) - 1
-    for k, d in delta.items():
-        size, old_size = len(new_xc.bundles[k - 1]), len(xc.bundles[k - 1])
-        if size != old_size + d:
+    # the changed agents and the target are compared.
+    compared = changed if not target or target in changed else [*changed, target]
+    for k in compared:
+        size, expected = len(new_xc.bundles[k - 1]), len(xc.bundles[k - 1])
+        expected += (k == source) - (k == target)
+        if size != expected:
             raise CleannessViolation(
                 f"agent {k}: counted bundle size {size} after augmentation, "
-                f"expected {old_size + d}"
+                f"expected {expected}"
             )
     problems = clean_state_violations(inst, new_xc, new_x0, changed)
     if problems:

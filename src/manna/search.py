@@ -46,6 +46,15 @@ one or more edges with the least key, without weighing an edge.
     and found no target, and none of those pairs reaches the pool;
   - every out-neighbour of a dead pair is also dead, so skipping dead
     pairs changes no hit, no discovered live item and no first parent.
+* **Early stop, when no light list can hit.**  ``stop_at_heavy`` ends a
+  layer's walk at its first heavy hit, which is then the answer.  The
+  caller passes it exactly when no light list meets the targets: an
+  exchange search, whose targets are an agent's counted bundle, while a
+  light list enters ``x0``, which lies in ``xc``'s pool; and phase 1, whose
+  light lists are all empty.  Without a light hit the first heavy hit in
+  layer order is the least path, so the rest of the layer cannot change
+  it.  A pool search passes False: a light hit later in the layer costs
+  less.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ def least_path(
     sources: Iterable[int],
     targets: frozenset[int],
     dead: dict[int, int],
+    stop_at_heavy: bool,
 ) -> Optional[tuple[tuple[int, ...], bool]]:
     """The least path of one or more edges from ``sources`` to ``targets``
     in ``adjacency``, and whether its last edge is light; None when no
@@ -66,7 +76,9 @@ def least_path(
     light edge must end its path, entering a target or an item with no
     out-edges, and no source may be a target: a search with a source among
     the targets has its zero-edge answer already.  ``dead`` must hold only
-    pairs that reach no target."""
+    pairs that reach no target, and ``stop_at_heavy``, which ends a layer
+    at its first heavy hit, may be true only when no light list meets the
+    targets."""
     frontier = sorted(sources)
     parent: dict[int, Optional[int]] = {}  # first parents, from the first extension on
     walked = dict(dead)  # id of each pair walked -> the item it was walked at
@@ -83,6 +95,8 @@ def least_path(
                 break
             if hit is None and not targets.isdisjoint(heavy):
                 hit = u, min(targets.intersection(heavy)), False
+                if stop_at_heavy:
+                    break
         if hit is not None:
             u, v, ends_light = hit
             path = u, v

@@ -127,16 +127,26 @@ def augmentation_bounds(n: int, m: int) -> tuple[int, int]:
 def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverState:
     """Augment until the c-counted part is leximin, in two stages.
 
-    The Pareto stage augments along Pareto-improving paths (agents scanned
-    ascending) until none is left.  The exchange stage then augments along
-    the exchange path of the lexicographically first pair (i, j) that either
-    strictly balances the counted sizes (|xc_i| + 1 < |xc_j|) or swaps equal
-    outcomes toward the lower index (|xc_i| + 1 = |xc_j|, i < j), until no
-    pair admits one.
+    The Pareto stage augments along Pareto-improving paths until none is
+    left.  It retires agents as Yankee Swap does: one pointer starts at
+    agent 1 and moves up only when that agent's pool search fails, never
+    after a success.  An agent with no Pareto-improving path has none in
+    any later state of the stage.  Each β_c is a matroid rank function and
+    ``xc`` is clean, so agent k has such a path exactly when the counted
+    sizes s + e_k are feasible: some disjoint sets, each independent for
+    its agent's β_c, have those sizes.  Feasible size vectors are
+    down-closed, and a Pareto augmentation only grows sizes, so once s +
+    e_k is infeasible, every later s' + e_k >= s + e_k is too.  So the
+    agents below the pointer would fail again, and the pointer's path is
+    the one a rescan from agent 1 would take.
+
+    The exchange stage then augments along the exchange path of the
+    lexicographically first pair (i, j) that either strictly balances the
+    counted sizes (|xc_i| + 1 < |xc_j|) or swaps equal outcomes toward the
+    lower index (|xc_i| + 1 = |xc_j|, i < j), until no pair admits one.
 
     No Pareto-improving path can appear during the exchange stage, so it
-    never rescans for one.  Each β_c is a matroid rank function and ``xc``
-    is clean, so by the matroid-union augmenting-path theorem a
+    never rescans for one.  By the matroid-union augmenting-path theorem a
     Pareto-improving path exists exactly while Σ|xc_i| is below its maximum
     (Viswanathan & Zick, "Yankee Swap", AAMAS 2023; Babaioff, Ezra & Feige,
     AAAI 2021).  The Pareto stage reaches that maximum, and an exchange
@@ -171,9 +181,12 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
     # whose bundles changed are recomputed.  An agent's sources are its
     # desired items.
     graph = build_weighted_graph(inst, state.xc, state.x0, check=False)
-    pool_pairs = [(i, 0) for i in inst.agents]  # agents ascending, into the pool
-
-    while (path := _first_path(graph, pool_pairs)) is not None:
+    agent = 1  # the agents below it are retired
+    while agent <= n:
+        path = min_weight_path(graph, graph.desired[agent - 1], agent, 0)
+        if path is None:
+            agent += 1
+            continue
         state.xc, state.x0 = augment(inst, state.xc, state.x0, path)
         state.pareto_augmentations += 1
         guard()
@@ -209,8 +222,8 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
             inst, state.xc, state.x0, check=False, previous=graph
         )
 
-    # Without an exchange the graph is the one the Pareto stage's last scan
-    # found nothing in.
+    # Without an exchange the Pareto stage has retired every agent.
+    pool_pairs = ((i, 0) for i in inst.agents)
     if exchanged and (path := _first_path(graph, pool_pairs)) is not None:
         raise CleannessViolation(
             f"agent {path.source_agent} has a Pareto-improving path "

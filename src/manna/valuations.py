@@ -93,7 +93,8 @@ class GeneralAdditive:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "_at_least", {})  # see ``count_at_least``
 
     def value(self, items: Iterable[int]) -> int:
         return sum(self.values[o] for o in items)
@@ -114,11 +115,15 @@ class GeneralAdditive:
         return frozenset(items)
 
     def count_at_least(self, tau: int, items: Iterable[int]) -> int:
-        """Number of ``items`` whose value is at least ``tau``: the
-        telescoping-vector count of ``threshold.beta``, whatever the order,
-        for distinct items."""
-        values = self.values
-        return len([o for o in items if values[o] >= tau])
+        """Number of the distinct ``items`` whose value is at least ``tau``:
+        the telescoping-vector count of ``threshold.beta``, whatever the
+        order.  The items valued at least ``tau`` are kept with the
+        valuation outside its fields, one set per threshold."""
+        chosen = self._at_least.get(tau)
+        if chosen is None:
+            chosen = frozenset(o for o, v in enumerate(self.values) if v >= tau)
+            self._at_least[tau] = chosen
+        return len(chosen.intersection(items))
 
 
 class Additive(GeneralAdditive):
@@ -231,9 +236,7 @@ class Explicit:
 
     def __post_init__(self):
         table = tuple(self.table)
-        if not set(map(type, table)) <= {int}:
-            bad = next(v for v in table if type(v) is not int)
-            raise MalformedValuation(f"table value {bad!r} is not an integer")
+        _require_ints(table, "table value")
         object.__setattr__(self, "table", table)
         if self.num_items > EXPLICIT_MAX_ITEMS:
             raise MalformedValuation(
@@ -281,8 +284,17 @@ ValuationSpec = Union[Additive, GeneralAdditive, CappedGroups, Explicit]
 IN_SCOPE_KINDS = (Additive, CappedGroups, Explicit)
 
 
+def _require_ints(values: Sequence, what: str) -> None:
+    """Raise ``MalformedValuation`` unless every one of ``values`` is of
+    type ``int``."""
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise MalformedValuation(f"{what} {bad!r} is not an integer")
+
+
 def validate_structure(spec: ValuationSpec, num_items: int, c: int) -> None:
-    """Cheap structural checks run on instance construction.
+    """Cheap structural checks run on instance construction.  Every value,
+    cap and table entry must be of type ``int``.
 
     Deep semantic validation of explicit tables (submodularity, order
     neutrality, marginal range) is a separate, solver-gating step.
@@ -292,6 +304,7 @@ def validate_structure(spec: ValuationSpec, num_items: int, c: int) -> None:
             raise MalformedValuation(
                 f"expected {num_items} item values, got {len(spec.values)}"
             )
+        _require_ints(spec.values, "additive value")
         if isinstance(spec, Additive):
             allowed = {-1, 0, c}
             for o, v in enumerate(spec.values):
@@ -303,6 +316,7 @@ def validate_structure(spec: ValuationSpec, num_items: int, c: int) -> None:
         for gi, g in enumerate(spec.groups):
             if any(o < 0 or o >= num_items for o in g.items):
                 raise MalformedValuation(f"group {gi} references an unknown item")
+            _require_ints((g.cap, g.hi, g.lo), f"group {gi}: cap, hi or lo")
             if g.cap < 0:
                 raise MalformedValuation(f"group {gi}: negative cap")
             if g.hi not in (-1, 0, c):
@@ -311,6 +325,7 @@ def validate_structure(spec: ValuationSpec, num_items: int, c: int) -> None:
                 raise MalformedValuation(f"group {gi}: lo={g.lo} outside {{-1, 0}}")
             if g.lo > g.hi:
                 raise MalformedValuation(f"group {gi}: lo={g.lo} exceeds hi={g.hi}")
+        _require_ints((spec.default,), "default")
         if spec.default not in (-1, 0, c):
             raise MalformedValuation(f"default={spec.default} outside {{-1, 0, {c}}}")
     elif isinstance(spec, Explicit):

@@ -106,5 +106,5 @@ def shortest_path_to_pool(
     direct = pool.intersection(sources)
     if direct:
         return (min(direct),)
-    found = least_path(adjacency, sources, pool, {})
+    found = least_path(adjacency, sources, pool, {}, True)  # every list is heavy
     return None if found is None else found[0]

@@ -774,7 +774,8 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
     assert sum(outcomes) > 2000 and outcomes.count(False) > 500
     # every min_weight_path of every phase-2 state equals the exhaustive
     # search, forced answers included; each search whose sources miss the
-    # targets also runs through ``least_path`` directly, on an empty memo
+    # targets also runs through ``least_path`` directly, on an empty memo,
+    # an exchange search stopping at its first heavy hit
     outcomes.clear()
 
     def search_all(g):
@@ -783,7 +784,7 @@ def test_bounded_search_equals_exhaustive_search(monkeypatch, named_fixtures):
             starts, targets, key = _reference_search(g, lists, sources, i, j)
             assert _path_key(path, i, j) == key
             if targets.isdisjoint(sources):
-                found = least_path(g.adjacency, sources, targets, {})
+                found = least_path(g.adjacency, sources, targets, {}, bool(j))
                 assert _least_key(found, not j) == key
             if starts:
                 outcomes.append(key is not None)
@@ -991,6 +992,21 @@ def _later_cheap_pickup():
     return build_weighted_graph(inst, xc, x0), frozenset({0, 1}), 1
 
 
+def test_pool_search_takes_a_light_hit_after_a_heavy_one_in_its_layer():
+    # agent 1's sources o0 and o1 form the first layer: o0 has a heavy edge
+    # into the pool item o2, and o1, walked after it, a light one into o3,
+    # in agent 3's zero-valued bundle, which costs less
+    inst = Instance(
+        3, 4, 2, (Additive((2, 2, 0, 0)), Additive((2, 0, 2, 0)), Additive((0, 2, 0, 2)))
+    )
+    xc = Allocation.from_bundles([set(), {0}, {1}], 4)
+    x0 = Allocation.from_bundles([set(), set(), {3}], 4)
+    graph = build_weighted_graph(inst, xc, x0)
+    assert graph.adjacency == {0: ((), [2]), 1: ((3,), [])}
+    path = min_weight_path(graph, graph.desired[0], 1, 0)
+    assert (path.items, path.doubled_weight) == ((1, 3), 2)
+
+
 def test_pareto_search_equals_exhaustive_search():
     shapes = Counter()
     graph, sources, i = _later_cheap_pickup()
@@ -1090,8 +1106,11 @@ def _members_of_one_node():
 @example((frozenset({0, 1}), {0: ((), (5,)), 1: ((6,), ())}, frozenset({5, 6}), True))
 def test_one_expansion_search_equals_exhaustive_search(search):
     sources, adjacency, targets, pool = search
-    found = least_path(adjacency, sources, targets, {})
-    assert _least_key(found, pool) == _reference_key(*search)
+    # stopping at the first heavy hit is exact where no light list can hit
+    hits_light = any(not targets.isdisjoint(light) for light, _heavy in adjacency.values())
+    for stop_at_heavy in (False, not hits_light):
+        found = least_path(adjacency, sources, targets, {}, stop_at_heavy)
+        assert _least_key(found, pool) == _reference_key(*search)
 
 
 def test_one_expansion_search_tie_break_between_members():
@@ -1116,8 +1135,28 @@ def test_one_expansion_search_tie_break_between_members():
 
     wrapped = {id(pair): Expanded(pair) for pair in adjacency.values()}
     recording.update((u, wrapped[id(pair)]) for u, pair in adjacency.items())
-    assert least_path(recording, sources, targets, {}) == ((0, 3, 7), False)
+    assert least_path(recording, sources, targets, {}, False) == ((0, 3, 7), False)
     assert expanded == [0, 1, 3]
+
+
+def test_early_stop_walks_no_pair_after_the_first_heavy_hit():
+    # o0 reaches o1, o2 and o3; in that layer o1's heavy edge into the
+    # target o9 is the first hit, and o2's and o3's pairs, which also reach
+    # it, are walked only without the early stop
+    adjacency = {0: ((), (1, 2, 3)), 1: ((), (9,)), 2: ((), (9,)), 3: ((), (8, 9))}
+    walked = []
+
+    class Recording(dict):
+        def get(self, u, default=None):
+            walked.append(u)
+            return super().get(u, default)
+
+    recording = Recording(adjacency)
+    for stop_at_heavy, expected in ((True, [0, 1]), (False, [0, 1, 2, 3])):
+        walked.clear()
+        found = least_path(recording, frozenset({0}), frozenset({9}), {}, stop_at_heavy)
+        assert found == ((0, 1, 9), False)
+        assert walked == expected
 
 
 @st.composite

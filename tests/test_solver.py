@@ -5,7 +5,12 @@ import manna.solver as solver_mod
 from manna.core import Instance
 from manna.errors import CleannessViolation, InvalidInstance, UnsupportedValuation
 from manna.instgen import gen_random_additive
-from manna.exchange import clean_state_violations
+from manna.exchange import (
+    augment,
+    build_weighted_graph,
+    clean_state_violations,
+    min_weight_path,
+)
 from manna.oracle import brute_leximin
 from manna.solver import phase1, phase2, phase3, solve
 from manna.threshold import verify_tridecomposition
@@ -63,6 +68,32 @@ def test_two_stage_phase2_equals_rescanning_reference(inst):
     assert phase3(state, inst) == report
     assert len(rescans) == report.exchange_augmentations
     assert rescans == [None] * len(rescans)
+
+
+def test_an_agent_without_a_pareto_path_never_gets_one_in_the_pareto_stage():
+    """What lets the Pareto stage retire agents: along the loop that
+    rescans every agent after each Pareto augmentation and takes the first
+    path, an agent whose pool search failed in one state has no path in any
+    later state."""
+    later_failures = []
+
+    @settings(max_examples=200)
+    @given(solver_instances())
+    def check(inst):
+        state, graph, failed = phase1(inst), None, set()
+        while True:
+            graph = build_weighted_graph(inst, state.xc, state.x0, check=False, previous=graph)
+            paths = [min_weight_path(graph, graph.desired[i - 1], i, 0) for i in inst.agents]
+            assert [paths[i - 1] for i in sorted(failed)] == [None] * len(failed)
+            later_failures.append(len(failed))
+            failed.update(i for i, path in zip(inst.agents, paths) if path is None)
+            first = next((path for path in paths if path is not None), None)
+            if first is None:
+                return
+            state.xc, state.x0 = augment(inst, state.xc, state.x0, first)
+
+    check()
+    assert sum(later_failures) > 500  # failed agents searched again, and failing
 
 
 def test_phase2_rejects_a_pareto_path_left_after_the_exchange_stage(monkeypatch):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from manna.errors import ContractViolation, MalformedValuation
+from manna.core import Instance
+from manna.errors import ContractViolation, InvalidInstance, MalformedValuation
 from manna.instgen import SplitMix64, gen_capped_groups, gen_random_additive
 from manna.valuations import (
     Additive,
@@ -97,6 +98,30 @@ def test_explicit_structural_checks():
             Explicit(1, (0, bad))
     with pytest.raises(ContractViolation):
         Explicit(2, (0, 1, 1, 2)).marginal({0}, 0)
+
+
+NOT_INTEGERS = {
+    "additive-float": Additive((2.5, -1.7)),  # once truncated to (2, -1), which passes
+    "additive-float-c": Additive((2.0, 0)),
+    "additive-bool": Additive((True, 0)),
+    "general-additive-float": GeneralAdditive((5.5, -2)),
+    "capped-hi-lo": CappedGroups((Group({0, 1}, 1, 2.0, 0.0),), 0),  # 2.0 == c passed
+    "capped-lo": CappedGroups((Group({0, 1}, 1, 2, -1.0),), 0),
+    "capped-cap": CappedGroups((Group({0, 1}, 1.0, 2, 0),), 0),
+    "capped-default": CappedGroups((), 0.0),
+}
+
+
+@pytest.mark.parametrize("spec", NOT_INTEGERS.values(), ids=NOT_INTEGERS.keys())
+def test_instance_rejects_values_that_are_not_integers(spec):
+    """Additive values and capped caps, ``hi``, ``lo`` and ``default`` must
+    be of type ``int``, as table values must."""
+    with pytest.raises(InvalidInstance, match="is not an integer"):
+        Instance(1, 2, C, (spec,))
+
+
+def test_additive_values_are_kept_as_given():
+    assert GeneralAdditive([2.5, -1]).values == (2.5, -1)
 
 
 def test_validate_submodular():
