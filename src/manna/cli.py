@@ -28,7 +28,7 @@ from .errors import (
 )
 from .exchange import build_weighted_graph
 from .fairness import check_ef1, check_mms, check_prop1
-from .solver import augmentation_bounds, phase1, phase2, phase3, solve
+from .solver import augmentation_bounds, phase1, solve
 from .valuations import (
     Explicit,
     is_solver_supported,
@@ -84,12 +84,8 @@ def _cmd_solve(args) -> int:
     trace = (lambda line: print(line, file=sys.stderr)) if args.trace else None
     if args.dump_graph:
         state = phase1(inst)
-        graph = build_weighted_graph(inst, state.xc, state.x0)
-        print(graph.dump(), file=sys.stderr)
-        state = phase2(state, inst, trace)
-        report = phase3(state, inst, trace)
-    else:
-        report = solve(inst, trace)
+        print(build_weighted_graph(inst, state.xc, state.x0).dump(), file=sys.stderr)
+    report = solve(inst, trace)
     if args.human:
         lines = []
         for i in inst.agents:
@@ -375,10 +371,7 @@ def main(argv=None) -> int:
     except (ParseError, InvalidInstance, MalformedValuation, UnsupportedValuation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except ContractViolation as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MannaError as exc:

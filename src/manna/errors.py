@@ -25,7 +25,6 @@ class DecompositionFailure(MannaError):
     """A bundle decomposition violated one of its defining clauses."""
 
     def __init__(self, clause, message=""):
-        self.clause = clause
         super().__init__(message or f"decomposition clause {clause!r} violated")
 
 
@@ -48,9 +47,9 @@ class BudgetExceeded(MannaError):
 class ParseError(MannaError):
     """A JSON document could not be parsed into a domain object.
 
-    ``location`` is a dotted path into the offending document.
+    ``location``, a dotted path into the offending document, prefixes the
+    message.
     """
 
     def __init__(self, location, message):
-        self.location = location
         super().__init__(f"{location}: {message}")

@@ -171,21 +171,10 @@ def candidate_items(valuation, threshold: int, num_items: int) -> tuple[int, ...
     return tuple(compress(range(num_items), map(le, repeat(threshold), gains)))
 
 
-def f_set(
-    inst: Instance,
-    allocation: Allocation,
-    agent: int,
-    tau: int,
-    candidates: Optional[Sequence[int]] = None,
-) -> frozenset[int]:
-    """Items outside the agent's bundle whose threshold marginal is 1.
-
-    ``candidates`` is the agent's ``candidate_items`` at ``tau``, computed
-    here when not given.
-    """
+def f_set(inst: Instance, allocation: Allocation, agent: int, tau: int) -> frozenset[int]:
+    """Items outside the agent's bundle whose threshold marginal is 1."""
     spec = inst.valuation(agent)
-    if candidates is None:
-        candidates = candidate_items(spec, tau, inst.num_items)
+    candidates = candidate_items(spec, tau, inst.num_items)
     bundle = allocation.bundle(agent)
     if not bundle:
         return frozenset(candidates)  # on the empty bundle, exactly these

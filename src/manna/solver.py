@@ -274,46 +274,36 @@ def phase3(state: SolverState, inst: Instance, trace: Trace = None) -> SolveRepo
     moves, and the heap's least entry is the agent a scan of all utilities
     would pick."""
     remaining = sorted(state.xc.unallocated & state.x0.unallocated)
-    xm1_bundles = [set() for _ in inst.agents]
-
-    def bundle_of(i: int) -> frozenset[int]:
-        return state.xc.bundle(i) | state.x0.bundle(i) | frozenset(xm1_bundles[i - 1])
-
+    bundles = [set(state.xc.bundle(i) | state.x0.bundle(i)) for i in inst.agents]
     if remaining:
-        happiest = [(-inst.value(i, bundle_of(i)), -i) for i in inst.agents]
+        happiest = [(-inst.value(i, bundles[i - 1]), -i) for i in inst.agents]
         heapq.heapify(happiest)
     for o in remaining:
         minus_utility, minus_receiver = happiest[0]
         receiver = -minus_receiver
-        if inst.marginal(receiver, bundle_of(receiver), o) != -1:
+        if inst.marginal(receiver, bundles[receiver - 1], o) != -1:
             raise CleannessViolation(
                 f"item {o} has marginal != -1 for agent {receiver}; this "
                 "contradicts welfare maximality of the non-negative part"
             )
         heapq.heapreplace(happiest, (minus_utility + 1, minus_receiver))
-        xm1_bundles[receiver - 1].add(o)
+        bundles[receiver - 1].add(o)
         if trace:
             trace(f"phase3 give o{o} to agent {receiver}")
 
-    xm1 = Allocation.from_bundles(xm1_bundles, inst.num_items)
-    allocation = Allocation.from_bundles(
-        [bundle_of(i) for i in inst.agents], inst.num_items
-    )
+    allocation = Allocation.from_bundles(bundles, inst.num_items)
     if not allocation.is_complete:
         raise CleannessViolation("final allocation is not complete")
+    xm1 = Allocation.from_bundles(
+        [b - state.xc.bundle(i) - state.x0.bundle(i) for i, b in enumerate(bundles, 1)],
+        inst.num_items,
+    )
     decomposition = TriDecomposition(state.xc, state.x0, xm1)
+    # clause (d) makes each utility c·|xc_i| − |xm1_i|, so welfare needs no check of its own
     ok, clause = verify_tridecomposition(inst, allocation, decomposition)
     if not ok:
         raise CleannessViolation(f"final decomposition violates clause ({clause})")
     utilities = utility_vector(inst, allocation)
-    usw = sum(utilities)
-    by_parts = sum(
-        inst.c * len(state.xc.bundle(i)) - len(xm1.bundle(i)) for i in inst.agents
-    )
-    if usw != by_parts:
-        raise CleannessViolation(
-            f"welfare mismatch: utilities sum to {usw}, parts give {by_parts}"
-        )
     return SolveReport(
         allocation=allocation,
         utilities=utilities,
@@ -321,7 +311,7 @@ def phase3(state: SolverState, inst: Instance, trace: Trace = None) -> SolveRepo
         decomposition=decomposition,
         pareto_augmentations=state.pareto_augmentations,
         exchange_augmentations=state.exchange_augmentations,
-        usw=usw,
+        usw=sum(utilities),
     )
 
 

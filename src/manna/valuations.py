@@ -100,12 +100,10 @@ class GeneralAdditive:
         return sum(self.values[o] for o in items)
 
     def marginal(self, items: Iterable[int], item: int) -> int:
-        if item in items:
-            raise ContractViolation(f"item {item} already in bundle")
-        return self.values[item]
+        return self.marginals(items, (item,))[0]
 
     def marginals(self, items: Iterable[int], candidates: Sequence[int]) -> list[int]:
-        """``[self.marginal(items, o) for o in candidates]``."""
+        """The marginal of each of ``candidates`` on the bundle ``items``."""
         _outside(items, candidates)
         values = self.values
         return [values[o] for o in candidates]
@@ -176,19 +174,11 @@ class CappedGroups:
         return total + self.default * (len(items) - grouped)
 
     def marginal(self, items: Iterable[int], item: int) -> int:
-        if not isinstance(items, (set, frozenset)):
-            items = frozenset(items)
-        if item in items:
-            raise ContractViolation(f"item {item} already in bundle")
-        gi = self._group_of.get(item)
-        if gi is None:
-            return self.default
-        g = self.groups[gi]
-        return g.hi if len(items & g.items) < g.cap else g.lo
+        return self.marginals(items, (item,))[0]
 
     def marginals(self, items: Iterable[int], candidates: Sequence[int]) -> list[int]:
-        """``[self.marginal(items, o) for o in candidates]``, checking the
-        bundle once."""
+        """The marginal of each of ``candidates`` on the bundle ``items``,
+        checking the bundle once."""
         items = _outside(items, candidates)
         group_of, groups, default = self._group_of, self.groups, self.default
         out = []
@@ -251,15 +241,11 @@ class Explicit:
         return self.table[mask_of(items)]
 
     def marginal(self, items: Iterable[int], item: int) -> int:
-        m = mask_of(items)
-        bit = 1 << item
-        if m & bit:
-            raise ContractViolation(f"item {item} already in bundle")
-        return self.table[m | bit] - self.table[m]
+        return self.marginals(items, (item,))[0]
 
     def marginals(self, items: Iterable[int], candidates: Sequence[int]) -> list[int]:
-        """``[self.marginal(items, o) for o in candidates]``, building the
-        bundle's mask once."""
+        """The marginal of each of ``candidates`` on the bundle ``items``,
+        building the bundle's mask once."""
         m = mask_of(items)
         if m & mask_of(candidates):
             item = next(o for o in candidates if m >> o & 1)

@@ -506,7 +506,6 @@ def test_builders_equal_full_scan(monkeypatch, name):
         for i in inst.agents:
             want = full_scan_f_set(g.xc, inst.valuation(i), i, inst.c)
             assert g.desired[i - 1] == want
-            assert f_set(inst, g.xc, i, inst.c, g.candidates[i - 1]) == want
             assert f_set(inst, g.xc, i, inst.c) == want
         phase2_varied.append(_per_item_lists(g, lists))
 

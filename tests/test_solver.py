@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 import manna.solver as solver_mod
-from manna.core import Instance
+from manna.core import Allocation, Instance
 from manna.errors import CleannessViolation, InvalidInstance, UnsupportedValuation
 from manna.instgen import gen_random_additive
 from manna.exchange import (
@@ -12,7 +12,7 @@ from manna.exchange import (
     min_weight_path,
 )
 from manna.oracle import brute_leximin
-from manna.solver import phase1, phase2, phase3, solve
+from manna.solver import SolverState, phase1, phase2, phase3, solve
 from manna.threshold import verify_tridecomposition
 from manna.valuations import Additive, Explicit, GeneralAdditive
 from support import reference_phase2, solver_instances
@@ -136,6 +136,22 @@ def test_phase3_universal_chores_tie_break():
     # the higher index absorbs first, so agent 2 ends with two chores
     assert report.utilities == (-1, -2)
     assert report.sorted_utilities == brute_leximin(inst)[0]
+
+
+def test_phase3_rejects_a_leftover_item_that_is_no_chore():
+    # item 0 is worth 0 to the only agent, so phase 1 should have taken it
+    inst = Instance(1, 2, 1, (Additive((0, -1)),))
+    empty = Allocation.empty(1, 2)
+    with pytest.raises(CleannessViolation, match="item 0 has marginal != -1 for agent 1"):
+        phase3(SolverState(empty, empty), inst)
+
+
+def test_phase3_rejects_a_zero_part_that_is_worth_more():
+    # item 0 is worth c but sits in the zero-valued part
+    inst = Instance(1, 1, 2, (Additive((2,)),))
+    state = SolverState(Allocation.empty(1, 1), Allocation.from_bundles([{0}], 1))
+    with pytest.raises(CleannessViolation, match=r"violates clause \(c\)"):
+        phase3(state, inst)
 
 
 def test_solve_examples(named_fixtures):

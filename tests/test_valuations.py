@@ -50,13 +50,26 @@ def test_marginal_examples():
         CAP_PAIR.marginal({0}, 0)
 
 
-@pytest.mark.parametrize("spec", [Additive((2, 0, -1)), GeneralAdditive((5, 0, -3))])
-@pytest.mark.parametrize("bundle_type", [frozenset, list])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Additive((2, 0, -1)),
+        GeneralAdditive((5, 0, -3)),
+        CappedGroups((Group(frozenset({0, 1}), 1, C, -1),), 0),
+        materialize(CappedGroups((Group(frozenset({1, 2}), 1, C, 0),), -1), 3),
+    ],
+)
+@pytest.mark.parametrize("bundle_type", [frozenset, list, set])
 def test_additive_marginal_rejects_held_item(spec, bundle_type):
-    assert spec.marginal(bundle_type([0, 1]), 2) == spec.values[2]
-    assert spec.marginal(bundle_type([]), 0) == spec.values[0]
-    with pytest.raises(ContractViolation):
-        spec.marginal(bundle_type([0, 1]), 1)
+    # every family, not only the additive ones: ``marginal`` is the
+    # one-item ``marginals``, and both reject a held item
+    for bundle, o in (([0, 1], 2), ([], 0), ([1], 0), ([2], 1)):
+        want = spec.value(bundle + [o]) - spec.value(bundle)
+        assert spec.marginal(bundle_type(bundle), o) == want
+        assert spec.marginals(bundle_type(bundle), [o]) == [want]
+    for ask in (spec.marginal, lambda b, o: spec.marginals(b, [o])):
+        with pytest.raises(ContractViolation, match="item 1 already in bundle"):
+            ask(bundle_type([0, 1]), 1)
 
 
 def test_telescoping_examples():
