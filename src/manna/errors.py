@@ -24,8 +24,8 @@ class InvalidInstance(MannaError):
 class DecompositionFailure(MannaError):
     """A bundle decomposition violated one of its defining clauses."""
 
-    def __init__(self, clause, message=""):
-        super().__init__(message or f"decomposition clause {clause!r} violated")
+    def __init__(self, clause):
+        super().__init__(f"decomposition clause {clause!r} violated")
 
 
 class CleannessViolation(MannaError):

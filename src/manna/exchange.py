@@ -319,7 +319,6 @@ def build_weighted_graph(
     inst: Instance,
     xc: Allocation,
     x0: Allocation,
-    check: bool = True,
     previous: Optional[ExchangeGraph] = None,
 ) -> ExchangeGraph:
     """Materialize the weighted exchange graph for the state ``(xc, x0)``:
@@ -328,14 +327,10 @@ def build_weighted_graph(
     ``previous``, a graph of the same instance, is consumed: it is advanced
     in place and returned.
 
-    Preconditions (asserted unless ``check`` is False):
-    ``xc`` clean at threshold c, ``xc ∪ x0`` clean at threshold 0, and
-    every ``x0`` bundle within ``xc``'s pool.
+    Preconditions, not checked here: ``xc`` clean at threshold c, ``xc ∪
+    x0`` clean at threshold 0, and every ``x0`` bundle within ``xc``'s pool.
+    ``solver.phase1`` and ``augment`` check them where each state is made.
     """
-    if check:
-        violations = clean_state_violations(inst, xc, x0)
-        if violations:
-            raise ContractViolation("; ".join(violations))
     if previous is None:
         previous = empty_graph(inst.valuations, inst.c, inst.num_items)
     elif previous.valuations is not inst.valuations:
@@ -516,9 +511,7 @@ def _path_moves(allocation, items, gainer, target):
     goes to the holder of the item before it, the first to ``gainer``.  The
     last item's holder is ``target``, the part the path should end in, when
     that part holds it; otherwise ``owner_of`` finds it, as it finds the
-    others."""
-    if len(set(items)) != len(items):
-        raise ContractViolation("augmenting path repeats an item")
+    others.  ``Allocation.move`` rejects an item that moves twice."""
     holders = list(map(allocation.owner_of, items[:-1]))
     if 0 in holders:
         raise ContractViolation("interior path item is unallocated")

@@ -11,11 +11,10 @@ ascending, is lexicographically maximal among all complete allocations.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from .core import Allocation, Instance, sorted_utilities, utility_vector
+from .core import Allocation, Instance, utility_vector
 from .errors import (
     CleannessViolation,
     InvalidInstance,
@@ -180,7 +179,7 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
     # One graph, advanced in place after each augmentation: only the agents
     # whose bundles changed are recomputed.  An agent's sources are its
     # desired items.
-    graph = build_weighted_graph(inst, state.xc, state.x0, check=False)
+    graph = build_weighted_graph(inst, state.xc, state.x0)
     agent = 1  # the agents below it are retired
     while agent <= n:
         path = min_weight_path(graph, graph.desired[agent - 1], agent, 0)
@@ -195,9 +194,7 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
                 f"phase2 pareto i={path.source_agent} j=0 path={list(path.items)} "
                 f"w={path.doubled_weight}"
             )
-        graph = build_weighted_graph(
-            inst, state.xc, state.x0, check=False, previous=graph
-        )
+        graph = build_weighted_graph(inst, state.xc, state.x0, previous=graph)
 
     sizes = list(state.xc.sizes())
     potential = _scaled_potential(sizes)
@@ -218,9 +215,7 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
                 f"phase2 exchange i={path.source_agent} j={path.target} "
                 f"path={list(path.items)} w={path.doubled_weight}"
             )
-        graph = build_weighted_graph(
-            inst, state.xc, state.x0, check=False, previous=graph
-        )
+        graph = build_weighted_graph(inst, state.xc, state.x0, previous=graph)
 
     # Without an exchange the Pareto stage has retired every agent.
     pool_pairs = ((i, 0) for i in inst.agents)
@@ -268,25 +263,21 @@ def phase3(state: SolverState, inst: Instance, trace: Trace = None) -> SolveRepo
     """Hand each leftover item to the currently happiest agent (ties to the
     higher index), then assemble and verify the report.
 
-    The agents wait in a heap keyed on (-utility, -agent), built only when
-    an item is left.  Each item costs its receiver exactly 1, which the
-    marginal check before each push asserts, so only the receiver's key
-    moves, and the heap's least entry is the agent a scan of all utilities
-    would pick."""
+    The utilities are computed only when an item is left.  Each item costs
+    its receiver exactly 1, which the marginal check asserts, so only the
+    receiver's utility moves."""
     remaining = sorted(state.xc.unallocated & state.x0.unallocated)
     bundles = [set(state.xc.bundle(i) | state.x0.bundle(i)) for i in inst.agents]
     if remaining:
-        happiest = [(-inst.value(i, bundles[i - 1]), -i) for i in inst.agents]
-        heapq.heapify(happiest)
+        utility = [inst.value(i, bundles[i - 1]) for i in inst.agents]
     for o in remaining:
-        minus_utility, minus_receiver = happiest[0]
-        receiver = -minus_receiver
+        receiver = max(inst.agents, key=lambda i: (utility[i - 1], i))
         if inst.marginal(receiver, bundles[receiver - 1], o) != -1:
             raise CleannessViolation(
                 f"item {o} has marginal != -1 for agent {receiver}; this "
                 "contradicts welfare maximality of the non-negative part"
             )
-        heapq.heapreplace(happiest, (minus_utility + 1, minus_receiver))
+        utility[receiver - 1] -= 1
         bundles[receiver - 1].add(o)
         if trace:
             trace(f"phase3 give o{o} to agent {receiver}")

@@ -22,17 +22,14 @@ def beta(spec: ValuationSpec, tau: int, items: Iterable[int]) -> int:
     """Number of telescoping-vector entries of ``items`` that are >= ``tau``,
     computed along the canonical ascending insertion order.
 
-    For a set of items, the form every solver caller passes, a spec with
-    ``count_at_least(tau, items)`` counts it in closed form: the additive
-    families and ``CappedGroups``, whose count is the same along every
-    order.  An ``Explicit`` table, or items in another form, take
-    ``telescoping_gains`` along the sorted items, which raises
-    ``ContractViolation`` for a repeated item; a set cannot hold one.
+    For a set of items, the form every solver caller passes, the spec
+    counts them with ``count_at_least(tau, items)``.  Items in another form
+    take ``telescoping_gains`` along the sorted items, the reference walk,
+    which raises ``ContractViolation`` for a repeated item; a set cannot
+    hold one.
     """
     if isinstance(items, (set, frozenset)):
-        count_at_least = getattr(spec, "count_at_least", None)
-        if count_at_least is not None:
-            return count_at_least(tau, items)
+        return spec.count_at_least(tau, items)
     return sum(1 for gain in telescoping_gains(spec, sorted(items)) if gain >= tau)
 
 

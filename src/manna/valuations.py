@@ -23,9 +23,10 @@ rejects it: the unrestricted problem is intractable.
 
 ``telescoping_gains`` walks a bundle's prefixes: the marginal of each item
 on the items before it.  ``telescoping_vector`` sorts those gains, and
-``threshold`` counts and splits bundles by them.  The additive families and
-``CappedGroups`` also count a set's gains at least ``tau`` in closed form,
-``count_at_least(tau, items)``, without the walk.
+``threshold`` counts and splits bundles by them.  Every family also counts
+a set's gains at least ``tau``, ``count_at_least(tau, items)``: the additive
+families and ``CappedGroups`` in closed form, ``Explicit`` along one running
+mask.
 
 Each solver family also declares its *bundle-independent* items at a
 threshold: ``bundle_independent(items, tau)`` returns those items ``o`` of
@@ -257,6 +258,17 @@ class Explicit:
     def bundle_independent(self, items: Iterable[int], tau: int) -> frozenset[int]:
         """None of ``items``: the table is not searched for them."""
         return frozenset()
+
+    def count_at_least(self, tau: int, items: Iterable[int]) -> int:
+        """Number of telescoping gains of the distinct ``items`` that are at
+        least ``tau``, along their ascending order: one mask grows by each
+        item in turn."""
+        table, mask, count = self.table, 0, 0
+        for o in sorted(items):
+            grown = mask | 1 << o
+            count += table[grown] - table[mask] >= tau
+            mask = grown
+        return count
 
     @cached_property
     def _lanes(self) -> "_Lanes":

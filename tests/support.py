@@ -260,9 +260,7 @@ def reference_phase2(state, inst, trace, rescans):
     after_exchange = False
     while True:
         while True:
-            graph = build_weighted_graph(
-                inst, state.xc, state.x0, check=False, previous=graph
-            )
+            graph = build_weighted_graph(inst, state.xc, state.x0, previous=graph)
             found = None
             for i in inst.agents:
                 path = min_weight_path(graph, graph.desired[i - 1], i, 0)

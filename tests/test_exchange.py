@@ -1,5 +1,4 @@
 import dataclasses
-import re
 from collections import Counter, defaultdict, deque
 
 import pytest
@@ -67,13 +66,14 @@ def test_build_weighted_graph_examples(named_fixtures):
     assert list(empty.edges()) == []
 
 
-def test_build_weighted_graph_asserts_preconditions(named_fixtures):
+def test_clean_state_violations_reports_an_unclean_union(named_fixtures):
     inst = named_fixtures["ex_classic"]
     # {o0, o1} is not clean at threshold 0 for this agent
     xc = Allocation.from_bundles([{1}], 2)
     x0 = Allocation.from_bundles([{0}], 2)
-    with pytest.raises(ContractViolation):
-        build_weighted_graph(inst, xc, x0)
+    assert clean_state_violations(inst, xc, x0) == [
+        "agent 1: xc ∪ x0 not clean at threshold 0"
+    ]
 
 
 def test_min_weight_path_prefers_absorbable_pickup(named_fixtures):
@@ -211,6 +211,24 @@ def test_augment_exchange_size_bookkeeping():
 
 
 @pytest.mark.parametrize(
+    "path",
+    [
+        # o1 would move twice, both times from agent 2 to agent 1
+        AugmentingPath((1, 0, 1), 1, 2, 4),
+        # o2 lies in the pool, so no holder hands on o0 to agent 2
+        AugmentingPath((2, 0), 2, 1, 2),
+    ],
+)
+def test_augment_and_shift_reject_a_malformed_path(path):
+    inst = Instance(2, 3, 2, (Additive((2, 2, 2)), Additive((2, 2, 2))))
+    xc = Allocation.from_bundles([{0}, {1}], 3)
+    with pytest.raises(ContractViolation):
+        augment(inst, xc, Allocation.empty(2, 3), path)
+    with pytest.raises(ContractViolation):
+        shift_along_path(xc, path.items, path.source_agent)
+
+
+@pytest.mark.parametrize(
     "items, gainer, bundles, rebuilt",
     [
         # a Pareto path: agent 5 takes o1 from agent 1, who takes o2 from
@@ -266,7 +284,7 @@ def test_pareto_paths_are_unweighted_shortest_and_existence_matches():
         state = phase1(inst)
         allocated = None
         while True:
-            g = build_weighted_graph(inst, state.xc, state.x0, check=False)
+            g = build_weighted_graph(inst, state.xc, state.x0)
             lists = _edge_lists(g)
             found = None
             for i in inst.agents:
@@ -544,8 +562,8 @@ def test_graphs_advanced_in_place_equal_fresh_builds(inst):
         assert (fresh.dump(), fresh.desired) == (graph.dump(), graph.desired)
         return graph
 
-    def checked_graph(inst_, xc, x0, check=True, previous=None):
-        g = weighted(inst_, xc, x0, check, previous)
+    def checked_graph(inst_, xc, x0, previous=None):
+        g = weighted(inst_, xc, x0, previous)
         assert previous is None or g is previous
         _assert_equals_fresh_build(g)
         return g
@@ -878,7 +896,7 @@ def contract_states(draw):
         )
         for owner in (xc_owner, x0_owner)
     )
-    return inst, build_weighted_graph(inst, xc, x0, check=False)
+    return inst, build_weighted_graph(inst, xc, x0)
 
 
 def _distances(graph, targets):
@@ -943,7 +961,7 @@ def test_exchange_search_equals_exhaustive_search():
     _assert_every_shape(shapes)
 
 
-def test_build_weighted_graph_rejects_x0_outside_the_pool():
+def test_clean_state_violations_reports_x0_outside_the_pool():
     # Agent 4 holds o2 in its zero-valued bundle while agent 3 counts it, so
     # xc and x0 are not two parts of one allocation, and o1 -> o2 would be
     # a light edge into a counted bundle.  Every agent's own two bundles are
@@ -958,8 +976,6 @@ def test_build_weighted_graph_rejects_x0_outside_the_pool():
     x0 = Allocation.from_bundles([set(), set(), set(), {2}], 3)
     stray = "agent 4: x0 holds [2], outside xc's pool"
     assert clean_state_violations(inst, xc, x0) == [stray]
-    with pytest.raises(ContractViolation, match=re.escape(stray)):
-        build_weighted_graph(inst, xc, x0)
 
 
 @st.composite

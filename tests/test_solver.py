@@ -82,7 +82,7 @@ def test_an_agent_without_a_pareto_path_never_gets_one_in_the_pareto_stage():
     def check(inst):
         state, graph, failed = phase1(inst), None, set()
         while True:
-            graph = build_weighted_graph(inst, state.xc, state.x0, check=False, previous=graph)
+            graph = build_weighted_graph(inst, state.xc, state.x0, previous=graph)
             paths = [min_weight_path(graph, graph.desired[i - 1], i, 0) for i in inst.agents]
             assert [paths[i - 1] for i in sorted(failed)] == [None] * len(failed)
             later_failures.append(len(failed))
@@ -229,8 +229,8 @@ def test_solver_rejects_non_order_neutral_table(named_fixtures):
 def test_gate_stops_at_the_first_failing_validator(monkeypatch):
     calls = []
     for name in ("validate_order_neutral", "validate_range"):
-        check = getattr(solver_mod, name)
-        counted = lambda *args, name=name, check=check: calls.append(name) or check(*args)
+        validator = getattr(solver_mod, name)
+        counted = lambda *args, name=name, v=validator: calls.append(name) or v(*args)
         monkeypatch.setattr(solver_mod, name, counted)
     supermodular = Instance(1, 2, 1, (Explicit(2, (0, 0, 0, 1)),))
     with pytest.raises(InvalidInstance) as err:

@@ -38,13 +38,14 @@ def test_beta_examples(named_fixtures):
         # capped: at most one of {0, 1, 3} counts c, the rest count 0
         CappedGroups((Group(frozenset({0, 1, 3}), 1, 2, 0),), 2),
         Explicit(3, (0, 1, 1, 1, 1, 1, 1, 1)),
+        # {-1, 0, c}-valued: one of {0, 1} counts c, the other -1
+        Explicit(3, (0, 2, 2, 1, 0, 2, 2, 1)),
     ],
 )
 def test_beta_of_a_set_equals_the_prefix_walk(spec):
-    """A set of items is counted in closed form by a spec with
-    ``count_at_least`` (additive and capped here) and by the prefix walk
-    otherwise (the table); every count equals the walk along a sorted
-    list."""
+    """A set of items is counted by the spec's ``count_at_least``: in closed
+    form for additive and capped specs, along one running mask for a
+    table.  Every count equals the walk along a sorted list."""
     m = spec.num_items if isinstance(spec, Explicit) else 5
     for mask in range(1 << m):
         items = sorted(items_of(mask))
