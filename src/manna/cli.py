@@ -117,7 +117,8 @@ def _cmd_verify(args) -> int:
     allocation = instgen.parse_allocation(
         _read_text(args.allocation), inst.num_items, inst.num_agents
     )
-    props = [p.strip() for p in args.props.split(",") if p.strip()]
+    # each property once, in first-seen order
+    props = list(dict.fromkeys(p.strip() for p in args.props.split(",") if p.strip()))
     if not props:
         raise ContractViolation("--props names no property")
     for p in props:

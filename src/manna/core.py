@@ -156,6 +156,9 @@ class Instance:
 
     def __post_init__(self):
         object.__setattr__(self, "valuations", tuple(self.valuations))
+        for name in ("num_agents", "num_items", "c"):
+            if type(getattr(self, name)) is not int:
+                raise InvalidInstance(f"{name} {getattr(self, name)!r} is not an integer")
         if self.num_agents < 1:
             raise InvalidInstance("need at least one agent")
         if self.num_items < 0:

@@ -495,29 +495,30 @@ def min_weight_path(
 
 
 def shift_along_path(allocation: Allocation, items: Sequence[int], gainer: int) -> Allocation:
-    """Apply the path-augmentation shift: every path item moves one step back
-    toward the start, the last item leaves its bundle, and the first item
-    joins ``gainer``'s bundle.
+    """Apply the path-augmentation shift to a path that ends in the pool:
+    every path item moves one step back toward the start, the last item
+    leaves the pool, and the first item joins ``gainer``'s bundle.
 
-    Only the gainer's and the path holders' bundles, the pool among them
-    when the last item is unallocated, are rebuilt and checked; every other
-    bundle is passed through as the same object."""
-    # the pool is tried first for the last item, as ``owner_of`` does
+    Only the gainer's and the path holders' bundles, and the pool, are
+    rebuilt and checked; every other bundle is passed through as the same
+    object."""
     return allocation.move(_path_moves(allocation, items, gainer, 0))
 
 
 def _path_moves(allocation, items, gainer, target):
-    """The moves ``(item, from, to)`` of ``shift_along_path``: each path item
-    goes to the holder of the item before it, the first to ``gainer``.  The
-    last item's holder is ``target``, the part the path should end in, when
-    that part holds it; otherwise ``owner_of`` finds it, as it finds the
-    others.  ``Allocation.move`` rejects an item that moves twice."""
+    """The moves ``(item, from, to)`` of a path that ends in part ``target``:
+    each path item goes to the holder of the item before it, the first to
+    ``gainer``.  Raises ``ContractViolation`` unless the path ends in part
+    ``target``, which is not ``gainer``, and every interior item is held by
+    an agent.  ``Allocation.move`` checks that each item moves once, out of
+    a part that holds it, so the moves add one item to ``gainer``, take one
+    from ``target`` and change no other size."""
+    if not items or items[-1] not in allocation.bundle(target) or gainer == target:
+        raise ContractViolation(f"path does not end in part {target}")
     holders = list(map(allocation.owner_of, items[:-1]))
     if 0 in holders:
         raise ContractViolation("interior path item is unallocated")
-    if items:
-        last = items[-1]
-        holders.append(target if last in allocation.bundle(target) else allocation.owner_of(last))
+    holders.append(target)
     return list(zip(items, holders, (gainer, *holders)))
 
 
@@ -565,15 +566,17 @@ def augment(
 
     Pool-terminated paths also retire the terminal item from whichever x0
     bundle held it.  Every bundle the path leaves alone is passed through as
-    the same object.  The postconditions (cleanness, every x0 bundle within
-    xc's pool, bundle-size deltas) are asserted, and any failure raises
-    ``CleannessViolation`` -- which must never happen for valid inputs.  The
-    state passed in must be sound.  The changed agents are the gainer and
-    the path items' holders, whose counted bundles the shift's moves touch,
-    plus the x0 holder of a Pareto terminal, which moves into x0's pool:
-    exactly the agents with a new bundle object, found without a walk over
-    all n agents.  The invariants are rechecked only for them: xc's pool
-    loses only a Pareto terminal, whose x0 holder is among them.
+    the same object.  ``_path_moves`` checks that the path ends in its
+    target part, so only the source's and the target's counted sizes move,
+    by +1 and -1.  The postconditions (cleanness, every x0 bundle within
+    xc's pool) are asserted, and any failure raises ``CleannessViolation``
+    -- which must never happen for valid inputs.  The state passed in must
+    be sound.  The changed agents are the gainer and the path items'
+    holders, whose counted bundles the shift's moves touch, plus the x0
+    holder of a Pareto terminal, which moves into x0's pool: exactly the
+    agents with a new bundle object, found without a walk over all n
+    agents.  The invariants are rechecked only for them: xc's pool loses
+    only a Pareto terminal, whose x0 holder is among them.
     """
     items, source, target = path.items, path.source_agent, path.target
     moves = _path_moves(xc, items, source, target)
@@ -588,19 +591,7 @@ def augment(
         if holder:
             new_x0 = x0.move([(terminal, holder, 0)])
             changed.add(holder)
-    changed = sorted(changed)
-    # A bundle passed through as the same object kept its size, so only
-    # the changed agents and the target are compared.
-    compared = changed if not target or target in changed else [*changed, target]
-    for k in compared:
-        size, expected = len(new_xc.bundles[k - 1]), len(xc.bundles[k - 1])
-        expected += (k == source) - (k == target)
-        if size != expected:
-            raise CleannessViolation(
-                f"agent {k}: counted bundle size {size} after augmentation, "
-                f"expected {expected}"
-            )
-    problems = clean_state_violations(inst, new_xc, new_x0, changed)
+    problems = clean_state_violations(inst, new_xc, new_x0, sorted(changed))
     if problems:
         raise CleannessViolation("; ".join(problems))
     return new_xc, new_x0

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from .core import Allocation, Instance, utility_vector
+from .core import Allocation, Instance
 from .errors import (
     CleannessViolation,
     InvalidInstance,
@@ -149,18 +149,16 @@ def phase2(state: SolverState, inst: Instance, trace: Trace = None) -> SolverSta
     Pareto-improving path exists exactly while Σ|xc_i| is below its maximum
     (Viswanathan & Zick, "Yankee Swap", AAMAS 2023; Babaioff, Ezra & Feige,
     AAAI 2021).  The Pareto stage reaches that maximum, and an exchange
-    augmentation keeps the sum fixed: ``augment`` asserts the +1 for i and
-    the -1 for j.  After an exchange stage that augmented, a Pareto scan of
-    the final graph checks this and raises ``CleannessViolation`` if it
-    finds a path.
+    augmentation keeps the sum fixed: ``augment`` checks that the path ends
+    in j's counted bundle, so its moves give i one item and take one from
+    j.  After an exchange stage that augmented, a Pareto scan of the final
+    graph checks this and raises ``CleannessViolation`` if it finds a path.
 
     The exchange stage keeps the counted sizes and the scaled potential
     Σ_h (n²·|xc_h| + h)² up to date instead of recomputing them from the
-    allocation: an exchange adds 1 to the source's size and takes 1 from
-    the target's, and ``augment`` has asserted that no other size moved,
-    so only those two terms of the sum change.  The potential must still
-    strictly decrease across every exchange, or ``TerminationGuard`` is
-    raised.
+    allocation: those moves change no other size, so only the two terms of
+    i and j change.  The potential must still strictly decrease across
+    every exchange, or ``TerminationGuard`` is raised.
     """
     n = inst.num_agents
     pareto_bound, exchange_bound = augmentation_bounds(n, inst.num_items)
@@ -263,13 +261,14 @@ def phase3(state: SolverState, inst: Instance, trace: Trace = None) -> SolveRepo
     """Hand each leftover item to the currently happiest agent (ties to the
     higher index), then assemble and verify the report.
 
-    The utilities are computed only when an item is left.  Each item costs
-    its receiver exactly 1, which the marginal check asserts, so only the
-    receiver's utility moves."""
+    Each utility starts at c·|xc_i|, the value of the agent's clean bundles
+    xc_i ∪ x0_i.  Each item costs its receiver exactly 1, which the marginal
+    check asserts, so only the receiver's utility moves.  The report's
+    utilities are these tracked numbers: clauses (c) and (d) of the
+    verified decomposition certify them."""
     remaining = sorted(state.xc.unallocated & state.x0.unallocated)
     bundles = [set(state.xc.bundle(i) | state.x0.bundle(i)) for i in inst.agents]
-    if remaining:
-        utility = [inst.value(i, bundles[i - 1]) for i in inst.agents]
+    utility = [inst.c * size for size in state.xc.sizes()]
     for o in remaining:
         receiver = max(inst.agents, key=lambda i: (utility[i - 1], i))
         if inst.marginal(receiver, bundles[receiver - 1], o) != -1:
@@ -290,11 +289,10 @@ def phase3(state: SolverState, inst: Instance, trace: Trace = None) -> SolveRepo
         inst.num_items,
     )
     decomposition = TriDecomposition(state.xc, state.x0, xm1)
-    # clause (d) makes each utility c·|xc_i| − |xm1_i|, so welfare needs no check of its own
     ok, clause = verify_tridecomposition(inst, allocation, decomposition)
     if not ok:
         raise CleannessViolation(f"final decomposition violates clause ({clause})")
-    utilities = utility_vector(inst, allocation)
+    utilities = tuple(utility)
     return SolveReport(
         allocation=allocation,
         utilities=utilities,

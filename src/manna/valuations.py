@@ -229,6 +229,9 @@ class Explicit:
         table = tuple(self.table)
         _require_ints(table, "table value")
         object.__setattr__(self, "table", table)
+        _require_ints((self.num_items,), "item count")
+        if self.num_items < 0:
+            raise MalformedValuation(f"negative item count {self.num_items}")
         if self.num_items > EXPLICIT_MAX_ITEMS:
             raise MalformedValuation(
                 f"explicit tables support at most {EXPLICIT_MAX_ITEMS} items"

@@ -9,14 +9,14 @@ its first item; otherwise the agent retires.  The result is leximin and
 welfare-maximal for these counts, and every bundle is clean (its count
 equals its size).
 
-The turn order is a heap of ``(bundle size, agent)`` over the active agents.
-Only the gainer's entry ever needs to move.  A path ends in the pool, so
-each path item a holder gives up is replaced in its bundle by the next item
-on the path, and only the gainer, which receives the first item, grows: by
-exactly one.  The gainer goes back with its size plus one, an always-on
-check confirms that its bundle grew by exactly one and is clean, and a
-retiring agent leaves the heap.  The heap's least entry is then the one a
-scan of all active agents for the smallest bundle would pick.
+The turns are taken in rounds: each round gives one turn to every active
+agent in index order, and the agents that gained are the next round's
+active agents.  A gain adds one item to the gainer's bundle and changes no
+other size: the path ends in the pool, which ``shift_along_path`` checks,
+so each path item a holder gives up is replaced in its bundle by the next
+item on the path.  So at the start of round r every active agent holds r
+items, and the next agent of the round is the active agent of least
+``(bundle size, agent)``.
 
 An agent's desired items and the out-neighbours of its items are sought
 only among the items whose marginal on the empty bundle reaches 0, so the
@@ -45,7 +45,6 @@ kept with its edges is.
 
 from __future__ import annotations
 
-import heapq
 from typing import Iterable, Optional, Sequence
 
 from . import exchange, threshold
@@ -62,27 +61,22 @@ def yankee_swap(num_items: int, valuations: Sequence) -> Allocation:
     n = len(valuations)
     allocation = Allocation.empty(n, num_items)
     graph = exchange.unweighted_adjacency(allocation, valuations)
-    # (bundle size, agent) of every active agent; sorted, so already a heap
-    turns = [(0, i) for i in range(1, n + 1)]
-    while turns:
-        size, agent = turns[0]
-        path = shortest_path_to_pool(allocation, graph.adjacency, graph.desired[agent - 1])
-        if path is None:
-            heapq.heappop(turns)
-            continue
-        allocation = shift_along_path(allocation, path, agent)
-        bundle = allocation.bundle(agent)
-        if len(bundle) != size + 1:
-            raise CleannessViolation(
-                f"agent {agent}: bundle size {len(bundle)} after augmentation, "
-                f"expected {size + 1}"
-            )
-        heapq.heapreplace(turns, (size + 1, agent))
-        if threshold.beta(valuations[agent - 1], 0, bundle) != len(bundle):
-            raise CleannessViolation(
-                f"agent {agent}: bundle not clean at threshold 0 after augmentation"
-            )
-        graph = exchange.unweighted_adjacency(allocation, valuations, graph)
+    active = range(1, n + 1)
+    while active:
+        gained = []
+        for agent in active:
+            path = shortest_path_to_pool(allocation, graph.adjacency, graph.desired[agent - 1])
+            if path is None:
+                continue
+            allocation = shift_along_path(allocation, path, agent)
+            gained.append(agent)
+            bundle = allocation.bundle(agent)
+            if threshold.beta(valuations[agent - 1], 0, bundle) != len(bundle):
+                raise CleannessViolation(
+                    f"agent {agent}: bundle not clean at threshold 0 after augmentation"
+                )
+            graph = exchange.unweighted_adjacency(allocation, valuations, graph)
+        active = gained
     for i, bundle in enumerate(allocation.bundles, 1):
         if threshold.beta(valuations[i - 1], 0, bundle) != len(bundle):
             raise CleannessViolation(f"agent {i}: final bundle not clean at threshold 0")

@@ -119,6 +119,26 @@ def test_verify_budget_exceeded(tmp_path, fixture_file, capsys, monkeypatch):
     assert "budget" in err
 
 
+def test_verify_runs_a_repeated_property_once(tmp_path, fixture_file, capsys, monkeypatch):
+    inst_path = fixture_file("ex2")
+    alloc_path = tmp_path / "alloc.json"
+    alloc_path.write_text(serialize_allocation(solve(fixtures()["ex2"]).allocation))
+    brute, calls = cli.oracle.brute_max_usw, []
+
+    def counted(*args):
+        calls.append(args)
+        return brute(*args)
+
+    monkeypatch.setattr(cli.oracle, "brute_max_usw", counted)
+    code, out, _ = run(
+        capsys,
+        ["verify", "--instance", inst_path, "--allocation", str(alloc_path),
+         "--props", "usw,usw,prop1,usw", "--human"],
+    )
+    assert (code, out) == (0, "usw: pass\nprop1: pass\n")
+    assert len(calls) == 1
+
+
 def test_verify_unknown_prop_is_usage_error(tmp_path, fixture_file, capsys):
     inst_path = fixture_file("ex2")
     alloc_path = tmp_path / "alloc.json"

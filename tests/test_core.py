@@ -155,6 +155,16 @@ def test_instance_validation():
     Instance(1, 2, 1, (GeneralAdditive((7, -3)),))
 
 
+@pytest.mark.parametrize("name", ["num_agents", "num_items", "c"])
+@pytest.mark.parametrize("bad", [True, 1.5], ids=["bool", "float"])
+def test_instance_rejects_sizes_that_are_not_ints(name, bad):
+    # a bool or a float passes every range comparison, and a JSON file
+    # written with one would not parse back
+    sizes = {"num_agents": 1, "num_items": 2, "c": 1, name: bad}
+    with pytest.raises(InvalidInstance, match=f"^{name} {bad!r} is not an integer$"):
+        Instance(valuations=(Additive((0, 0)),), **sizes)
+
+
 def test_utility_vector_examples(named_fixtures):
     ex2 = named_fixtures["ex2"]
     X = Allocation((frozenset({0, 1}), frozenset({2, 3})), frozenset())

@@ -197,17 +197,28 @@ def test_augment_exchange_size_bookkeeping():
     assert path.items == (0,)
     nxc, _ = augment(inst, xc, x0, path)
     assert (len(nxc.bundle(1)), len(nxc.bundle(2))) == (1, 1)
-    # forced paths into the wrong part; sizes are checked before cleanness
+    # forced paths into the wrong part: the path's end is checked before any
+    # move, so every size a path moves is the gainer's +1 and the target's -1
     inst = Instance(2, 3, 2, (Additive((2, 0, 2)), Additive((2, 2, 0))))
     xc = Allocation.from_bundles([set(), {0, 1}], 3)
     x0 = Allocation.empty(2, 3)
-    # ending in the pool, it leaves the target's bundle object in place
+    # ending in the pool, it would leave the target's bundle object in place
     forced = AugmentingPath((2,), 1, 2, 0)
-    with pytest.raises(CleannessViolation, match="agent 2: .*size 2 .*expected 1"):
+    with pytest.raises(ContractViolation, match="^path does not end in part 2$"):
         augment(inst, xc, x0, forced)
     forced = AugmentingPath((0,), 1, 0, 2)
-    with pytest.raises(CleannessViolation, match="agent 2: .*size 1 .*expected 2"):
+    with pytest.raises(ContractViolation, match="^path does not end in part 0$"):
         augment(inst, xc, x0, forced)
+
+
+def test_augment_rejects_a_path_that_ends_in_the_gainers_bundle():
+    # agent 1 would take o0 from agent 2, who would take o1 back from agent
+    # 1: a swap that keeps every size, and that Allocation.move would apply
+    inst = Instance(2, 3, 2, (Additive((2, 2, 0)), Additive((2, 2, 0))))
+    xc = Allocation.from_bundles([{1}, {0}], 3)
+    forced = AugmentingPath((0, 1), 1, 1, 4)
+    with pytest.raises(ContractViolation, match="^path does not end in part 1$"):
+        augment(inst, xc, Allocation.empty(2, 3), forced)
 
 
 @pytest.mark.parametrize(
@@ -234,8 +245,6 @@ def test_augment_and_shift_reject_a_malformed_path(path):
         # a Pareto path: agent 5 takes o1 from agent 1, who takes o2 from
         # agent 2, who takes pool item o5
         ((1, 2, 5), 5, ({0, 2}, {5}, {3}, {4}, {1}), {1, 2, 5}),
-        # an exchange path ending in agent 3's bundle, which loses o3
-        ((1, 3), 5, ({0, 3}, {2}, set(), {4}, {1}), {1, 3, 5}),
         # a lone pool item: only the gainer's bundle changes
         ((6,), 2, ({0, 1}, {2, 6}, {3}, {4}, set()), {2}),
     ],
@@ -248,9 +257,25 @@ def test_shift_along_path_rebuilds_only_the_gainer_and_path_holders(
     assert after.bundles == bundles
     for k, (new, old) in enumerate(zip(after.bundles, before.bundles), start=1):
         assert (new is not old) == (k in rebuilt), k
-    # the pool is rebuilt only when the path ends there
-    ends_in_pool = items[-1] in before.unallocated
-    assert (after.unallocated is not before.unallocated) == ends_in_pool
+    # every path the shift applies ends in the pool
+    assert after.unallocated is not before.unallocated
+
+
+def test_augment_rebuilds_only_the_gainer_and_path_holders():
+    # an exchange path ending in agent 3's bundle, which loses o3: agent 5
+    # takes o1 from agent 1, who takes o3 from agent 3
+    def counts(*items):
+        return Additive(tuple(2 if o in items else 0 for o in range(7)))
+
+    inst = Instance(5, 7, 2, (counts(0, 1, 3), counts(2), counts(3), counts(4), counts(1)))
+    xc = Allocation.from_bundles([{0, 1}, {2}, {3}, {4}, set()], 7)
+    x0 = Allocation.empty(5, 7)
+    new_xc, new_x0 = augment(inst, xc, x0, AugmentingPath((1, 3), 5, 3, 4))
+    assert new_xc.bundles == ({0, 3}, {2}, set(), {4}, {1})
+    for k, (new, old) in enumerate(zip(new_xc.bundles, xc.bundles), start=1):
+        assert (new is not old) == (k in {1, 3, 5}), k
+    assert new_xc.unallocated is xc.unallocated
+    assert new_x0 is x0
 
 
 def _edge_lists(graph):

@@ -113,6 +113,18 @@ def test_explicit_structural_checks():
         Explicit(2, (0, 1, 1, 2)).marginal({0}, 0)
 
 
+@pytest.mark.parametrize(
+    "num_items, message",
+    [(-1, "negative item count -1"), (1.5, "item count 1.5 is not an integer"),
+     (True, "item count True is not an integer")],
+)
+def test_explicit_rejects_an_item_count_that_is_not_a_size(num_items, message):
+    # the table-size shift would raise a ValueError or a TypeError, not a
+    # MannaError, or take True for 1
+    with pytest.raises(MalformedValuation, match=f"^{message}$"):
+        Explicit(num_items, (0, 0))
+
+
 NOT_INTEGERS = {
     "additive-float": Additive((2.5, -1.7)),  # once truncated to (2, -1), which passes
     "additive-float-c": Additive((2.0, 0)),

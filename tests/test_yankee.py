@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from manna import exchange, threshold, yankee
 from manna.core import Allocation
-from manna.errors import CleannessViolation
+from manna.errors import CleannessViolation, ContractViolation
 from manna.exchange import shift_along_path, unweighted_adjacency
 from manna.instgen import gen_capped_groups, gen_random_additive
 from manna.valuations import Additive, Explicit, items_of
@@ -82,6 +82,22 @@ def test_rejects_a_bundle_left_unclean():
     table = Explicit(3, (0, 0, 0, -1, 0, 0, -1, 0))
     with pytest.raises(CleannessViolation, match="agent 1: bundle not clean"):
         yankee_swap(3, [table])
+
+
+def test_rejects_a_path_that_takes_another_agents_item(monkeypatch):
+    # agent 1 takes o0 and agent 2 takes o1; on the third turn, agent 1's
+    # second, a forged path takes o1 from agent 2.  Agent 1's bundle grows
+    # by one and stays clean, so only the path's end shows the fault.
+    search, calls = yankee.shortest_path_to_pool, []
+
+    def forging_search(allocation, adjacency, sources):
+        calls.append(sources)
+        return (1,) if len(calls) == 3 else search(allocation, adjacency, sources)
+
+    monkeypatch.setattr(yankee, "shortest_path_to_pool", forging_search)
+    valuations = [Additive((0, 0, -1)), Additive((-1, 0, -1))]
+    with pytest.raises(ContractViolation, match="^path does not end in part 0$"):
+        yankee_swap(3, valuations)
 
 
 PHASE1_INSTANCES = {
@@ -171,7 +187,7 @@ class _Recording(list):
 
 @settings(max_examples=200)
 @given(solver_instances(max_agents=6))
-def test_heap_turn_order_equals_min_scan_reference(inst):
+def test_round_robin_turn_order_equals_min_scan_reference(inst):
     """Each turn goes to the same agent and finds the same path, and the
     allocation is the same, as in the reference loop, which scans every
     active agent for the smallest bundle and walks every edge list in its
